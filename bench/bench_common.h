@@ -147,13 +147,6 @@ class RunRecorder {
     }
   }
 
-  void add_timeline(const std::string& label,
-                    const vgpu::MultiDeviceTimeline& tl) {
-    if (trace_enabled()) {
-      session_.add_timeline(label, tl);
-    }
-  }
-
   /// Writes the requested artifacts (validating each by re-parsing) and
   /// runs the baseline gate. Returns the process exit code: 0; 2 when
   /// --baseline comparison found a regressed or missing metric; 3 when

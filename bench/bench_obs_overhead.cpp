@@ -3,7 +3,7 @@
 // engine, metrics) and once with all of it off — and gates the median
 // virtual per-frame latency delta under 5%. A second arm repeats the
 // contrast for the kernel profiler (obs/profile.h): collection scope on
-// vs. suppressed, same budget.
+// vs. no profiler observing, same budget.
 //
 // The observability layer charges no virtual time, so on the simulator
 // the delta is deterministically 0: this gate fires if instrumentation
@@ -15,10 +15,33 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
+#include <thread>
 
+#include "ingest/frame_source.h"
 #include "serve/service.h"
 
 namespace {
+
+/// Runs `body` on a fresh thread and waits for it, rethrowing what it
+/// threw. The thread's launch-observer chain (vgpu/observer.h) starts
+/// empty, so none of the observers installed on the calling thread —
+/// RunRecorder's ambient profiler included — see its launches.
+template <typename Body>
+void run_unobserved(const Body& body) {
+  std::exception_ptr error;
+  std::thread worker([&body, &error] {
+    try {
+      body();
+    } catch (...) {
+      error = std::current_exception();
+    }
+  });
+  worker.join();
+  if (error) {
+    std::rethrow_exception(error);
+  }
+}
 
 double median(std::vector<double> values) {
   FDET_CHECK(!values.empty()) << "no latency samples";
@@ -69,6 +92,7 @@ int main(int argc, char** argv) {
   preset.shot_frames = std::max(1, frames / 6);
   const video::SyntheticTrailer trailer(preset);
   const video::MockH264Decoder decoder(trailer);
+  const ingest::H264FrameSource source(decoder);
   const auto plan =
       serve::FaultPlan::parse(faults, static_cast<std::uint64_t>(seed));
 
@@ -79,19 +103,18 @@ int main(int argc, char** argv) {
   serve::ServiceOptions off_opts = on_opts;
   off_opts.obs.tracing = false;
   off_opts.obs.flight_recorder = false;
-  off_opts.obs.slo_ladder = false;  // legacy direct-ladder path
 
   for (int rep = 0; rep < run.repeats(); ++rep) {
     run.begin_repeat(rep);
 
     core::Stopwatch on_watch;
     serve::StreamingService on(spec, pair.ours, {}, on_opts, &run.metrics());
-    const serve::ServiceReport with_obs = on.run(decoder, frames, &plan);
+    const serve::ServiceReport with_obs = on.run(source, frames, &plan);
     const double on_host_s = on_watch.elapsed_seconds();
 
     core::Stopwatch off_watch;
     serve::StreamingService off(spec, pair.ours, {}, off_opts, nullptr);
-    const serve::ServiceReport without_obs = off.run(decoder, frames, &plan);
+    const serve::ServiceReport without_obs = off.run(source, frames, &plan);
     const double off_host_s = off_watch.elapsed_seconds();
 
     FDET_CHECK(with_obs.frames.size() == without_obs.frames.size())
@@ -143,29 +166,28 @@ int main(int argc, char** argv) {
         << delta_pct << "% exceeds the " << budget_pct << "% budget";
 
     // Kernel-profiler arm of the same gate: the obs-off service once
-    // under an explicit collection scope, once with profiling suppressed
-    // (an empty hook shadows RunRecorder's ambient collector). The
-    // profiler observes launches strictly after their cost is computed,
-    // so the virtual latencies must be bit-identical.
+    // under an explicit collection scope, once with no profiler observing.
+    // Both run on fresh threads, so RunRecorder's ambient profiler sees
+    // neither. The profiler observes launches strictly after their cost is
+    // computed, so the virtual latencies must be bit-identical.
     obs::KernelProfiler profiler;
     std::vector<double> prof_on_ms;
-    {
+    run_unobserved([&] {
       const obs::ScopedProfileCollection prof_scope(profiler);
       serve::StreamingService svc(spec, pair.ours, {}, off_opts, nullptr);
-      const serve::ServiceReport r = svc.run(decoder, frames, &plan);
+      const serve::ServiceReport r = svc.run(source, frames, &plan);
       for (const serve::ServedFrame& frame : r.frames) {
         prof_on_ms.push_back(frame.latency_ms);
       }
-    }
+    });
     std::vector<double> prof_off_ms;
-    {
-      const vgpu::ScopedKernelProfileHook suppress(nullptr);
+    run_unobserved([&] {
       serve::StreamingService svc(spec, pair.ours, {}, off_opts, nullptr);
-      const serve::ServiceReport r = svc.run(decoder, frames, &plan);
+      const serve::ServiceReport r = svc.run(source, frames, &plan);
       for (const serve::ServedFrame& frame : r.frames) {
         prof_off_ms.push_back(frame.latency_ms);
       }
-    }
+    });
     FDET_CHECK(profiler.launches() > 0)
         << "profiler-on pass observed no kernel launches";
     const double prof_on_median = median(prof_on_ms);

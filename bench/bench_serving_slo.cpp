@@ -9,6 +9,7 @@
 // `fdet_report slo BENCH_serving_slo.json` renders the record.
 #include "bench_common.h"
 
+#include "ingest/frame_source.h"
 #include "serve/service.h"
 
 int main(int argc, char** argv) {
@@ -54,6 +55,7 @@ int main(int argc, char** argv) {
   preset.seed = 7;
   const video::SyntheticTrailer trailer(preset);
   const video::MockH264Decoder decoder(trailer);
+  const ingest::H264FrameSource source(decoder);
   const auto plan =
       serve::FaultPlan::parse(faults, static_cast<std::uint64_t>(seed));
 
@@ -65,7 +67,7 @@ int main(int argc, char** argv) {
   // blows it (so the plan's faults actually burn the SLO budget).
   {
     serve::StreamingService probe(spec, pair.ours, {}, options);
-    const serve::ServiceReport calib = probe.run(decoder, frames);
+    const serve::ServiceReport calib = probe.run(source, frames);
     double max_ms = 0.0;
     for (const auto& frame : calib.frames) {
       max_ms = std::max(max_ms, frame.latency_ms);
@@ -90,7 +92,7 @@ int main(int argc, char** argv) {
     run.begin_repeat(rep);
     serve::StreamingService service(spec, pair.ours, {}, options,
                                     &run.metrics());
-    const serve::ServiceReport report = service.run(decoder, frames, &plan);
+    const serve::ServiceReport report = service.run(source, frames, &plan);
     const obs::SloSnapshot& slo = report.slo;
 
     if (rep == 0) {

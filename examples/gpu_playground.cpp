@@ -69,10 +69,10 @@ int main(int argc, char** argv) {
           auto tile = shared.array<int>(kThreads);
           const int idx = static_cast<int>(t.flat_block()) * kThreads +
                           t.thread.x;
-          tile[static_cast<std::size_t>(t.thread.x)] =
-              input[static_cast<std::size_t>(idx)];
+          int& slot = tile[static_cast<std::size_t>(t.thread.x)];
+          slot = input[static_cast<std::size_t>(idx)];
           ctx.global_load(static_cast<std::uint64_t>(idx) * 4, 4);
-          ctx.shared_access();
+          ctx.shared_store_at(shared, slot);
         },
         [&partial](const vgpu::ThreadCoord& t, vgpu::LaneCtx& ctx,
                    vgpu::SharedMem& shared) {
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
           int acc = 0;
           for (int i = 0; i < kThreads; ++i) {
             acc += tile[static_cast<std::size_t>(i)];
-            ctx.shared_access();
+            ctx.shared_load_at(shared, tile[static_cast<std::size_t>(i)]);
             ctx.alu();
           }
           partial[static_cast<std::size_t>(t.flat_block())] = acc;

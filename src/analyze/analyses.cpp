@@ -239,9 +239,10 @@ void check_global_oob(const KernelIR& ir, const AnalysisOptions& options,
   if (options.allocations.empty()) {
     return;
   }
-  const auto containing = [&options](std::uint64_t addr) -> const Allocation* {
-    for (const Allocation& a : options.allocations) {
-      if (addr >= a.base && addr < a.base + a.bytes) {
+  const auto containing =
+      [&options](std::uint64_t addr) -> const vgpu::GlobalAllocation* {
+    for (const vgpu::GlobalAllocation& a : options.allocations) {
+      if (addr >= a.base && addr < a.base + a.size) {
         return &a;
       }
     }
@@ -269,9 +270,9 @@ void check_global_oob(const KernelIR& ir, const AnalysisOptions& options,
         hi = p.max_seen + p.bytes;
         how = "observed under both data seeds (data-dependent)";
       }
-      const Allocation* alloc =
+      const vgpu::GlobalAllocation* alloc =
           lo < 0 ? nullptr : containing(static_cast<std::uint64_t>(lo));
-      if (alloc != nullptr && hi <= alloc->base + alloc->bytes) {
+      if (alloc != nullptr && hi <= alloc->base + alloc->size) {
         continue;
       }
       std::ostringstream msg;
@@ -281,7 +282,7 @@ void check_global_oob(const KernelIR& ir, const AnalysisOptions& options,
         msg << "starts outside every registered allocation";
       } else {
         msg << "escapes allocation '" << alloc->name << "' [" << alloc->base
-            << ", " << alloc->base + alloc->bytes << ")";
+            << ", " << alloc->base + alloc->size << ")";
       }
       msg << " (" << how << "); address = " << p.form.to_string() << " at "
           << geometry_string(ir.config);
@@ -552,10 +553,6 @@ PredictedTraffic predict_traffic(const KernelIR& ir) {
       out.global_transactions += pred.transactions;
       out.min_global_transactions += pred.min_transactions;
     }
-    // Unaddressed shared_access() calls carry no index. The executor
-    // cannot model conflicts for them either, so they do not affect
-    // completeness relative to the dynamic counters — they are simply
-    // invisible to the OOB/dead-write analyses.
   }
   return out;
 }

@@ -47,16 +47,6 @@ struct Finding {
   bool suppressed = false;
 };
 
-/// A registered global allocation the kernel may address (virtual base +
-/// length, same convention fdet_check uses). Global OOB proofs require a
-/// slot's whole evaluated range to stay inside the allocation containing
-/// its minimum address.
-struct Allocation {
-  std::string name;
-  std::uint64_t base = 0;
-  std::uint64_t bytes = 0;
-};
-
 struct AnalysisOptions {
   /// Warn when a predicted per-issue conflict degree reaches this many
   /// serialized passes. Production scan legitimately runs degree-4 chunk
@@ -67,7 +57,11 @@ struct AnalysisOptions {
   double uncoalesced_warn_ratio = 8.0;
   /// Warn (not just inform) when occupancy drops below this ratio.
   double occupancy_warn_ratio = 0.25;
-  std::vector<Allocation> allocations;
+  /// Registered global allocations the kernel may address — the same
+  /// ranges the dynamic checker bounds-checks (vgpu/checker.h). Global OOB
+  /// proofs require a slot's whole evaluated range to stay inside the
+  /// allocation containing its minimum address.
+  std::vector<vgpu::GlobalAllocation> allocations;
 };
 
 /// Slot-exact replication of the executor's warp reduction, evaluated

@@ -229,12 +229,6 @@ void CaptureEngine::on_shared(std::size_t offset, std::uint32_t bytes,
   }
 }
 
-void CaptureEngine::on_unattributed_shared(std::uint32_t n) {
-  Impl& s = *impl_;
-  if (!s.lane_active) return;
-  s.cur_phase().unattributed_shared += n;
-}
-
 void CaptureEngine::end_lane(const vgpu::LaneCtx& lane) {
   Impl& s = *impl_;
   if (!s.lane_active) return;
@@ -343,7 +337,7 @@ std::vector<RawKernelCapture> CaptureEngine::take_captures() {
 }
 
 CaptureScope::CaptureScope(CaptureOptions options)
-    : engine_(options), installer_(&engine_) {}
+    : engine_(options), installer_(engine_) {}
 
 // ---------------------------------------------------------------------------
 // Affine fitting
@@ -505,7 +499,6 @@ KernelIR condense(const RawKernelCapture& raw) {
     const RawPhase& rp = raw.phases[pi];
     PhaseIR phase;
     phase.index = static_cast<int>(pi);
-    phase.unattributed_shared = rp.unattributed_shared;
     for (std::size_t i = 0; i < rp.shared_slots.size(); ++i) {
       phase.shared_slots.push_back(
           condense_slot(rp.shared_slots[i], phase.index, static_cast<int>(i),
@@ -599,8 +592,6 @@ KernelIR merge_captures(const RawKernelCapture& seed_a,
     const RawPhase& pb = seed_b.phases[pi];
     PhaseIR phase;
     phase.index = static_cast<int>(pi);
-    phase.unattributed_shared =
-        std::max(pa.unattributed_shared, pb.unattributed_shared);
     merge_slots(pa.shared_slots, pb.shared_slots, phase.index, true,
                 pa.lanes_sampled, phase.shared_slots);
     merge_slots(pa.global_slots, pb.global_slots, phase.index, false,

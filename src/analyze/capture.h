@@ -1,11 +1,11 @@
 // Symbolic capture mode for vgpu kernels (layer 1 of the static analyzer).
 //
-// A CaptureScope installs a CaptureEngine as the thread's vgpu::LaunchTap:
-// every execute_kernel launch until the scope closes is recorded — lane by
-// lane, slot by slot — into a RawKernelCapture. Production kernels need no
-// rewrites: the engine taps the exact instrumentation the checker already
-// uses (LaneCtx attribution, SharedMem carves, the PhaseFn barrier
-// structure).
+// A CaptureScope installs a CaptureEngine on the thread's launch-observer
+// chain (vgpu/observer.h): every execute_kernel launch until the scope
+// closes is recorded — lane by lane, slot by slot — into a
+// RawKernelCapture. Production kernels need no rewrites: the engine taps
+// the exact instrumentation the checker already uses (LaneCtx
+// attribution, SharedMem carves, the PhaseFn barrier structure).
 //
 // Capture runs the kernel's real code, but the *analysis* contract is
 // static: the engine samples a handful of blocks and warps (corners of
@@ -18,9 +18,10 @@
 // patterns (extrapolatable to every lane of every block) from indirect,
 // input-driven ones (never extrapolated).
 //
-// Precedence (vgpu/tap.h): if a CheckScope is active around a launch, the
-// checker wins and the engine only counts the launch as shadowed — the
-// resulting capture set is incomplete and fdet_lint reports it as such.
+// Precedence (vgpu/observer.h): if a CheckScope is open around a launch,
+// the checker owns it and the engine only counts the launch as shadowed —
+// the resulting capture set is incomplete and fdet_lint reports it as
+// such. The same holds for an outer capture under an inner one.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +30,7 @@
 
 #include "analyze/ir.h"
 #include "vgpu/kernel.h"
-#include "vgpu/tap.h"
+#include "vgpu/observer.h"
 
 namespace fdet::analyze {
 
@@ -79,7 +80,6 @@ struct RawPhase {
   std::vector<RawSlot> shared_slots;
   std::vector<RawSlot> global_slots;
   std::vector<RawBranch> branches;
-  std::int64_t unattributed_shared = 0;
   std::int64_t lanes_sampled = 0;   ///< begin_lane calls kept for this phase
 };
 
@@ -97,14 +97,15 @@ struct RawKernelCapture {
   bool branch_tracking_forced = false;
 };
 
-/// The LaunchTap implementation. Normally driven through CaptureScope;
-/// exposed so the precedence regression test can observe it directly.
-class CaptureEngine : public vgpu::LaunchTap {
+/// The capture observer. Normally driven through CaptureScope; exposed so
+/// the precedence regression test can observe it directly.
+class CaptureEngine : public vgpu::LaunchObserver {
  public:
   explicit CaptureEngine(CaptureOptions options = {});
   ~CaptureEngine() override;
 
-  // vgpu::LaunchTap
+  // vgpu::LaunchObserver lane events
+  LaneRole lane_role() const override { return LaneRole::kCapture; }
   void begin_kernel(const vgpu::DeviceSpec& spec,
                     const vgpu::KernelConfig& config) override;
   void begin_block(const vgpu::Dim3& block_id) override;
@@ -113,7 +114,6 @@ class CaptureEngine : public vgpu::LaunchTap {
   void on_carve(std::size_t offset, std::size_t bytes,
                 std::size_t alignment) override;
   void on_shared(std::size_t offset, std::uint32_t bytes, bool store) override;
-  void on_unattributed_shared(std::uint32_t n) override;
   void end_lane(const vgpu::LaneCtx& lane) override;
   void end_phase() override;
   void end_kernel() override;
@@ -124,8 +124,8 @@ class CaptureEngine : public vgpu::LaunchTap {
 
   const std::vector<RawKernelCapture>& captures() const { return captures_; }
   std::vector<RawKernelCapture> take_captures();
-  /// Launches that ran while a checker shadowed this engine (tap
-  /// precedence) — nonzero means the capture set is incomplete.
+  /// Launches another lane-event owner (a checker, or an inner capture)
+  /// took from this engine — nonzero means the capture set is incomplete.
   int shadowed_launches() const { return shadowed_launches_; }
 
  private:
@@ -136,7 +136,8 @@ class CaptureEngine : public vgpu::LaunchTap {
   Impl* impl_;  ///< in-flight launch state
 };
 
-/// RAII: installs a CaptureEngine as the calling thread's launch tap.
+/// RAII: installs a CaptureEngine on the calling thread's launch-observer
+/// chain.
 class CaptureScope {
  public:
   explicit CaptureScope(CaptureOptions options = {});
@@ -149,7 +150,7 @@ class CaptureScope {
 
  private:
   CaptureEngine engine_;
-  vgpu::ScopedLaunchTap installer_;
+  vgpu::LaunchObserverScope installer_;
 };
 
 /// Condenses one raw capture into a KernelIR: affine fit + verification
@@ -168,7 +169,7 @@ KernelIR merge_captures(const RawKernelCapture& seed_a,
 /// Convenience harness: runs `driver` once per data seed under a capture
 /// scope and returns one merged IR per launch the driver performed, in
 /// launch order. `shadowed` (optional) receives the total count of
-/// launches lost to checker precedence.
+/// launches another lane-event owner took (observer precedence).
 std::vector<KernelIR> capture_kernels(
     const std::function<void(std::uint64_t seed)>& driver,
     std::uint64_t seed_a = 0x5eed0001, std::uint64_t seed_b = 0x5eed0002,

@@ -1,7 +1,7 @@
 // Kernel IR for the static access-pattern analyzer (fdet_lint).
 //
 // The capture engine (analyze/capture.h) runs a kernel once per data seed
-// under a vgpu::LaunchTap and condenses the observed lane programs into
+// as a vgpu::LaunchObserver and condenses the observed lane programs into
 // this IR: per phase, one AccessPattern per *slot* (the k-th shared or
 // global access a lane issues inside the phase — the same slot alignment
 // the executor uses for bank-conflict and coalescing modelling), one
@@ -119,7 +119,6 @@ struct PhaseIR {
   std::vector<AccessPattern> shared_slots;
   std::vector<AccessPattern> global_slots;
   std::vector<BranchPattern> branches;
-  std::int64_t unattributed_shared = 0;  ///< legacy shared_access() counts
 };
 
 /// Captured symbolic program of one kernel launch.

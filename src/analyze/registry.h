@@ -1,7 +1,8 @@
-// Production lint targets: every registered virtual-GPU kernel, wrapped in
-// a capture-ready driver. fdet_lint sweeps this registry; tests reuse it so
-// the "all production kernels lint clean" gate and the CLI agree on what
-// "all" means.
+// Production kernel targets: every registered virtual-GPU kernel, wrapped
+// in a driver. fdet_lint sweeps this one registry in both modes — `check`
+// runs each driver under the dynamic checker, `lint` captures it for the
+// static analyses — and tests reuse it so the "all production kernels are
+// clean" gates and the CLI agree on what "all" means.
 #pragma once
 
 #include <cstdint>
@@ -16,9 +17,9 @@ namespace fdet::analyze {
 struct LintTarget {
   /// Target group, e.g. "integral" (one driver can launch several kernels).
   std::string name;
-  /// Global allocations the kernels address (virtual byte-offset ranges,
-  /// same convention as fdet_check) — input to the global-OOB proof.
-  std::vector<Allocation> allocations;
+  /// Global allocations the kernels address (virtual byte-offset ranges):
+  /// the checker's memcheck ranges and the static global-OOB proof's.
+  std::vector<vgpu::GlobalAllocation> allocations;
   /// Suppressions registered with the target ("kind@kernel"); merged with
   /// any the CLI passes. Empty for the shipped kernels — they lint clean.
   std::vector<std::string> suppressions;

@@ -278,9 +278,8 @@ vgpu::LaunchCost cascade_kernel(const vgpu::DeviceSpec& spec,
       return;  // depth stays 0; border anchors cannot host a window
     }
 
-    // Every tile read is an attributed shared access (one per corner, the
-    // same count the previous shared_access(4) bundle charged), so checked
-    // execution can verify the staging protocol of eqs. (1)-(4).
+    // Every tile read is an addressed shared access (one per corner), so
+    // checked execution can verify the staging protocol of eqs. (1)-(4).
     const auto tile_at = [&tile, &ctx, &shared, tile_dim](int lx, int ly) {
       const auto& cell = tile[static_cast<std::size_t>(ly) * tile_dim + lx];
       ctx.shared_load_at(shared, cell);

@@ -1,8 +1,8 @@
 // Kernel profiler and performance attribution: the "why is it slow"
 // half of the observability loop.
 //
-// A KernelProfiler subscribes to every vgpu kernel launch through the
-// executor's ScopedKernelProfileHook seam and aggregates, per kernel
+// A KernelProfiler is a vgpu launch observer (vgpu/observer.h): it reads
+// every finished launch in after_launch and aggregates, per kernel
 // *base name* (the per-scale `_s<N>` suffix stripped, so `cascade_s0`
 // ... `cascade_s7` roll up into one `cascade` row):
 //
@@ -179,12 +179,13 @@ struct ProfileRecord {
 
 /// Collects launches into per-kernel / per-stage / per-frame aggregates.
 /// Not thread-safe: install on the thread issuing the launches (the
-/// executor's hook seam is thread-local anyway).
-class KernelProfiler {
+/// launch-observer chain is thread-local anyway).
+class KernelProfiler : public vgpu::LaunchObserver {
  public:
-  /// Feeds one finished launch (the hook target). Reads the ambient
-  /// ProfileStageScope and TraceContext for attribution.
-  void on_launch(const vgpu::DeviceSpec& spec, const vgpu::LaunchCost& cost);
+  /// Feeds one finished launch. Reads the ambient ProfileStageScope and
+  /// TraceContext for attribution.
+  void after_launch(const vgpu::DeviceSpec& spec,
+                    const vgpu::LaunchCost& cost) override;
 
   std::uint64_t launches() const { return launches_; }
   double total_cycles() const { return total_cycles_; }
@@ -207,15 +208,16 @@ class KernelProfiler {
   std::vector<AttributionBucket> frames_;     // insertion order
 };
 
-/// RAII collection window: installs `profiler` as the thread's kernel
-/// profile hook for the scope's lifetime. Nests like the underlying hook
-/// (innermost profiler observes the launches).
+/// RAII collection window: installs `profiler` on the thread's
+/// launch-observer chain for the scope's lifetime. Nested windows all
+/// collect (every observer sees every launch).
 class ScopedProfileCollection {
  public:
-  explicit ScopedProfileCollection(KernelProfiler& profiler);
+  explicit ScopedProfileCollection(KernelProfiler& profiler)
+      : scope_(profiler) {}
 
  private:
-  vgpu::ScopedKernelProfileHook hook_;
+  vgpu::LaunchObserverScope scope_;
 };
 
 /// Canonical on-disk name: `PROFILE_<artifact>.json`.

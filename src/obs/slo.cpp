@@ -66,9 +66,9 @@ SloDecision SloEngine::observe_frame(double latency_ms) {
   decision.slow_burn = window_miss_ratio() / options_.miss_budget;
   decision.degrade = decision.fast_burn >= options_.degrade_burn;
 
-  // Recovery state machine — identical to the pre-SLO ladder: the streak
-  // grows only on comfortably-in-budget frames and resets on a miss, on a
-  // close-to-the-edge frame, and when recovery fires.
+  // Recovery state machine: the streak grows only on comfortably-in-budget
+  // frames and resets on a miss, on a close-to-the-edge frame, and when
+  // recovery fires.
   if (decision.miss) {
     good_streak_ = 0;
   } else if (latency_ms < options_.recover_fraction * options_.deadline_ms) {

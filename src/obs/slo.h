@@ -12,13 +12,12 @@
 //
 // observe_frame() returns an SloDecision the DegradationLadder consumes
 // as its climb/recover signal (serve::DegradationLadder::apply). The
-// default options reproduce the pre-SLO ladder dynamics bit-for-bit:
-// fast_window_frames = 1 and degrade_burn such that a single miss burns
-// the whole fast budget (degrade exactly on `latency > deadline`), and
-// recovery fires on a recover_after-long streak of frames under
-// recover_fraction * deadline, with the streak resetting on a miss, on
-// an in-budget-but-close frame, and when recovery fires — the same state
-// machine DegradationLadder::observe() implemented locally.
+// default options give the deadline rule: fast_window_frames = 1 and
+// degrade_burn such that a single miss burns the whole fast budget
+// (degrade exactly on `latency > deadline`), and recovery fires on a
+// recover_after-long streak of frames under recover_fraction * deadline,
+// with the streak resetting on a miss, on an in-budget-but-close frame,
+// and when recovery fires.
 //
 // Per-stage latency and queue depth feed lifetime sketches surfaced in
 // SloSnapshot/publish() for the BENCH_serving_slo artifact.
@@ -48,7 +47,7 @@ struct SloOptions {
   /// window_frames / window_slots frames.
   int window_slots = 8;
   /// Fast burn window in frames. 1 = the current frame alone, which makes
-  /// `degrade` fire exactly on a deadline miss (legacy ladder behavior).
+  /// `degrade` fire exactly on a deadline miss.
   int fast_window_frames = 1;
   /// Degrade when fast burn rate >= this. With fast_window_frames = 1 any
   /// single miss yields burn 1/miss_budget >= 1, so the default threshold

@@ -333,14 +333,6 @@ int TraceSession::add_timeline(const std::string& label,
   return pid;
 }
 
-void TraceSession::add_timeline(const std::string& label,
-                                const vgpu::MultiDeviceTimeline& timeline) {
-  for (std::size_t device = 0; device < timeline.devices.size(); ++device) {
-    add_timeline(label + ":dev" + std::to_string(device),
-                 timeline.devices[device]);
-  }
-}
-
 void TraceSession::add_event(TraceEvent event) {
   std::lock_guard lock(mutex_);
   events_.push_back(std::move(event));
@@ -410,18 +402,6 @@ void publish_timeline(Registry& registry, const vgpu::Timeline& timeline,
       labels);
   for (const vgpu::LaunchRecord& record : timeline.records) {
     durations.observe(record.duration_s() * 1e3);
-  }
-}
-
-void publish_timeline(Registry& registry,
-                      const vgpu::MultiDeviceTimeline& timeline,
-                      const Labels& labels) {
-  registry.gauge("vgpu.multi_makespan_ms", labels)
-      .set(timeline.makespan_s * 1e3);
-  for (std::size_t device = 0; device < timeline.devices.size(); ++device) {
-    Labels device_labels = labels;
-    device_labels.emplace_back("device", std::to_string(device));
-    publish_timeline(registry, timeline.devices[device], device_labels);
   }
 }
 

@@ -152,9 +152,6 @@ class TraceSession {
   /// Adds a scheduled timeline as a new "vgpu:<label>" trace process and
   /// returns its pid.
   int add_timeline(const std::string& label, const vgpu::Timeline& timeline);
-  /// Adds every device of a multi-GPU schedule ("vgpu:<label>:devN").
-  void add_timeline(const std::string& label,
-                    const vgpu::MultiDeviceTimeline& timeline);
 
   void add_event(TraceEvent event);
 
@@ -216,12 +213,6 @@ class ScopedSpan {
 /// throughput, plus launch/block/byte totals and a kernel-duration
 /// histogram.
 void publish_timeline(Registry& registry, const vgpu::Timeline& timeline,
-                      const Labels& labels = {});
-
-/// Multi-GPU variant: per-device metrics labeled device=N plus the overall
-/// makespan.
-void publish_timeline(Registry& registry,
-                      const vgpu::MultiDeviceTimeline& timeline,
                       const Labels& labels = {});
 
 }  // namespace fdet::obs

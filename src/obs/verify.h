@@ -8,8 +8,7 @@
 //   vgpu.check.clean{kernel=K}          gauge, 1 when no hazards
 //   vgpu.check.hazards{kernel=K,kind=}  counter per hazard kind (includes
 //                                       kind=suppressed beyond the cap)
-//   vgpu.check.shared_accesses{kernel=K}    attributed accesses checked
-//   vgpu.check.unattributed_shared{kernel=K} legacy shared_access() counts
+//   vgpu.check.shared_accesses{kernel=K}    shared accesses checked
 //   vgpu.check.carves{kernel=K}         SharedMem carves checked
 //   vgpu.check.global_ops{kernel=K}     global ops bounds-checked
 #pragma once

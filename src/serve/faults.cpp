@@ -185,45 +185,41 @@ void corrupt_luma(img::ImageU8& luma, std::uint64_t seed) {
   }
 }
 
-vgpu::LaunchFaultHook make_launch_fault_hook(const FaultPlan& plan, int frame,
-                                             int attempt) {
-  const bool transient =
-      plan.fires(FaultKind::kLaunchTransient, frame, attempt);
-  const bool constant = plan.fires(FaultKind::kConstantOverflow, frame, attempt);
-  const bool shared = plan.fires(FaultKind::kSharedOverflow, frame, attempt);
-  if (!transient && !constant && !shared) {
-    return {};
+LaunchFaultInjector::LaunchFaultInjector(const FaultPlan& plan, int frame,
+                                         int attempt)
+    : frame_(frame),
+      attempt_(attempt),
+      transient_(plan.fires(FaultKind::kLaunchTransient, frame, attempt)),
+      constant_(plan.fires(FaultKind::kConstantOverflow, frame, attempt)),
+      shared_(plan.fires(FaultKind::kSharedOverflow, frame, attempt)) {}
+
+void LaunchFaultInjector::before_launch(const vgpu::DeviceSpec& /*spec*/,
+                                        const vgpu::KernelConfig& config) {
+  if (fired_) {
+    return;
   }
-  // One injected failure per armed attempt: the first matching launch
-  // throws, the retry re-arms with attempt+1.
-  auto fired = std::make_shared<bool>(false);
-  return [=](const vgpu::KernelConfig& config) {
-    if (*fired) {
-      return;
-    }
-    if (transient) {
-      *fired = true;
-      throw vgpu::LaunchError("injected transient launch failure on '" +
-                                  config.name + "' (frame " +
-                                  std::to_string(frame) + ", attempt " +
-                                  std::to_string(attempt) + ")",
-                              /*transient=*/true);
-    }
-    if (constant && config.constant_bytes > 0) {
-      *fired = true;
-      throw vgpu::LaunchError("injected constant-memory overflow on '" +
-                                  config.name + "' (frame " +
-                                  std::to_string(frame) + ")",
-                              /*transient=*/false);
-    }
-    if (shared && config.shared_bytes > 0) {
-      *fired = true;
-      throw vgpu::LaunchError("injected shared-memory overflow on '" +
-                                  config.name + "' (frame " +
-                                  std::to_string(frame) + ")",
-                              /*transient=*/false);
-    }
-  };
+  if (transient_) {
+    fired_ = true;
+    throw vgpu::LaunchError("injected transient launch failure on '" +
+                                config.name + "' (frame " +
+                                std::to_string(frame_) + ", attempt " +
+                                std::to_string(attempt_) + ")",
+                            /*transient=*/true);
+  }
+  if (constant_ && config.constant_bytes > 0) {
+    fired_ = true;
+    throw vgpu::LaunchError("injected constant-memory overflow on '" +
+                                config.name + "' (frame " +
+                                std::to_string(frame_) + ")",
+                            /*transient=*/false);
+  }
+  if (shared_ && config.shared_bytes > 0) {
+    fired_ = true;
+    throw vgpu::LaunchError("injected shared-memory overflow on '" +
+                                config.name + "' (frame " +
+                                std::to_string(frame_) + ")",
+                            /*transient=*/false);
+  }
 }
 
 const char* device_fault_kind_name(DeviceFaultKind kind) {

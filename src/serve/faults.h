@@ -101,13 +101,31 @@ class FaultPlan {
 /// seeded noise — the corruption model for FaultKind::kCorruptLuma.
 void corrupt_luma(img::ImageU8& luma, std::uint64_t seed);
 
-/// Builds the vgpu launch-fault hook arming the plan's launch-stage faults
-/// for one (frame, attempt). Returns an empty function when nothing fires.
-/// The hook throws vgpu::LaunchError: transient for kLaunchTransient, hard
-/// for the overflow kinds (thrown on the first launch that actually uses
-/// constant or shared memory, respectively).
-vgpu::LaunchFaultHook make_launch_fault_hook(const FaultPlan& plan, int frame,
-                                             int attempt);
+/// Launch observer (vgpu/observer.h) arming the plan's launch-stage faults
+/// for one (frame, attempt). Its before_launch throws vgpu::LaunchError:
+/// transient for kLaunchTransient, hard for the overflow kinds (thrown on
+/// the first launch that actually uses constant or shared memory,
+/// respectively). One injected failure per armed attempt: the first
+/// matching launch throws, the retry arms a fresh injector with
+/// attempt + 1.
+class LaunchFaultInjector final : public vgpu::LaunchObserver {
+ public:
+  LaunchFaultInjector(const FaultPlan& plan, int frame, int attempt);
+
+  /// False when nothing fires for this (frame, attempt).
+  bool armed() const { return transient_ || constant_ || shared_; }
+
+  void before_launch(const vgpu::DeviceSpec& spec,
+                     const vgpu::KernelConfig& config) override;
+
+ private:
+  int frame_;
+  int attempt_;
+  bool transient_;
+  bool constant_;
+  bool shared_;
+  bool fired_ = false;
+};
 
 // ---------------------------------------------------------------------------
 // Device-level fault vocabulary (fleet layer, DESIGN.md §12).

@@ -109,6 +109,21 @@ struct DetectEntry {
   std::vector<detect::Detection> detections;
 };
 
+/// Launch observer failing every launch with a transient LaunchError: a
+/// lost device, as the launching thread sees it.
+class DeviceLoss final : public vgpu::LaunchObserver {
+ public:
+  explicit DeviceLoss(std::string what) : what_(std::move(what)) {}
+
+  void before_launch(const vgpu::DeviceSpec& /*spec*/,
+                     const vgpu::KernelConfig& /*config*/) override {
+    throw vgpu::LaunchError(what_, /*transient=*/true);
+  }
+
+ private:
+  std::string what_;
+};
+
 void append_cause(FleetFrame& rec, const std::string& token) {
   if (!rec.cause.empty()) {
     rec.cause += " -> ";
@@ -219,7 +234,7 @@ struct FleetScheduler::Sim {
     /// The next dispatch must be solo: the stream is mid-failover and a
     /// batch may not cross the fault-domain boundary.
     bool solo_next = false;
-    DegradationLadder ladder{DegradeOptions{}, 1.0};
+    DegradationLadder ladder;
     int max_level = 0;
   };
 
@@ -809,20 +824,17 @@ struct FleetScheduler::Sim {
   }
 
   /// Routes the device loss through the vgpu launch seam: one pipeline
-  /// launch under a hook that throws LaunchError, so the fault exercises
-  /// the exact path a real mid-kernel device failure would take.
+  /// launch under an observer that throws LaunchError, so the fault
+  /// exercises the exact path a real mid-kernel device failure would take.
   void inject_via_launch_seam(int d, const char* kind) {
     if (probe_luma == nullptr) {
       return;  // nothing ever decoded; the loss hit an idle fleet
     }
     bool surfaced = false;
     {
-      const std::string what = std::string("injected ") + kind +
-                               " on virtual device " + std::to_string(d);
-      vgpu::ScopedLaunchFaultHook hook(
-          [&what](const vgpu::KernelConfig&) {
-            throw vgpu::LaunchError(what, /*transient=*/true);
-          });
+      DeviceLoss loss(std::string("injected ") + kind + " on virtual device " +
+                      std::to_string(d));
+      const vgpu::LaunchObserverScope scope(loss);
       try {
         host->pipeline_for_level(0).process(*probe_luma);
       } catch (const vgpu::LaunchError&) {
@@ -1056,7 +1068,7 @@ FleetReport FleetScheduler::run(const DeviceFaultPlan* device_plan,
     ss.cls = tenants_[static_cast<std::size_t>(config.tenant)].cls;
     ss.source = config.source;
     ss.device = static_cast<int>(s) % options_.devices;
-    ss.ladder = DegradationLadder(options_.degrade, options_.deadline_ms);
+    ss.ladder = DegradationLadder();
     sim.streams.push_back(std::move(ss));
     sim.offsets.push_back(total_frames);
     total_frames += config.frames;

@@ -93,34 +93,15 @@ const DegradationStep& DegradationLadder::step_at(int level) {
   return kLadder[static_cast<std::size_t>(level)];
 }
 
-void DegradationLadder::observe(double latency_ms) {
-  if (latency_ms > deadline_ms_) {
-    good_streak_ = 0;
-    move_to(level_ + 1, "deadline-miss");
-    return;
-  }
-  if (latency_ms < options_.recover_fraction * deadline_ms_) {
-    if (++good_streak_ >= options_.recover_after) {
-      good_streak_ = 0;
-      move_to(level_ - 1, "recovery-streak");
-    }
-  } else {
-    good_streak_ = 0;  // in budget but too close to the edge to climb
-  }
-}
-
 void DegradationLadder::apply(bool degrade, bool recover, const char* cause) {
   if (degrade) {
-    good_streak_ = 0;
     move_to(level_ + 1, cause);
   } else if (recover) {
-    good_streak_ = 0;
     move_to(level_ - 1, cause);
   }
 }
 
 void DegradationLadder::force_serial_fallback() {
-  good_streak_ = 0;
   if (level_ < kSerialLevel) {
     move_to(kSerialLevel, "breaker-serial-fallback");
   }

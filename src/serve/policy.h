@@ -95,6 +95,8 @@ class CircuitBreaker {
   int trips_ = 0;
 };
 
+/// Recovery hysteresis of the ladder's signal; the serving loops copy it
+/// into obs::SloOptions.
 struct DegradeOptions {
   int recover_after = 3;          ///< consecutive in-budget frames per step down
   double recover_fraction = 0.75; ///< "in budget" = latency < fraction * deadline
@@ -112,13 +114,10 @@ struct DegradationStep {
 
 /// The ladder: level 0 full quality, then stepwise load shedding —
 /// drop the finest pyramid scale(s) first, raise min_neighbors, fall back
-/// to serial execution, finally shed queued frames. observe() moves at
-/// most one level per frame in either direction.
+/// to serial execution, finally shed queued frames. apply() moves at most
+/// one level per call in either direction.
 class DegradationLadder {
  public:
-  DegradationLadder(DegradeOptions options, double deadline_ms)
-      : options_(options), deadline_ms_(deadline_ms) {}
-
   static int max_level();
   static const DegradationStep& step_at(int level);
 
@@ -126,17 +125,8 @@ class DegradationLadder {
   const DegradationStep& step() const { return step_at(level_); }
   int shifts() const { return shifts_; }
 
-  /// Observes one served frame's end-to-end virtual latency: over budget
-  /// degrades one level; a recover_after-long streak under
-  /// recover_fraction * deadline climbs back one level. (Legacy signal
-  /// path — the serving loop now feeds the ladder through apply() from
-  /// the SLO engine's burn-rate decision, which reproduces these exact
-  /// dynamics at its default options; observe() remains for callers
-  /// without an SLO engine and for the policy tests.)
-  void observe(double latency_ms);
-
-  /// SLO-driven signal path: `degrade` sheds one level, else `recover`
-  /// climbs one level. `cause` is recorded (last_cause()) whenever the
+  /// The ladder's signal (obs::SloEngine's per-frame decision): `degrade`
+  /// sheds one level, else `recover` climbs one level. `cause` is recorded (last_cause()) whenever the
   /// level actually moves, so flight-recorder ladder events can name the
   /// signal that moved it.
   void apply(bool degrade, bool recover, const char* cause);
@@ -152,10 +142,7 @@ class DegradationLadder {
  private:
   void move_to(int level, const char* cause);
 
-  DegradeOptions options_;
-  double deadline_ms_;
   int level_ = 0;
-  int good_streak_ = 0;
   int shifts_ = 0;
   const char* last_cause_ = "";
 };

@@ -46,7 +46,6 @@ StreamingService::StreamingService(const vgpu::DeviceSpec& spec,
                                    obs::Registry* registry)
     : spec_(spec), cascade_(std::move(cascade)), base_(base),
       options_(options), registry_(registry),
-      ladder_(options_.degrade, options_.deadline_ms),
       decode_breaker_(options_.breaker), detect_breaker_(options_.breaker),
       jitter_rng_(options_.seed) {
   FDET_CHECK(options_.fps > 0.0) << "service fps must be positive";
@@ -108,6 +107,26 @@ void StreamingService::flight(obs::FlightEventKind kind, int frame,
   }
   recorder_->record(event);
 }
+
+/// Stamps every scheduled kernel launch of one detect attempt into the
+/// flight recorder, in virtual time relative to the attempt's start.
+class StreamingService::LaunchStamps final : public vgpu::LaunchObserver {
+ public:
+  LaunchStamps(StreamingService& service, int frame, double base_us)
+      : service_(service), frame_(frame), base_us_(base_us) {}
+
+  void on_scheduled(const vgpu::LaunchRecord& record) override {
+    service_.flight(obs::FlightEventKind::kLaunch, frame_,
+                    base_us_ + record.start_s * 1e6,
+                    record.duration_s() * 1e6, record.name.c_str(), "",
+                    static_cast<double>(record.blocks));
+  }
+
+ private:
+  StreamingService& service_;
+  int frame_;
+  double base_us_;
+};
 
 void StreamingService::note_anomaly(ServedFrame& sf, obs::Anomaly kind) {
   (void)sf;
@@ -177,7 +196,7 @@ const detect::Pipeline& StreamingService::pipeline_for_level(int level) {
 }
 
 void StreamingService::reset() {
-  ladder_ = DegradationLadder(options_.degrade, options_.deadline_ms);
+  ladder_ = DegradationLadder();
   decode_breaker_ = CircuitBreaker(options_.breaker);
   detect_breaker_ = CircuitBreaker(options_.breaker);
   jitter_rng_ = core::Rng(options_.seed);
@@ -383,22 +402,21 @@ ServedFrame StreamingService::serve_frame(
   const int detect_retries_before = sf.retries;
   int attempt = 0;
   while (true) {
-    std::optional<vgpu::ScopedLaunchFaultHook> hook;
+    // This attempt's launch observers: the plan's armed launch faults, and
+    // flight-recorder stamps for every scheduled launch.
+    std::optional<LaunchFaultInjector> faults;
+    std::optional<vgpu::LaunchObserverScope> fault_scope;
     if (plan != nullptr) {
-      hook.emplace(make_launch_fault_hook(*plan, index, attempt));
+      faults.emplace(*plan, index, attempt);
+      if (faults->armed()) {
+        fault_scope.emplace(*faults);
+      }
     }
-    // Stamp every kernel launch of this attempt into the flight recorder,
-    // in virtual time relative to the detect stage's start.
-    std::optional<vgpu::ScopedLaunchObserver> launch_observer;
+    std::optional<LaunchStamps> stamps;
+    std::optional<vgpu::LaunchObserverScope> stamp_scope;
     if (recorder_) {
-      const double base_us = now_us();
-      launch_observer.emplace([this, index,
-                               base_us](const vgpu::LaunchRecord& record) {
-        flight(obs::FlightEventKind::kLaunch, index,
-               base_us + record.start_s * 1e6, record.duration_s() * 1e6,
-               record.name.c_str(), "",
-               static_cast<double>(record.blocks));
-      });
+      stamps.emplace(*this, index, now_us());
+      stamp_scope.emplace(*stamps);
     }
     try {
       detect::FrameResult result = pipeline.process(decoded.frame.luma());
@@ -414,7 +432,6 @@ ServedFrame StreamingService::serve_frame(
                attempt + 1, detect_breaker_);
           return sf;
         }
-        hook.reset();
         backoff("detect", ++attempt);
         continue;
       }
@@ -442,11 +459,6 @@ ServedFrame StreamingService::serve_frame(
   sf.status = sf.degradation_level > 0 ? FrameStatus::kDegraded
                                        : FrameStatus::kOk;
   return sf;
-}
-
-ServiceReport StreamingService::run(const video::MockH264Decoder& decoder,
-                                    int count_frames, const FaultPlan* plan) {
-  return run(ingest::H264FrameSource(decoder), count_frames, plan);
 }
 
 ServiceReport StreamingService::run(const ingest::FrameSource& source,
@@ -569,21 +581,15 @@ ServiceReport StreamingService::run(const ingest::FrameSource& source,
                0.0, "deadline-miss", "", sf.latency_ms);
       }
       const int level_before = ladder_.level();
-      // The SLO engine sees every served frame either way; by default its
-      // burn-rate decision drives the ladder (identical dynamics to the
-      // legacy direct observe() at default SloOptions).
+      // The SLO engine's burn-rate decision drives the ladder.
       const obs::SloDecision decision = slo_->observe_frame(sf.latency_ms);
-      if (options_.obs.slo_ladder) {
-        if (decision.degrade || decision.recover) {
-          flight(obs::FlightEventKind::kSlo, i, sf.completion_s * 1e6, 0.0,
-                 "slo", decision.degrade ? "degrade" : "recover",
-                 decision.degrade ? decision.fast_burn : decision.slow_burn);
-        }
-        ladder_.apply(decision.degrade, decision.recover,
-                      decision.degrade ? "slo-burn" : "slo-recover");
-      } else {
-        ladder_.observe(sf.latency_ms);
+      if (decision.degrade || decision.recover) {
+        flight(obs::FlightEventKind::kSlo, i, sf.completion_s * 1e6, 0.0,
+               "slo", decision.degrade ? "degrade" : "recover",
+               decision.degrade ? decision.fast_burn : decision.slow_burn);
       }
+      ladder_.apply(decision.degrade, decision.recover,
+                    decision.degrade ? "slo-burn" : "slo-recover");
       if (ladder_.level() != level_before) {
         count("serve.degradation.shifts");
         trace_instant("serve.degrade -> level " +

@@ -8,7 +8,7 @@
 // the queue depth is derived from arrivals vs completions —
 // deterministic, like the rest of the simulator, so chaos runs are
 // exactly reproducible. Any frame source serves identically: the mock
-// hardware H.264 decoder (a convenience overload wraps it) or the
+// hardware H.264 decoder (through ingest::H264FrameSource) or the
 // validating byte-stream container parsers of src/ingest/.
 //
 // Recovery behavior (serve/policy.h):
@@ -107,11 +107,8 @@ struct ObservabilityOptions {
   /// Also dump on injected faults that caused no other anomaly (chaos
   /// runs demand a causal record for *every* injected fault).
   bool dump_on_fault = true;
-  /// Drive the DegradationLadder from the SLO engine's burn-rate decision
-  /// (default). False restores the legacy direct ladder.observe() path;
-  /// both produce identical dynamics at default SloOptions.
-  bool slo_ladder = true;
-  /// SLO engine configuration. deadline_ms, recover_fraction and
+  /// SLO engine configuration; its burn-rate decisions drive the
+  /// DegradationLadder. deadline_ms, recover_fraction and
   /// recover_after are overridden from ServiceOptions at run start so the
   /// engine always judges the service's actual budget.
   obs::SloOptions slo;
@@ -184,12 +181,6 @@ class StreamingService {
   ServiceReport run(const ingest::FrameSource& source, int count,
                     const FaultPlan* plan = nullptr);
 
-  /// Convenience: serves the mock hardware decoder through its
-  /// H264FrameSource adapter (the pre-ingest API, kept for callers that
-  /// never touch byte streams).
-  ServiceReport run(const video::MockH264Decoder& decoder, int count,
-                    const FaultPlan* plan = nullptr);
-
   const ServiceOptions& options() const { return options_; }
   int degradation_level() const { return ladder_.level(); }
   BreakerState decode_breaker() const { return decode_breaker_.state(); }
@@ -198,6 +189,8 @@ class StreamingService {
   const obs::FlightRecorder* recorder() const { return recorder_.get(); }
 
  private:
+  class LaunchStamps;  ///< flight-recorder launch observer (service.cpp)
+
   const detect::Pipeline& pipeline_for_level(int level);
   /// `start_s` is the virtual time service begins on the frame
   /// (max(arrival, previous completion)) — flight events and vgpu launch

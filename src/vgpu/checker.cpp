@@ -9,11 +9,6 @@
 #include "vgpu/lane.h"
 
 namespace fdet::vgpu {
-namespace {
-
-thread_local Checker* g_active_checker = nullptr;
-
-}  // namespace
 
 const char* hazard_name(HazardKind kind) {
   switch (kind) {
@@ -240,10 +235,6 @@ void Checker::on_shared(std::size_t offset, std::uint32_t bytes, bool store) {
   }
 }
 
-void Checker::on_unattributed_shared(std::uint32_t n) {
-  current_.unattributed_shared_accesses += n;
-}
-
 void Checker::end_lane(const LaneCtx& lane) {
   if (options_.global_allocations.empty()) {
     return;
@@ -364,11 +355,6 @@ std::string Checker::lane_str(const Dim3& lane) const {
 }
 
 CheckScope::CheckScope(CheckOptions options)
-    : checker_(std::move(options)),
-      previous_(std::exchange(g_active_checker, &checker_)) {}
-
-CheckScope::~CheckScope() { g_active_checker = previous_; }
-
-Checker* active_checker() { return g_active_checker; }
+    : checker_(std::move(options)), installer_(checker_) {}
 
 }  // namespace fdet::vgpu

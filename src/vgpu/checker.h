@@ -37,7 +37,8 @@
 // Opt-in: instantiate a CheckScope, run any kernel(s) through the normal
 // execute_kernel path (directly or via the production wrappers in
 // fdet::integral / fdet::detect), then inspect the per-launch reports.
-// Without an active scope the executor's hot path pays one pointer test.
+// The checker is a launch observer (vgpu/observer.h) and owns the lane
+// events of every launch it sees.
 #pragma once
 
 #include <cstddef>
@@ -47,7 +48,7 @@
 
 #include "vgpu/device.h"
 #include "vgpu/dim.h"
-#include "vgpu/tap.h"
+#include "vgpu/observer.h"
 
 namespace fdet::vgpu {
 
@@ -92,7 +93,6 @@ struct CheckReport {
   std::vector<Hazard> hazards;
   std::uint64_t suppressed_hazards = 0;    ///< beyond max_reports_per_kernel
   std::uint64_t shared_accesses_checked = 0;
-  std::uint64_t unattributed_shared_accesses = 0;
   std::uint64_t carves_checked = 0;
   std::uint64_t global_ops_checked = 0;
 
@@ -120,16 +120,17 @@ struct CheckOptions {
   bool check_shared_declaration = true;
 };
 
-/// The verification engine — one of the two LaunchTap implementations
-/// (vgpu/tap.h; the other is the static analyzer's capture engine). The
-/// executor drives it through the begin/on/end hooks when a CheckScope is
-/// active; most callers never touch it directly and read
-/// CheckScope::reports() instead.
-class Checker : public LaunchTap {
+/// The verification engine: the lane-capable launch observer that wins
+/// ownership of every launch it sees (vgpu/observer.h). The executor
+/// drives it through the begin/on/end hooks while a CheckScope is open;
+/// most callers never touch it directly and read CheckScope::reports()
+/// instead.
+class Checker : public LaunchObserver {
  public:
   explicit Checker(CheckOptions options = {});
 
   // --- executor hooks (one kernel launch at a time) ---------------------
+  LaneRole lane_role() const override { return LaneRole::kChecker; }
   void begin_kernel(const DeviceSpec& spec,
                     const KernelConfig& config) override;
   void begin_block(const Dim3& block_id) override;
@@ -141,8 +142,6 @@ class Checker : public LaunchTap {
   /// Attributed shared access from LaneCtx::shared_load/shared_store.
   void on_shared(std::size_t offset, std::uint32_t bytes,
                  bool store) override;
-  /// Legacy LaneCtx::shared_access(n) — costed but not race-checkable.
-  void on_unattributed_shared(std::uint32_t n) override;
   /// Lane finished: memcheck its recorded global ops.
   void end_lane(const LaneCtx& lane) override;
   void end_phase() override;
@@ -159,8 +158,9 @@ class Checker : public LaunchTap {
   /// throws.
   bool absorbs_resource_faults() const override { return true; }
 
-  /// Replaces the registered allocations (between launches; fdet_check
-  /// re-registers per kernel because the offset address spaces overlap).
+  /// Replaces the registered allocations (between launches; `fdet_lint
+  /// check` re-registers per target because the offset address spaces
+  /// overlap).
   void set_global_allocations(std::vector<GlobalAllocation> allocations);
 
   const std::vector<CheckReport>& reports() const { return reports_; }
@@ -222,16 +222,13 @@ class Checker : public LaunchTap {
   std::vector<CheckReport> reports_;
 };
 
-/// RAII opt-in: installs `this` as the calling thread's active checker, so
-/// every execute_kernel on this thread until destruction runs instrumented.
-/// Scopes nest (the previous checker is restored); checked state is
-/// per-thread, so concurrent tests do not interfere.
+/// RAII opt-in: installs a Checker on the calling thread's launch-observer
+/// chain, so every execute_kernel on this thread until destruction runs
+/// instrumented. Scopes nest (the innermost checker owns each launch);
+/// the chain is per-thread, so concurrent tests do not interfere.
 class CheckScope {
  public:
   explicit CheckScope(CheckOptions options = {});
-  ~CheckScope();
-  CheckScope(const CheckScope&) = delete;
-  CheckScope& operator=(const CheckScope&) = delete;
 
   Checker& checker() { return checker_; }
   void set_global_allocations(std::vector<GlobalAllocation> allocations) {
@@ -243,11 +240,7 @@ class CheckScope {
 
  private:
   Checker checker_;
-  Checker* previous_;
+  LaunchObserverScope installer_;
 };
-
-/// The calling thread's active checker, or nullptr when unchecked. The
-/// executor consults this once per launch.
-Checker* active_checker();
 
 }  // namespace fdet::vgpu

@@ -50,9 +50,8 @@ struct PerfCounters {
   std::uint64_t texture_fetches = 0;
   /// Extra serialized shared-memory passes from bank conflicts: for each
   /// warp-synchronous access slot, conflict degree minus one (a
-  /// conflict-free or fully broadcast slot contributes 0). Only addressed
-  /// accesses (LaneCtx::shared_load/shared_store) are modelled; the
-  /// unaddressed shared_access() escape hatch counts as conflict-free.
+  /// conflict-free or fully broadcast slot contributes 0), over the
+  /// addressed accesses of LaneCtx::shared_load/shared_store.
   std::uint64_t bank_conflicts = 0;
 
   double lane_issue_cycles = 0.0;  ///< sum of per-lane useful issue cycles

@@ -176,42 +176,17 @@ WarpCost aggregate_warp(const CostModel& cost, const KernelConfig& config,
   return warp;
 }
 
-/// Process-wide fault hook (see ScopedLaunchFaultHook). Plain pointer-free
-/// static: installed and consumed on the launching thread only.
-LaunchFaultHook g_launch_fault_hook;
-
-/// Innermost profile hook of this thread (see ScopedKernelProfileHook).
-thread_local ScopedKernelProfileHook* g_profile_hook = nullptr;
-
 }  // namespace
-
-ScopedLaunchFaultHook::ScopedLaunchFaultHook(LaunchFaultHook hook)
-    : previous_(std::move(g_launch_fault_hook)) {
-  g_launch_fault_hook = std::move(hook);
-}
-
-ScopedLaunchFaultHook::~ScopedLaunchFaultHook() {
-  g_launch_fault_hook = std::move(previous_);
-}
-
-ScopedKernelProfileHook::ScopedKernelProfileHook(KernelProfileHook hook)
-    : hook_(std::move(hook)), prev_(g_profile_hook) {
-  g_profile_hook = this;
-}
-
-ScopedKernelProfileHook::~ScopedKernelProfileHook() {
-  g_profile_hook = prev_;
-}
-
-const KernelProfileHook* ScopedKernelProfileHook::current() {
-  return g_profile_hook == nullptr ? nullptr : &g_profile_hook->hook_;
-}
 
 LaunchCost execute_kernel(const DeviceSpec& spec, const KernelConfig& config,
                           std::span<const PhaseFn> phases) {
-  if (g_launch_fault_hook) {
-    g_launch_fault_hook(config);  // may throw to inject a launch failure
-  }
+  // The composition rule of vgpu/observer.h: before_launch on every
+  // observer (a throw aborts here), one lane-event owner per launch, and
+  // after_launch on every observer once the launch finished.
+  const LaunchObserverScope* const observers =
+      LaunchObserverScope::innermost();
+  LaunchObserver* const owner =
+      observers == nullptr ? nullptr : observers->open_launch(spec, config);
   FDET_CHECK(!phases.empty()) << "kernel '" << config.name << "' has no phases";
   FDET_CHECK(config.grid.count() > 0 && config.block.count() > 0)
       << "kernel '" << config.name << "' has an empty launch";
@@ -219,32 +194,18 @@ LaunchCost execute_kernel(const DeviceSpec& spec, const KernelConfig& config,
   FDET_CHECK(threads_per_block <= spec.max_threads_per_block)
       << "kernel '" << config.name << "': " << threads_per_block
       << " threads per block";
-
-  // Opt-in instrumentation (vgpu/tap.h): an active CheckScope turns this
-  // launch into a checked execution; an active capture tap records it as
-  // a kernel IR for the static analyzer. Precedence when both are
-  // installed: the CHECKER wins — the capture tap is notified once and
-  // sees none of the launch's events (checker/analyzer overlap seam).
-  Checker* const checker = active_checker();
-  LaunchTap* tap = active_tap();
-  if (checker != nullptr) {
-    if (tap != nullptr) {
-      tap->on_shadowed_launch(config);
-    }
-    tap = checker;
-  }
-  if (tap == nullptr || !tap->absorbs_resource_faults()) {
+  if (owner == nullptr || !owner->absorbs_resource_faults()) {
     FDET_CHECK(config.constant_bytes <= spec.constant_mem_bytes)
         << "kernel '" << config.name << "' needs " << config.constant_bytes
         << " bytes of constant memory but device '" << spec.name
         << "' provides " << spec.constant_mem_bytes;
   }
-  if (tap != nullptr) {
-    tap->begin_kernel(spec, config);
+  if (owner != nullptr) {
+    owner->begin_kernel(spec, config);
   }
   const bool track_branches =
       config.track_branches ||
-      (tap != nullptr && tap->wants_branch_tracking());
+      (owner != nullptr && owner->wants_branch_tracking());
 
   LaunchCost result;
   result.config = config;
@@ -283,12 +244,12 @@ LaunchCost execute_kernel(const DeviceSpec& spec, const KernelConfig& config,
     coord.block_id.y = static_cast<int>((b / config.grid.x) % config.grid.y);
     coord.block_id.z = static_cast<int>(b / (static_cast<std::int64_t>(config.grid.x) * config.grid.y));
 
-    if (tap == nullptr) {
+    if (owner == nullptr) {
       shared.reset(static_cast<std::size_t>(config.shared_bytes));
     } else {
-      tap->begin_block(coord.block_id);
+      owner->begin_block(coord.block_id);
       shared.reset_checked(static_cast<std::size_t>(config.shared_bytes),
-                           tap);
+                           owner);
     }
     double block_issue = 0.0;
     double block_stall = 0.0;
@@ -296,8 +257,8 @@ LaunchCost execute_kernel(const DeviceSpec& spec, const KernelConfig& config,
     double block_conflict = 0.0;
 
     for (std::size_t phase = 0; phase < phases.size(); ++phase) {
-      if (tap != nullptr) {
-        tap->begin_phase(static_cast<int>(phase));
+      if (owner != nullptr) {
+        owner->begin_phase(static_cast<int>(phase));
       }
       for (int w = 0; w < warps_per_block; ++w) {
         const int first_thread = w * kWarpSize;
@@ -311,14 +272,14 @@ LaunchCost execute_kernel(const DeviceSpec& spec, const KernelConfig& config,
           LaneCtx& lane = scratch.lanes[static_cast<std::size_t>(l)];
           lane.reset();
           lane.set_track_branches(track_branches);
-          if (tap != nullptr) {
-            tap->begin_lane(coord.thread);
-            lane.set_tap(tap);
+          if (owner != nullptr) {
+            owner->begin_lane(coord.thread);
+            lane.set_owner(owner);
           }
           shared.rewind();
           phases[phase](coord, lane, shared);
-          if (tap != nullptr) {
-            tap->end_lane(lane);
+          if (owner != nullptr) {
+            owner->end_lane(lane);
           }
         }
         const WarpCost warp = aggregate_warp(spec.cost, config, scratch,
@@ -328,8 +289,8 @@ LaunchCost execute_kernel(const DeviceSpec& spec, const KernelConfig& config,
         block_divergence += warp.divergence_issue;
         block_conflict += warp.bank_conflict_issue;
       }
-      if (tap != nullptr) {
-        tap->end_phase();  // the block-wide barrier commits writes
+      if (owner != nullptr) {
+        owner->end_phase();  // the block-wide barrier commits writes
       }
       if (phase + 1 < phases.size()) {
         block_issue += warps_per_block * spec.cost.sync;  // __syncthreads
@@ -353,12 +314,11 @@ LaunchCost execute_kernel(const DeviceSpec& spec, const KernelConfig& config,
       static_cast<std::uint64_t>(num_blocks) * threads_per_block;
   result.counters.warps = static_cast<std::uint64_t>(num_blocks) *
                           warps_per_block * phases.size();
-  if (tap != nullptr) {
-    tap->end_kernel();
+  if (owner != nullptr) {
+    owner->end_kernel();
   }
-  const KernelProfileHook* hook = ScopedKernelProfileHook::current();
-  if (hook != nullptr && *hook) {
-    (*hook)(spec, result);
+  if (observers != nullptr) {
+    observers->close_launch(spec, result);
   }
   return result;
 }

@@ -56,7 +56,8 @@ using PhaseFn = std::function<void(const ThreadCoord&, LaneCtx&, SharedMem&)>;
 /// launch error (cudaErrorLaunchFailure and friends). `transient()`
 /// distinguishes glitches a caller may retry (driver hiccup, ECC retry)
 /// from hard resource faults (constant/shared overflow) that will fail
-/// identically on every attempt.
+/// identically on every attempt. Fault injection throws it from a launch
+/// observer's before_launch (vgpu/observer.h).
 class LaunchError : public std::runtime_error {
  public:
   LaunchError(const std::string& what, bool transient)
@@ -65,58 +66,6 @@ class LaunchError : public std::runtime_error {
 
  private:
   bool transient_;
-};
-
-/// Fault-injection seam: when a hook is installed, execute_kernel calls it
-/// with the launch config before running any thread. The hook may throw
-/// (typically LaunchError) to make the launch fail — this is how the
-/// serving layer (serve/faults.h) injects transient launch failures and
-/// resource-overflow faults without touching kernel code.
-using LaunchFaultHook = std::function<void(const KernelConfig&)>;
-
-/// RAII installer for the process-wide launch-fault hook. Installation is
-/// not synchronized: install from the thread that issues the launches,
-/// before any concurrent kernel execution. Restores the previously
-/// installed hook (hooks nest) on destruction.
-class ScopedLaunchFaultHook {
- public:
-  explicit ScopedLaunchFaultHook(LaunchFaultHook hook);
-  ~ScopedLaunchFaultHook();
-  ScopedLaunchFaultHook(const ScopedLaunchFaultHook&) = delete;
-  ScopedLaunchFaultHook& operator=(const ScopedLaunchFaultHook&) = delete;
-
- private:
-  LaunchFaultHook previous_;
-};
-
-/// Per-launch profiling seam: while a ScopedKernelProfileHook is
-/// installed on the current thread, execute_kernel invokes the callback
-/// once per successful launch with the device spec and the finished
-/// LaunchCost — after all phases ran, before returning. This is how the
-/// kernel profiler (obs/profile.h) observes every launch at the point
-/// where the caller's ambient context (trace context, profile stage
-/// scope) still names the pipeline stage issuing it, without vgpu
-/// depending on obs. Hooks nest; each restores the previous one on
-/// destruction, and only the innermost hook fires. Installing an *empty*
-/// hook therefore suppresses any outer profiler for the scope's lifetime
-/// (the profiler-off arm of bench_obs_overhead).
-struct LaunchCost;
-using KernelProfileHook =
-    std::function<void(const DeviceSpec&, const LaunchCost&)>;
-
-class ScopedKernelProfileHook {
- public:
-  explicit ScopedKernelProfileHook(KernelProfileHook hook);
-  ~ScopedKernelProfileHook();
-  ScopedKernelProfileHook(const ScopedKernelProfileHook&) = delete;
-  ScopedKernelProfileHook& operator=(const ScopedKernelProfileHook&) = delete;
-
-  /// The innermost installed hook of this thread (nullptr when none).
-  static const KernelProfileHook* current();
-
- private:
-  KernelProfileHook hook_;
-  ScopedKernelProfileHook* prev_;
 };
 
 /// Cost of one executed kernel launch, ready for scheduling.
@@ -132,9 +81,11 @@ struct LaunchCost {
   }
 };
 
-/// Executes every thread of the launch functionally and returns its cost.
-/// Throws core::CheckError on invalid configuration (block too large,
-/// shared memory exceeding the SM, zero occupancy).
+/// Executes every thread of the launch functionally and returns its cost,
+/// dispatching to the calling thread's launch observers by the composition
+/// rule of vgpu/observer.h. Throws core::CheckError on invalid
+/// configuration (block too large, shared memory exceeding the SM, zero
+/// occupancy).
 LaunchCost execute_kernel(const DeviceSpec& spec, const KernelConfig& config,
                           std::span<const PhaseFn> phases);
 

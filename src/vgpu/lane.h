@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "vgpu/tap.h"
+#include "vgpu/observer.h"
 
 namespace fdet::vgpu {
 
@@ -26,7 +26,7 @@ class LaneCtx {
     shared_words_.clear();
     branch_trace_.clear();
     track_branches_ = false;
-    tap_ = nullptr;
+    owner_ = nullptr;
   }
 
   // --- arithmetic -----------------------------------------------------
@@ -44,22 +44,10 @@ class LaneCtx {
   void global_store(std::uint64_t addr, std::uint32_t bytes) {
     global_ops_.push_back({addr, bytes, /*store=*/true});
   }
-  /// Unaddressed shared-memory access: counted and costed conflict-free.
-  /// Carries no address, so checked execution cannot race-check it and
-  /// the executor cannot model bank conflicts for it — prefer the
-  /// addressed shared_load/shared_store below in kernels that stage data
-  /// cooperatively (those feed both the race shadow and the per-warp
-  /// bank-conflict model).
-  void shared_access(int n = 1) {
-    n_shared_ += static_cast<std::uint32_t>(n);
-    if (tap_ != nullptr) {
-      tap_->on_unattributed_shared(static_cast<std::uint32_t>(n));
-    }
-  }
   /// Addressed shared-memory read/write of `bytes` at byte `offset` within
-  /// the block's buffer (SharedMem::offset_of). Costed like one
-  /// shared_access() plus any bank-conflict serialization the executor
-  /// derives: lanes of a warp issue their k-th shared access together, and
+  /// the block's buffer (SharedMem::offset_of). Costed as one shared
+  /// access plus any bank-conflict serialization the executor derives:
+  /// lanes of a warp issue their k-th shared access together, and
   /// distinct 4-byte words falling into the same of the 32 banks
   /// serialize (same-word broadcast is free). Accesses wider than a word
   /// are attributed to their first bank. Also feeds the race/memcheck
@@ -67,15 +55,15 @@ class LaneCtx {
   void shared_load(std::size_t offset, std::uint32_t bytes) {
     ++n_shared_;
     shared_words_.push_back(static_cast<std::uint32_t>(offset / 4));
-    if (tap_ != nullptr) {
-      tap_->on_shared(offset, bytes, /*store=*/false);
+    if (owner_ != nullptr) {
+      owner_->on_shared(offset, bytes, /*store=*/false);
     }
   }
   void shared_store(std::size_t offset, std::uint32_t bytes) {
     ++n_shared_;
     shared_words_.push_back(static_cast<std::uint32_t>(offset / 4));
-    if (tap_ != nullptr) {
-      tap_->on_shared(offset, bytes, /*store=*/true);
+    if (owner_ != nullptr) {
+      owner_->on_shared(offset, bytes, /*store=*/true);
     }
   }
   /// Convenience: report the access for one element of a SharedMem span,
@@ -126,10 +114,9 @@ class LaneCtx {
   };
 
   void set_track_branches(bool on) { track_branches_ = on; }
-  /// Attaches the active launch tap — the verification engine under a
-  /// CheckScope, or the analyzer's capture engine (reset() detaches); the
-  /// executor wires exactly one per launch (precedence in vgpu/tap.h).
-  void set_tap(LaunchTap* tap) { tap_ = tap; }
+  /// Attaches the launch's lane-event owner — the checker or the capture
+  /// engine (vgpu/observer.h); reset() detaches.
+  void set_owner(LaunchObserver* owner) { owner_ = owner; }
   std::uint32_t alu_count() const { return n_alu_; }
   std::uint32_t fma_count() const { return n_fma_; }
   std::uint32_t sfu_count() const { return n_sfu_; }
@@ -140,7 +127,7 @@ class LaneCtx {
   const std::vector<GlobalOp>& global_ops() const { return global_ops_; }
   /// 4-byte word index of each addressed shared access, in issue order
   /// (the executor aligns these slot-wise across the warp to count bank
-  /// conflicts). Unaddressed shared_access() calls do not appear here.
+  /// conflicts).
   const std::vector<std::uint32_t>& shared_words() const {
     return shared_words_;
   }
@@ -155,7 +142,7 @@ class LaneCtx {
   std::uint32_t n_tex_ = 0;
   std::uint32_t untracked_branches_ = 0;
   bool track_branches_ = false;
-  LaunchTap* tap_ = nullptr;
+  LaunchObserver* owner_ = nullptr;
   std::vector<GlobalOp> global_ops_;
   std::vector<std::uint32_t> shared_words_;
   std::vector<std::uint8_t> branch_trace_;

@@ -10,23 +10,6 @@
 
 namespace fdet::vgpu {
 
-namespace {
-
-thread_local ScopedLaunchObserver* g_launch_observer = nullptr;
-
-}  // namespace
-
-ScopedLaunchObserver::ScopedLaunchObserver(LaunchObserver observer)
-    : observer_(std::move(observer)), prev_(g_launch_observer) {
-  g_launch_observer = this;
-}
-
-ScopedLaunchObserver::~ScopedLaunchObserver() { g_launch_observer = prev_; }
-
-const LaunchObserver* ScopedLaunchObserver::current() {
-  return g_launch_observer == nullptr ? nullptr : &g_launch_observer->observer_;
-}
-
 PerfCounters Timeline::total_counters() const {
   PerfCounters total;
   for (const auto& record : records) {
@@ -156,32 +139,13 @@ Timeline schedule(const DeviceSpec& spec, const std::vector<Launch>& launches,
     }
   }
   FDET_CHECK(dispatched == count) << "scheduler left launches undispatched";
-  if (const LaunchObserver* observer = ScopedLaunchObserver::current()) {
+  if (const LaunchObserverScope* const observers =
+          LaunchObserverScope::innermost()) {
     for (const LaunchRecord& record : timeline.records) {
-      (*observer)(record);
+      observers->notify_scheduled(record);
     }
   }
   return timeline;
-}
-
-MultiDeviceTimeline schedule_multi(const DeviceSpec& spec, int device_count,
-                                   const std::vector<Launch>& launches,
-                                   ExecMode mode) {
-  FDET_CHECK(device_count >= 1);
-  std::vector<std::vector<Launch>> partitions(
-      static_cast<std::size_t>(device_count));
-  for (const Launch& launch : launches) {
-    partitions[static_cast<std::size_t>(launch.stream % device_count)]
-        .push_back(launch);
-  }
-  MultiDeviceTimeline result;
-  for (const auto& partition : partitions) {
-    Timeline tl = partition.empty() ? Timeline{}
-                                    : schedule(spec, partition, mode);
-    result.makespan_s = std::max(result.makespan_s, tl.makespan_s);
-    result.devices.push_back(std::move(tl));
-  }
-  return result;
 }
 
 std::map<int, std::vector<std::size_t>> Timeline::records_by_stream() const {

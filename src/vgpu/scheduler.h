@@ -14,7 +14,6 @@
 // the latency-hiding factor of the cost model (see kernel.h).
 #pragma once
 
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -84,49 +83,11 @@ struct Timeline {
   std::string render_trace(int columns = 100) const;
 };
 
-/// Schedules `launches` (in issue order) and returns their timeline.
+/// Schedules `launches` (in issue order) and returns their timeline. Every
+/// finalized record is passed to the calling thread's launch observers
+/// (LaunchObserver::on_scheduled, vgpu/observer.h) in issue order before
+/// returning.
 Timeline schedule(const DeviceSpec& spec, const std::vector<Launch>& launches,
                   ExecMode mode);
-
-/// Per-launch observation seam: while a ScopedLaunchObserver is installed
-/// on the current thread, schedule() invokes the callback once per
-/// LaunchRecord it finalizes (in issue order, before returning). The
-/// observability layer uses this to stamp every virtual kernel launch
-/// into the flight recorder under the ambient frame's trace context —
-/// without vgpu depending on obs. Observers nest; each restores the
-/// previous one on destruction.
-using LaunchObserver = std::function<void(const LaunchRecord&)>;
-
-class ScopedLaunchObserver {
- public:
-  explicit ScopedLaunchObserver(LaunchObserver observer);
-  ~ScopedLaunchObserver();
-  ScopedLaunchObserver(const ScopedLaunchObserver&) = delete;
-  ScopedLaunchObserver& operator=(const ScopedLaunchObserver&) = delete;
-
-  /// The innermost installed observer of this thread (nullptr when none).
-  static const LaunchObserver* current();
-
- private:
-  LaunchObserver observer_;
-  ScopedLaunchObserver* prev_;
-};
-
-/// Multi-GPU schedule, in the spirit of Hefenbrock et al. (paper related
-/// work): streams are partitioned round-robin over `device_count`
-/// identical devices (e.g. one pyramid scale per GPU) and each device
-/// schedules its share independently.
-struct MultiDeviceTimeline {
-  std::vector<Timeline> devices;
-  double makespan_s = 0.0;  ///< max over devices
-
-  double speedup_vs(const Timeline& single) const {
-    return makespan_s == 0.0 ? 0.0 : single.makespan_s / makespan_s;
-  }
-};
-
-MultiDeviceTimeline schedule_multi(const DeviceSpec& spec, int device_count,
-                                   const std::vector<Launch>& launches,
-                                   ExecMode mode);
 
 }  // namespace fdet::vgpu

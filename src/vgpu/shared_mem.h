@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "core/check.h"
-#include "vgpu/tap.h"
+#include "vgpu/observer.h"
 
 namespace fdet::vgpu {
 
@@ -22,18 +22,18 @@ class SharedMem {
   /// Reinitializes for a new block with `bytes` of zeroed storage.
   void reset(std::size_t bytes) {
     buffer_.assign(bytes, std::byte{0});
-    tap_ = nullptr;
+    owner_ = nullptr;
     cursor_ = 0;
   }
 
-  /// Instrumented reinitialization (checker or capture tap, vgpu/tap.h):
-  /// the buffer may span the whole SM capacity so carves escaping the
-  /// declared footprint still land in real storage and are *reported*
-  /// instead of crashing the run.
-  void reset_checked(std::size_t declared_bytes, LaunchTap* tap) {
-    buffer_.assign(std::max(declared_bytes, tap->shared_capacity_override()),
+  /// Instrumented reinitialization for the launch's lane-event owner
+  /// (checker or capture, vgpu/observer.h): the buffer may span the whole
+  /// SM capacity so carves escaping the declared footprint still land in
+  /// real storage and are *reported* instead of crashing the run.
+  void reset_checked(std::size_t declared_bytes, LaunchObserver* owner) {
+    buffer_.assign(std::max(declared_bytes, owner->shared_capacity_override()),
                    std::byte{0});
-    tap_ = tap;
+    owner_ = owner;
     cursor_ = 0;
   }
 
@@ -52,8 +52,8 @@ class SharedMem {
     FDET_CHECK(aligned + bytes <= buffer_.size())
         << "shared memory overflow: need " << aligned + bytes << " have "
         << buffer_.size();
-    if (tap_ != nullptr) {
-      tap_->on_carve(aligned, bytes, alignof(T));
+    if (owner_ != nullptr) {
+      owner_->on_carve(aligned, bytes, alignof(T));
     }
     cursor_ = aligned + bytes;
     return {reinterpret_cast<T*>(buffer_.data() + aligned), count};
@@ -80,7 +80,7 @@ class SharedMem {
 
   std::vector<std::byte> buffer_;
   std::size_t cursor_ = 0;
-  LaunchTap* tap_ = nullptr;
+  LaunchObserver* owner_ = nullptr;
 };
 
 }  // namespace fdet::vgpu

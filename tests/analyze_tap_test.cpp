@@ -1,10 +1,11 @@
-// Regression tests for the LaunchTap seam (vgpu/tap.h): the dynamic
-// checker and the static analyzer's capture engine are both taps, and
-// when both are active around a launch the CHECKER wins — capture must
-// observe nothing except a shadowed-launch notification. This precedence
-// is load-bearing: fdet_check's hazard reports must not change because a
-// capture scope happens to be open somewhere up the stack.
-#include "vgpu/tap.h"
+// Regression tests for lane-event ownership on the launch-observer chain
+// (vgpu/observer.h): the dynamic checker and the static analyzer's capture
+// engine both compete for a launch's lane events, and when both are
+// installed the CHECKER owns the launch — capture must observe nothing
+// except a shadowed-launch notification. This precedence is load-bearing:
+// `fdet_lint check` hazard reports must not change because a capture
+// scope happens to be open somewhere up the stack.
+#include "vgpu/observer.h"
 
 #include <gtest/gtest.h>
 
@@ -41,18 +42,18 @@ void launch_once() {
       });
 }
 
-TEST(LaunchTap, CaptureAloneObservesTheLaunch) {
+TEST(LaneOwner, CaptureAloneObservesTheLaunch) {
   CaptureScope scope;
   launch_once();
   EXPECT_EQ(scope.engine().captures().size(), 1u);
   EXPECT_EQ(scope.shadowed_launches(), 0);
 }
 
-TEST(LaunchTap, CheckerShadowsCapture) {
+TEST(LaneOwner, CheckerShadowsCapture) {
   CaptureScope capture;
   {
     // Checker opened INSIDE the capture scope: for launches under both,
-    // the checker takes the tap hooks and capture only counts shadows.
+    // the checker takes the lane events and capture only counts shadows.
     CheckScope check;
     launch_once();
     EXPECT_EQ(check.reports().size(), 1u);
@@ -67,7 +68,7 @@ TEST(LaunchTap, CheckerShadowsCapture) {
   EXPECT_EQ(capture.shadowed_launches(), 1);
 }
 
-TEST(LaunchTap, CheckerReportsAreIdenticalUnderCapture) {
+TEST(LaneOwner, CheckerReportsAreIdenticalUnderCapture) {
   // A hazardous kernel (same-phase write/read race) must produce the same
   // hazard count whether or not a capture scope surrounds the check —
   // the precedence rule means capture cannot perturb verification.
@@ -97,7 +98,7 @@ TEST(LaunchTap, CheckerReportsAreIdenticalUnderCapture) {
   EXPECT_EQ(hazards_shadowed, hazards_plain);
 }
 
-TEST(LaunchTap, CaptureKernelsReportsShadowedLaunches) {
+TEST(LaneOwner, CaptureKernelsReportsShadowedLaunches) {
   int shadowed = 0;
   const std::vector<KernelIR> irs = capture_kernels(
       [](std::uint64_t /*seed*/) {
@@ -109,16 +110,28 @@ TEST(LaunchTap, CaptureKernelsReportsShadowedLaunches) {
   EXPECT_EQ(shadowed, 2);  // one shadowed launch per capture seed
 }
 
-TEST(LaunchTap, ScopesRestorePreviousTap) {
+TEST(LaneOwner, InnermostCaptureOwnsAndOuterCountsTheShadow) {
   CaptureScope outer;
   {
     CaptureScope inner;
     launch_once();
     EXPECT_EQ(inner.engine().captures().size(), 1u);
     EXPECT_EQ(outer.engine().captures().size(), 0u);
+    EXPECT_EQ(outer.shadowed_launches(), 1);
   }
   launch_once();
   EXPECT_EQ(outer.engine().captures().size(), 1u);
+}
+
+TEST(LaneOwner, CheckerOutsideCaptureStillOwnsTheLaunch) {
+  // Install order does not matter: a checker opened OUTSIDE the capture
+  // scope owns the launch too.
+  CheckScope check;
+  CaptureScope capture;
+  launch_once();
+  EXPECT_EQ(check.reports().size(), 1u);
+  EXPECT_EQ(capture.engine().captures().size(), 0u);
+  EXPECT_EQ(capture.shadowed_launches(), 1);
 }
 
 }  // namespace

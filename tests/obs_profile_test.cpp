@@ -151,18 +151,22 @@ TEST(KernelProfiler, FallbackBucketsCatchUnscopedLaunches) {
   EXPECT_NEAR(record.stages[0].cycles, record.total_cycles, 1e-9);
 }
 
-TEST(KernelProfiler, EmptyHookSuppressesOuterProfiler) {
-  KernelProfiler profiler;
-  const ScopedProfileCollection collection(profiler);
+TEST(KernelProfiler, NestedCollectionsBothObserve) {
+  // Every observer on the launch chain sees every launch: an inner
+  // collection window does not hide launches from an outer one.
+  KernelProfiler outer;
+  const ScopedProfileCollection collection(outer);
   run_named("seen", 4);
   {
-    const vgpu::ScopedKernelProfileHook suppress(nullptr);
-    run_named("hidden", 4);
+    KernelProfiler inner;
+    const ScopedProfileCollection nested(inner);
+    run_named("nested", 4);
+    EXPECT_EQ(inner.launches(), 1u);
   }
   run_named("seen", 4);
-  EXPECT_EQ(profiler.launches(), 2u);
-  const ProfileRecord record = profiler.snapshot("test");
-  EXPECT_EQ(record.find_kernel("hidden"), nullptr);
+  EXPECT_EQ(outer.launches(), 3u);
+  const ProfileRecord record = outer.snapshot("test");
+  ASSERT_NE(record.find_kernel("nested"), nullptr);
   ASSERT_NE(record.find_kernel("seen"), nullptr);
   EXPECT_EQ(record.find_kernel("seen")->launches, 2u);
 }

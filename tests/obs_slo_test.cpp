@@ -1,10 +1,11 @@
 // SLO engine: burn-rate arithmetic, window accounting, and the claim the
-// serving layer rests on — the default decision stream reproduces the
-// legacy DegradationLadder::observe() dynamics exactly.
+// serving layer rests on — at default options the decision stream drives
+// the DegradationLadder by the deadline rule exactly.
 #include "obs/slo.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/check.h"
@@ -68,20 +69,23 @@ TEST(SloEngine, ResetRecoveryClearsTheStreakOnly) {
   EXPECT_EQ(engine.snapshot().frames, 5u);
 }
 
-// The equivalence the serving layer relies on (service.cpp drives the
-// ladder from SloDecision by default): for any latency stream, applying
-// the engine's decisions must trace the same level trajectory as the
-// legacy local state machine.
-TEST(SloEngine, DefaultDecisionsReproduceLegacyLadderTrajectory) {
+// The rule the serving layer relies on (service.cpp and fleet.cpp drive
+// the ladder from SloDecision): for any latency stream, the engine-driven
+// ladder traces the deadline rule's level trajectory — a miss sheds one
+// rung; a recover_after-long streak under recover_fraction * deadline
+// climbs one, the streak resetting on a miss, on an in-budget frame near
+// the edge, and when it fires.
+TEST(SloEngine, DefaultDecisionsFollowTheDeadlineLadderRule) {
   const double deadline = 40.0;
-  serve::DegradeOptions degrade;
+  const serve::DegradeOptions degrade;
   SloOptions slo = options_with_deadline(deadline);
   slo.recover_fraction = degrade.recover_fraction;
   slo.recover_after = degrade.recover_after;
 
   SloEngine engine(slo);
-  serve::DegradationLadder legacy(degrade, deadline);
-  serve::DegradationLadder driven(degrade, deadline);
+  serve::DegradationLadder driven;
+  int expected_level = 0;
+  int streak = 0;
 
   core::Rng rng(0xabcdef);
   for (int i = 0; i < 500; ++i) {
@@ -90,13 +94,23 @@ TEST(SloEngine, DefaultDecisionsReproduceLegacyLadderTrajectory) {
     const double latency = u < 0.6   ? rng.uniform(1.0, 25.0)
                            : u < 0.8 ? rng.uniform(30.0, 40.0)
                                      : rng.uniform(40.1, 120.0);
-    legacy.observe(latency);
+    if (latency > deadline) {
+      streak = 0;
+      expected_level =
+          std::min(expected_level + 1, serve::DegradationLadder::max_level());
+    } else if (latency < degrade.recover_fraction * deadline) {
+      if (++streak >= degrade.recover_after) {
+        streak = 0;
+        expected_level = std::max(expected_level - 1, 0);
+      }
+    } else {
+      streak = 0;
+    }
     const SloDecision decision = engine.observe_frame(latency);
     driven.apply(decision.degrade, decision.recover,
                  decision.degrade ? "slo-burn" : "slo-recover");
-    ASSERT_EQ(driven.level(), legacy.level()) << "frame " << i
+    ASSERT_EQ(driven.level(), expected_level) << "frame " << i
                                               << " latency " << latency;
-    ASSERT_EQ(driven.shifts(), legacy.shifts()) << "frame " << i;
   }
 }
 

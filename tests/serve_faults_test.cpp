@@ -74,7 +74,7 @@ TEST(CorruptLuma, IsSeededAndChangesThePlane) {
   EXPECT_NE(a, c);
 }
 
-TEST(LaunchFaultHook, TransientFiresOnceAndClearsOnNextAttempt) {
+TEST(LaunchFaultInjector, TransientFiresOnceAndClearsOnNextAttempt) {
   const FaultPlan plan = FaultPlan::parse("launch@3", 1);
   const vgpu::DeviceSpec spec;
   const vgpu::KernelConfig config{
@@ -83,7 +83,8 @@ TEST(LaunchFaultHook, TransientFiresOnceAndClearsOnNextAttempt) {
                        vgpu::SharedMem&) { ctx.alu(); };
 
   {
-    const vgpu::ScopedLaunchFaultHook hook(make_launch_fault_hook(plan, 3, 0));
+    LaunchFaultInjector faults(plan, 3, 0);
+    const vgpu::LaunchObserverScope scope(faults);
     try {
       vgpu::execute_kernel(spec, config, noop);
       FAIL() << "expected LaunchError";
@@ -94,18 +95,21 @@ TEST(LaunchFaultHook, TransientFiresOnceAndClearsOnNextAttempt) {
     EXPECT_NO_THROW(vgpu::execute_kernel(spec, config, noop));
   }
   // attempt 1 is past the burst (default 1): nothing is armed.
-  const vgpu::ScopedLaunchFaultHook hook(make_launch_fault_hook(plan, 3, 1));
+  LaunchFaultInjector retry(plan, 3, 1);
+  EXPECT_FALSE(retry.armed());
+  const vgpu::LaunchObserverScope scope(retry);
   EXPECT_NO_THROW(vgpu::execute_kernel(spec, config, noop));
 }
 
-TEST(LaunchFaultHook, OverflowKindsTargetMatchingLaunchesOnly) {
+TEST(LaunchFaultInjector, OverflowKindsTargetMatchingLaunchesOnly) {
   const FaultPlan plan = FaultPlan::parse("const@2,shared@2", 1);
   const vgpu::DeviceSpec spec;
   const auto noop = [](const vgpu::ThreadCoord&, vgpu::LaneCtx& ctx,
                        vgpu::SharedMem&) { ctx.alu(); };
-  const vgpu::ScopedLaunchFaultHook hook(make_launch_fault_hook(plan, 2, 0));
+  LaunchFaultInjector faults(plan, 2, 0);
+  const vgpu::LaunchObserverScope scope(faults);
 
-  // No constant or shared usage: the hook lets the launch through.
+  // No constant or shared usage: the injector lets the launch through.
   vgpu::KernelConfig plain{
       .name = "plain", .grid = {1, 1, 1}, .block = {32, 1, 1}};
   EXPECT_NO_THROW(vgpu::execute_kernel(spec, plain, noop));
@@ -122,35 +126,10 @@ TEST(LaunchFaultHook, OverflowKindsTargetMatchingLaunchesOnly) {
   }
 }
 
-TEST(LaunchFaultHook, UntargetedFrameArmsNothing) {
+TEST(LaunchFaultInjector, UntargetedFrameArmsNothing) {
   const FaultPlan plan = FaultPlan::parse("launch@3", 1);
-  EXPECT_FALSE(static_cast<bool>(make_launch_fault_hook(plan, 4, 0)));
-  EXPECT_TRUE(static_cast<bool>(make_launch_fault_hook(plan, 3, 0)));
-}
-
-TEST(ScopedLaunchFaultHook, RestoresThePreviousHookOnExit) {
-  const vgpu::DeviceSpec spec;
-  const vgpu::KernelConfig config{
-      .name = "probe", .grid = {1, 1, 1}, .block = {32, 1, 1}};
-  const auto noop = [](const vgpu::ThreadCoord&, vgpu::LaneCtx& ctx,
-                       vgpu::SharedMem&) { ctx.alu(); };
-  int outer_calls = 0;
-  {
-    const vgpu::ScopedLaunchFaultHook outer(
-        [&](const vgpu::KernelConfig&) { ++outer_calls; });
-    vgpu::execute_kernel(spec, config, noop);
-    EXPECT_EQ(outer_calls, 1);
-    {
-      const vgpu::ScopedLaunchFaultHook inner(
-          [](const vgpu::KernelConfig&) {});
-      vgpu::execute_kernel(spec, config, noop);
-      EXPECT_EQ(outer_calls, 1);  // inner shadowed outer
-    }
-    vgpu::execute_kernel(spec, config, noop);
-    EXPECT_EQ(outer_calls, 2);  // outer restored
-  }
-  vgpu::execute_kernel(spec, config, noop);
-  EXPECT_EQ(outer_calls, 2);  // cleared after the outermost scope
+  EXPECT_FALSE(LaunchFaultInjector(plan, 4, 0).armed());
+  EXPECT_TRUE(LaunchFaultInjector(plan, 3, 0).armed());
 }
 
 TEST(DeviceFaultPlan, ParsesEveryFormAndRoundTrips) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/check.h"
+#include "obs/slo.h"
 
 namespace fdet::serve {
 namespace {
@@ -82,55 +83,80 @@ TEST(CircuitBreaker, SuccessResetsTheConsecutiveFailureCount) {
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);  // streak broken
 }
 
+/// The serving loops' ladder signal: each served frame's latency goes
+/// through the SLO engine, whose decision drives the ladder.
+struct SloDrivenLadder {
+  SloDrivenLadder(DegradeOptions degrade, double deadline_ms)
+      : engine([&] {
+          obs::SloOptions slo;
+          slo.deadline_ms = deadline_ms;
+          slo.recover_after = degrade.recover_after;
+          slo.recover_fraction = degrade.recover_fraction;
+          return slo;
+        }()) {}
+
+  void observe(double latency_ms) {
+    const obs::SloDecision decision = engine.observe_frame(latency_ms);
+    ladder.apply(decision.degrade, decision.recover,
+                 decision.degrade ? "slo-burn" : "slo-recover");
+  }
+
+  obs::SloEngine engine;
+  DegradationLadder ladder;
+};
+
 TEST(DegradationLadder, ShedsOneLevelPerDeadlineMiss) {
-  DegradationLadder ladder(DegradeOptions{}, /*deadline_ms=*/10.0);
+  SloDrivenLadder driven(DegradeOptions{}, /*deadline_ms=*/10.0);
+  const DegradationLadder& ladder = driven.ladder;
   EXPECT_EQ(ladder.level(), 0);
   EXPECT_STREQ(ladder.step().name, "full");
-  ladder.observe(12.0);
+  driven.observe(12.0);
   EXPECT_EQ(ladder.level(), 1);
-  ladder.observe(15.0);
-  ladder.observe(15.0);
-  ladder.observe(15.0);
-  ladder.observe(15.0);
+  driven.observe(15.0);
+  driven.observe(15.0);
+  driven.observe(15.0);
+  driven.observe(15.0);
   EXPECT_EQ(ladder.level(), DegradationLadder::max_level());  // clamped
   EXPECT_TRUE(ladder.step().shed_queued_frames);
 }
 
 TEST(DegradationLadder, ClimbsBackAfterARecoveryStreak) {
-  DegradationLadder ladder(
+  SloDrivenLadder driven(
       DegradeOptions{.recover_after = 3, .recover_fraction = 0.75},
       /*deadline_ms=*/10.0);
-  ladder.observe(12.0);
+  const DegradationLadder& ladder = driven.ladder;
+  driven.observe(12.0);
   ASSERT_EQ(ladder.level(), 1);
-  ladder.observe(5.0);
-  ladder.observe(5.0);
+  driven.observe(5.0);
+  driven.observe(5.0);
   EXPECT_EQ(ladder.level(), 1);  // streak not complete
-  ladder.observe(5.0);
+  driven.observe(5.0);
   EXPECT_EQ(ladder.level(), 0);
   EXPECT_EQ(ladder.shifts(), 2);
 }
 
 TEST(DegradationLadder, NearDeadlineFramesResetTheRecoveryStreak) {
-  DegradationLadder ladder(
+  SloDrivenLadder driven(
       DegradeOptions{.recover_after = 2, .recover_fraction = 0.5},
       /*deadline_ms=*/10.0);
-  ladder.observe(12.0);
+  const DegradationLadder& ladder = driven.ladder;
+  driven.observe(12.0);
   ASSERT_EQ(ladder.level(), 1);
-  ladder.observe(4.0);
-  ladder.observe(8.0);  // in budget but above the recovery fraction
-  ladder.observe(4.0);
+  driven.observe(4.0);
+  driven.observe(8.0);  // in budget but above the recovery fraction
+  driven.observe(4.0);
   EXPECT_EQ(ladder.level(), 1);  // 8.0 broke the streak
-  ladder.observe(4.0);
+  driven.observe(4.0);
   EXPECT_EQ(ladder.level(), 0);
 }
 
 TEST(DegradationLadder, ForceSerialFallbackNeverClimbs) {
-  DegradationLadder ladder(DegradeOptions{}, 10.0);
+  DegradationLadder ladder;
   ladder.force_serial_fallback();
   const int serial_level = ladder.level();
   EXPECT_TRUE(DegradationLadder::step_at(serial_level).serial_exec);
   // Already deeper: the forced fallback must not *reduce* shedding.
-  ladder.observe(20.0);
+  ladder.apply(true, false, "slo-burn");
   const int deeper = ladder.level();
   ladder.force_serial_fallback();
   EXPECT_EQ(ladder.level(), deeper);
@@ -156,50 +182,47 @@ TEST(DegradationLadder, ExactThresholdLatenciesNeverFlap) {
   // fraction is too close to the edge to climb (streak resets). A stream
   // oscillating between both edge values therefore never moves the
   // ladder in either direction.
-  DegradationLadder ladder(
+  SloDrivenLadder driven(
       DegradeOptions{.recover_after = 2, .recover_fraction = 0.75},
       /*deadline_ms=*/10.0);
-  ladder.observe(12.0);
+  const DegradationLadder& ladder = driven.ladder;
+  driven.observe(12.0);
   ASSERT_EQ(ladder.level(), 1);
   const int shifts_before = ladder.shifts();
   for (int i = 0; i < 20; ++i) {
-    ladder.observe(10.0);  // exactly the deadline: not a miss
-    ladder.observe(7.5);   // exactly the fraction: streak resets
+    driven.observe(10.0);  // exactly the deadline: not a miss
+    driven.observe(7.5);   // exactly the fraction: streak resets
   }
   EXPECT_EQ(ladder.level(), 1);
   EXPECT_EQ(ladder.shifts(), shifts_before);
   // One ulp under the fraction on every frame does climb.
-  ladder.observe(7.4);
-  ladder.observe(7.4);
+  driven.observe(7.4);
+  driven.observe(7.4);
   EXPECT_EQ(ladder.level(), 0);
 }
 
 TEST(DegradationLadder, ClampsAtBothEndsWithoutCountingShifts) {
-  DegradationLadder ladder(DegradeOptions{.recover_after = 1}, 10.0);
+  DegradationLadder ladder;
   // Bottom clamp: recovery at full quality is a no-op, not a shift.
   ASSERT_EQ(ladder.level(), 0);
-  ladder.observe(1.0);
-  EXPECT_EQ(ladder.level(), 0);
-  EXPECT_EQ(ladder.shifts(), 0);
   ladder.apply(false, true, "slo-recover");
   EXPECT_EQ(ladder.level(), 0);
   EXPECT_EQ(ladder.shifts(), 0);
   EXPECT_STREQ(ladder.last_cause(), "");  // no movement, no cause
 
-  // Top clamp: misses beyond the deepest rung change nothing.
+  // Top clamp: sheds beyond the deepest rung change nothing.
   for (int i = 0; i < DegradationLadder::max_level(); ++i) {
-    ladder.observe(20.0);
+    ladder.apply(true, false, "slo-burn");
   }
   ASSERT_EQ(ladder.level(), DegradationLadder::max_level());
   const int shifts_at_max = ladder.shifts();
-  ladder.observe(20.0);
   ladder.apply(true, false, "slo-burn");
   EXPECT_EQ(ladder.level(), DegradationLadder::max_level());
   EXPECT_EQ(ladder.shifts(), shifts_at_max);
 }
 
 TEST(DegradationLadder, ApplyPrefersDegradeAndRecordsTheCause) {
-  DegradationLadder ladder(DegradeOptions{}, 10.0);
+  DegradationLadder ladder;
   // degrade wins when both signals are set (shed before climb).
   ladder.apply(true, true, "burn-and-recover");
   EXPECT_EQ(ladder.level(), 1);
@@ -208,27 +231,6 @@ TEST(DegradationLadder, ApplyPrefersDegradeAndRecordsTheCause) {
   EXPECT_EQ(ladder.level(), 0);
   EXPECT_STREQ(ladder.last_cause(), "recovered");
   EXPECT_EQ(ladder.shifts(), 2);
-}
-
-TEST(DegradationLadder, ApplyResetsTheObserveRecoveryStreak) {
-  // A mid-streak apply() must not leave a stale streak behind: after an
-  // SLO-driven shed, the observe() path needs a full fresh streak to
-  // climb.
-  DegradationLadder ladder(
-      DegradeOptions{.recover_after = 3, .recover_fraction = 0.75},
-      /*deadline_ms=*/10.0);
-  ladder.observe(12.0);
-  ladder.observe(12.0);
-  ASSERT_EQ(ladder.level(), 2);
-  ladder.observe(5.0);
-  ladder.observe(5.0);  // streak at 2 of 3
-  ladder.apply(true, false, "slo-burn");
-  ASSERT_EQ(ladder.level(), 3);
-  ladder.observe(5.0);  // would complete the stale streak
-  EXPECT_EQ(ladder.level(), 3);
-  ladder.observe(5.0);
-  ladder.observe(5.0);
-  EXPECT_EQ(ladder.level(), 2);  // fresh streak of 3 climbs
 }
 
 }  // namespace

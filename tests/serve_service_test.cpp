@@ -7,6 +7,7 @@
 
 #include "core/check.h"
 #include "facegen/dataset.h"
+#include "ingest/frame_source.h"
 #include "ingest/lossy.h"
 #include "ingest/mutate.h"
 #include "ingest/registry.h"
@@ -57,10 +58,11 @@ ServiceOptions generous_options() {
 
 TEST(StreamingService, FaultFreeRunServesEveryFrameDeterministically) {
   const video::MockH264Decoder decoder = test_decoder();
+  const ingest::H264FrameSource source(decoder);
   StreamingService service(vgpu::DeviceSpec{}, service_cascade(), {},
                            generous_options());
-  const ServiceReport a = service.run(decoder, 8);
-  const ServiceReport b = service.run(decoder, 8);
+  const ServiceReport a = service.run(source, 8);
+  const ServiceReport b = service.run(source, 8);
 
   ASSERT_EQ(a.frames.size(), 8u);
   EXPECT_EQ(a.ok, 8);
@@ -80,10 +82,11 @@ TEST(StreamingService, FaultFreeRunServesEveryFrameDeterministically) {
 
 TEST(StreamingService, TransientDecodeFaultRetriesAndRecovers) {
   const video::MockH264Decoder decoder = test_decoder();
+  const ingest::H264FrameSource source(decoder);
   StreamingService service(vgpu::DeviceSpec{}, service_cascade(), {},
                            generous_options());
   const FaultPlan plan = FaultPlan::parse("decode@2x2", 1);
-  const ServiceReport report = service.run(decoder, 6, &plan);
+  const ServiceReport report = service.run(source, 6, &plan);
 
   EXPECT_EQ(report.failed, 0);
   EXPECT_EQ(report.faults_injected, 1);
@@ -96,12 +99,13 @@ TEST(StreamingService, TransientDecodeFaultRetriesAndRecovers) {
 
 TEST(StreamingService, ExhaustedRetriesQuarantineTheFrame) {
   const video::MockH264Decoder decoder = test_decoder();
+  const ingest::H264FrameSource source(decoder);
   ServiceOptions options = generous_options();
   options.retry.max_attempts = 2;
   StreamingService service(vgpu::DeviceSpec{}, service_cascade(), {},
                            options);
   const FaultPlan plan = FaultPlan::parse("decode@1x2", 1);
-  const ServiceReport report = service.run(decoder, 4, &plan);
+  const ServiceReport report = service.run(source, 4, &plan);
 
   const ServedFrame& frame = report.frames[1];
   EXPECT_EQ(frame.status, FrameStatus::kFailed);
@@ -116,10 +120,11 @@ TEST(StreamingService, ExhaustedRetriesQuarantineTheFrame) {
 
 TEST(StreamingService, HardOverflowFaultQuarantinesWithoutRetry) {
   const video::MockH264Decoder decoder = test_decoder();
+  const ingest::H264FrameSource source(decoder);
   StreamingService service(vgpu::DeviceSpec{}, service_cascade(), {},
                            generous_options());
   const FaultPlan plan = FaultPlan::parse("const@1", 1);
-  const ServiceReport report = service.run(decoder, 4, &plan);
+  const ServiceReport report = service.run(source, 4, &plan);
 
   const ServedFrame& frame = report.frames[1];
   EXPECT_EQ(frame.status, FrameStatus::kFailed);
@@ -132,10 +137,11 @@ TEST(StreamingService, HardOverflowFaultQuarantinesWithoutRetry) {
 
 TEST(StreamingService, CorruptLumaStillServesTheFrame) {
   const video::MockH264Decoder decoder = test_decoder();
+  const ingest::H264FrameSource source(decoder);
   StreamingService service(vgpu::DeviceSpec{}, service_cascade(), {},
                            generous_options());
   const FaultPlan plan = FaultPlan::parse("corrupt@1", 1);
-  const ServiceReport report = service.run(decoder, 3, &plan);
+  const ServiceReport report = service.run(source, 3, &plan);
 
   EXPECT_EQ(report.frames[1].status, FrameStatus::kOk);
   EXPECT_TRUE(report.frames[1].fault_injected);
@@ -144,6 +150,7 @@ TEST(StreamingService, CorruptLumaStillServesTheFrame) {
 
 TEST(StreamingService, BreakerTripsFailsFastAndRecoversToFullQuality) {
   const video::MockH264Decoder decoder = test_decoder();
+  const ingest::H264FrameSource source(decoder);
   ServiceOptions options = generous_options();
   options.breaker.failure_threshold = 3;
   options.breaker.cooldown_frames = 2;
@@ -152,7 +159,7 @@ TEST(StreamingService, BreakerTripsFailsFastAndRecoversToFullQuality) {
   // Three consecutive frames exhaust their decode retries -> breaker trips.
   const FaultPlan plan =
       FaultPlan::parse("decode@2x3,decode@3x3,decode@4x3", 1);
-  const ServiceReport report = service.run(decoder, 20, &plan);
+  const ServiceReport report = service.run(source, 20, &plan);
 
   EXPECT_EQ(report.breaker_trips, 1);
   // Cooling down: the frame after the trip is rejected without running.
@@ -172,11 +179,12 @@ TEST(StreamingService, BreakerTripsFailsFastAndRecoversToFullQuality) {
 
 TEST(StreamingService, DeadlineMissesWalkTheDegradationLadder) {
   const video::MockH264Decoder decoder = test_decoder();
+  const ingest::H264FrameSource source(decoder);
   ServiceOptions options;
   options.deadline_ms = 1e-3;  // unmeetable: every served frame misses
   StreamingService service(vgpu::DeviceSpec{}, service_cascade(), {},
                            options);
-  const ServiceReport report = service.run(decoder, 10);
+  const ServiceReport report = service.run(source, 10);
 
   EXPECT_EQ(report.final_degradation_level, DegradationLadder::max_level());
   EXPECT_GT(report.deadline_misses, 0);
@@ -190,12 +198,13 @@ TEST(StreamingService, DeadlineMissesWalkTheDegradationLadder) {
 
 TEST(StreamingService, BackpressureDropsFramesWhenTheQueueFills) {
   const video::MockH264Decoder decoder = test_decoder();
+  const ingest::H264FrameSource source(decoder);
   ServiceOptions options = generous_options();
   options.fps = 100000.0;  // arrivals far faster than service time
   options.queue_capacity = 2;
   StreamingService service(vgpu::DeviceSpec{}, service_cascade(), {},
                            options);
-  const ServiceReport report = service.run(decoder, 12);
+  const ServiceReport report = service.run(source, 12);
 
   EXPECT_GT(report.dropped, 0);
   EXPECT_GT(report.ok + report.degraded, 0);  // not everything is shed
@@ -209,11 +218,12 @@ TEST(StreamingService, BackpressureDropsFramesWhenTheQueueFills) {
 
 TEST(StreamingService, PublishesServeMetrics) {
   const video::MockH264Decoder decoder = test_decoder();
+  const ingest::H264FrameSource source(decoder);
   obs::Registry registry;
   StreamingService service(vgpu::DeviceSpec{}, service_cascade(), {},
                            generous_options(), &registry);
   const FaultPlan plan = FaultPlan::parse("decode@1x2,const@3", 1);
-  service.run(decoder, 6, &plan);
+  service.run(source, 6, &plan);
 
   EXPECT_GT(registry.counter("serve.frames", {{"status", "ok"}}).value(), 0.0);
   EXPECT_GT(registry.counter("serve.retries", {{"stage", "decode"}}).value(),
@@ -235,10 +245,11 @@ TEST(StreamingService, PublishesServeMetrics) {
 
 TEST(StreamingService, FramesCarryDeterministicTraceIds) {
   const video::MockH264Decoder decoder = test_decoder();
+  const ingest::H264FrameSource source(decoder);
   StreamingService service(vgpu::DeviceSpec{}, service_cascade(), {},
                            generous_options());
-  const ServiceReport a = service.run(decoder, 4);
-  const ServiceReport b = service.run(decoder, 4);
+  const ServiceReport a = service.run(source, 4);
+  const ServiceReport b = service.run(source, 4);
   ASSERT_EQ(a.frames.size(), 4u);
   for (std::size_t i = 0; i < a.frames.size(); ++i) {
     EXPECT_NE(a.frames[i].trace_id, 0u);
@@ -260,10 +271,11 @@ TEST(StreamingService, FramesCarryDeterministicTraceIds) {
 
 TEST(StreamingService, CauseChainsNameTheFaultAndItsConsequences) {
   const video::MockH264Decoder decoder = test_decoder();
+  const ingest::H264FrameSource source(decoder);
   StreamingService service(vgpu::DeviceSpec{}, service_cascade(), {},
                            generous_options());
   const FaultPlan plan = FaultPlan::parse("decode@2x1,const@4", 1);
-  const ServiceReport report = service.run(decoder, 6, &plan);
+  const ServiceReport report = service.run(source, 6, &plan);
 
   ASSERT_EQ(report.frames.size(), 6u);
   // Frame 2: transient decode fault -> retried.
@@ -285,12 +297,13 @@ TEST(StreamingService, AnomalyDumpsNameFrameStageAndCause) {
   fs::create_directories(dir);
 
   const video::MockH264Decoder decoder = test_decoder();
+  const ingest::H264FrameSource source(decoder);
   ServiceOptions options = generous_options();
   options.obs.dump_dir = dir.string();
   StreamingService service(vgpu::DeviceSpec{}, service_cascade(), {},
                            options);
   const FaultPlan plan = FaultPlan::parse("const@3", 1);
-  const ServiceReport report = service.run(decoder, 6, &plan);
+  const ServiceReport report = service.run(source, 6, &plan);
 
   ASSERT_FALSE(report.dumps.empty());
   bool saw_quarantine = false;
@@ -315,10 +328,11 @@ TEST(StreamingService, AnomalyDumpsNameFrameStageAndCause) {
 
 TEST(StreamingService, ReportSloSnapshotCoversServedFrames) {
   const video::MockH264Decoder decoder = test_decoder();
+  const ingest::H264FrameSource source(decoder);
   obs::Registry registry;
   StreamingService service(vgpu::DeviceSpec{}, service_cascade(), {},
                            generous_options(), &registry);
-  const ServiceReport report = service.run(decoder, 8);
+  const ServiceReport report = service.run(source, 8);
 
   EXPECT_EQ(report.slo.frames, 8u);
   EXPECT_EQ(report.slo.misses, 0u);
@@ -329,34 +343,6 @@ TEST(StreamingService, ReportSloSnapshotCoversServedFrames) {
   EXPECT_GT(registry.gauge("slo.latency_p50_ms").value(), 0.0);
   EXPECT_GT(
       registry.gauge("slo.stage_p99_ms", {{"stage", "detect"}}).value(), 0.0);
-}
-
-TEST(StreamingService, LegacyLadderPathMatchesSloDrivenDefault) {
-  // The SLO-driven ladder is the default; the legacy observe() path must
-  // produce the same served stream (the equivalence obs_slo_test proves
-  // at the state-machine level, demonstrated here end-to-end).
-  const video::MockH264Decoder decoder = test_decoder();
-  ServiceOptions slo_options = generous_options();
-  ServiceOptions legacy_options = generous_options();
-  legacy_options.obs.slo_ladder = false;
-
-  StreamingService slo_service(vgpu::DeviceSpec{}, service_cascade(), {},
-                               slo_options);
-  StreamingService legacy_service(vgpu::DeviceSpec{}, service_cascade(), {},
-                                  legacy_options);
-  const FaultPlan plan = FaultPlan::parse("launch@2x2,decode@5x1", 7);
-  const ServiceReport a = slo_service.run(decoder, 10, &plan);
-  const ServiceReport b = legacy_service.run(decoder, 10, &plan);
-
-  ASSERT_EQ(a.frames.size(), b.frames.size());
-  for (std::size_t i = 0; i < a.frames.size(); ++i) {
-    EXPECT_EQ(a.frames[i].status, b.frames[i].status) << "frame " << i;
-    EXPECT_EQ(a.frames[i].degradation_level, b.frames[i].degradation_level)
-        << "frame " << i;
-    EXPECT_DOUBLE_EQ(a.frames[i].latency_ms, b.frames[i].latency_ms)
-        << "frame " << i;
-  }
-  EXPECT_EQ(a.degradation_shifts, b.degradation_shifts);
 }
 
 /// The serve-test footage serialized into the raw byte-stream container,
@@ -453,11 +439,12 @@ TEST(StreamingService, PublishesIngestMetricsPerFormatAndKind) {
 
 TEST(StreamingService, BitstreamFaultInjectsATypedIngestReject) {
   const video::MockH264Decoder decoder = test_decoder();
+  const ingest::H264FrameSource source(decoder);
   obs::Registry registry;
   StreamingService service(vgpu::DeviceSpec{}, service_cascade(), {},
                            generous_options(), &registry);
   const FaultPlan plan = FaultPlan::parse("bitstream@2", 1);
-  const ServiceReport report = service.run(decoder, 5, &plan);
+  const ServiceReport report = service.run(source, 5, &plan);
 
   // A bitstream fault is hard: malformed bytes fail identically on every
   // attempt, so the frame quarantines without retry.
@@ -489,10 +476,11 @@ TEST(StreamingService, RejectsUnusableOptions) {
                                 bad_queue),
                core::CheckError);
   const video::MockH264Decoder decoder = test_decoder();
+  const ingest::H264FrameSource source(decoder);
   StreamingService service(vgpu::DeviceSpec{}, service_cascade(), {},
                            generous_options());
-  EXPECT_THROW(service.run(decoder, 0), core::CheckError);
-  EXPECT_THROW(service.run(decoder, decoder.frame_count() + 1),
+  EXPECT_THROW(service.run(source, 0), core::CheckError);
+  EXPECT_THROW(service.run(source, decoder.frame_count() + 1),
                core::CheckError);
 }
 

@@ -192,22 +192,6 @@ TEST(BankConflicts, TwoWayConflictCostsOneExtraPass) {
   EXPECT_EQ(cost.counters.bank_conflicts, 1u);
 }
 
-TEST(BankConflicts, UnaddressedSharedAccessStaysConflictFree) {
-  // The shared_access() escape hatch carries no address, so the model
-  // treats it as conflict-free even when the addressed equivalent would
-  // serialize.
-  const DeviceSpec spec;
-  KernelConfig config{.name = "unaddressed",
-                      .grid = {1, 1, 1},
-                      .block = {32, 1, 1},
-                      .shared_bytes = 4096};
-  const LaunchCost cost = execute_kernel(
-      spec, config,
-      [](const ThreadCoord&, LaneCtx& ctx, SharedMem&) { ctx.shared_access(); });
-  EXPECT_EQ(cost.counters.shared_accesses, 32u);
-  EXPECT_EQ(cost.counters.bank_conflicts, 0u);
-}
-
 TEST(BankConflicts, MisalignedSlotsDoNotCrossConflict) {
   // Half the warp issues one access, the other half two: the lone second
   // slot only sees the lanes that actually issued it. Lanes 16..31 issue

@@ -162,17 +162,18 @@ TEST(Executor, SharedMemoryCarriesDataAcrossPhases) {
       spec, config,
       [](const ThreadCoord& t, LaneCtx& ctx, SharedMem& shared) {
         auto tile = shared.array<int>(32);
-        tile[static_cast<std::size_t>(t.thread.x)] = t.thread.x * 2;
-        ctx.shared_access();
+        int& slot = tile[static_cast<std::size_t>(t.thread.x)];
+        slot = t.thread.x * 2;
+        ctx.shared_store_at(shared, slot);
       },
       [&](const ThreadCoord& t, LaneCtx& ctx, SharedMem& shared) {
         auto tile = shared.array<int>(32);
         // Read a *different* lane's value: only valid because of the
         // inter-phase barrier.
         const int other = (t.thread.x + 1) % 32;
-        out[static_cast<std::size_t>(t.flat_block() * 32 + t.thread.x)] =
-            tile[static_cast<std::size_t>(other)];
-        ctx.shared_access();
+        const int& slot = tile[static_cast<std::size_t>(other)];
+        out[static_cast<std::size_t>(t.flat_block() * 32 + t.thread.x)] = slot;
+        ctx.shared_load_at(shared, slot);
       });
 
   for (int b = 0; b < 2; ++b) {

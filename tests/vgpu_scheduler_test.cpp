@@ -4,7 +4,6 @@
 
 #include <vector>
 
-#include "core/check.h"
 
 namespace fdet::vgpu {
 namespace {
@@ -157,60 +156,6 @@ TEST(Scheduler, RecordsKeepIssueOrderRegardlessOfDispatch) {
   ASSERT_EQ(tl.records.size(), 2u);
   EXPECT_EQ(tl.records[0].name, "first");
   EXPECT_EQ(tl.records[1].name, "second");
-}
-
-TEST(MultiDevice, PartitionsStreamsRoundRobin) {
-  DeviceSpec spec;
-  std::vector<Launch> launches;
-  for (int s = 0; s < 4; ++s) {
-    launches.push_back(make_launch(spec, "k", 4, 10000, s));
-  }
-  const MultiDeviceTimeline multi =
-      schedule_multi(spec, 2, launches, ExecMode::kConcurrent);
-  ASSERT_EQ(multi.devices.size(), 2u);
-  EXPECT_EQ(multi.devices[0].records.size(), 2u);  // streams 0, 2
-  EXPECT_EQ(multi.devices[1].records.size(), 2u);  // streams 1, 3
-  for (const auto& record : multi.devices[0].records) {
-    EXPECT_EQ(record.stream % 2, 0);
-  }
-}
-
-TEST(MultiDevice, TwoGpusBeatOneOnSaturatingWork) {
-  DeviceSpec spec;
-  std::vector<Launch> launches;
-  for (int s = 0; s < 4; ++s) {
-    launches.push_back(make_launch(spec, "big", 140, 100000, s));
-  }
-  const Timeline single = schedule(spec, launches, ExecMode::kConcurrent);
-  const MultiDeviceTimeline dual =
-      schedule_multi(spec, 2, launches, ExecMode::kConcurrent);
-  EXPECT_GT(dual.speedup_vs(single), 1.6);
-  EXPECT_LE(dual.speedup_vs(single), 2.0 + 1e-9);
-}
-
-TEST(MultiDevice, SingleDeviceMatchesPlainSchedule) {
-  DeviceSpec spec;
-  std::vector<Launch> launches;
-  launches.push_back(make_launch(spec, "a", 5, 500, 0));
-  launches.push_back(make_launch(spec, "b", 5, 500, 1));
-  const Timeline single = schedule(spec, launches, ExecMode::kConcurrent);
-  const MultiDeviceTimeline multi =
-      schedule_multi(spec, 1, launches, ExecMode::kConcurrent);
-  EXPECT_DOUBLE_EQ(multi.makespan_s, single.makespan_s);
-}
-
-TEST(MultiDevice, MoreDevicesThanStreamsLeavesIdleDevices) {
-  DeviceSpec spec;
-  std::vector<Launch> launches;
-  launches.push_back(make_launch(spec, "only", 4, 1000, 0));
-  const MultiDeviceTimeline multi =
-      schedule_multi(spec, 3, launches, ExecMode::kConcurrent);
-  ASSERT_EQ(multi.devices.size(), 3u);
-  EXPECT_FALSE(multi.devices[0].records.empty());
-  EXPECT_TRUE(multi.devices[1].records.empty());
-  EXPECT_TRUE(multi.devices[2].records.empty());
-  EXPECT_THROW(schedule_multi(spec, 0, launches, ExecMode::kSerial),
-               core::CheckError);
 }
 
 TEST(Scheduler, BusySecondsSumBlockServiceTimes) {

@@ -64,6 +64,7 @@
 
 #include "core/cli.h"
 #include "facegen/dataset.h"
+#include "ingest/frame_source.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
@@ -164,6 +165,7 @@ int run_chaos(int argc, char** argv) {
   spec.seed = 7;
   const video::SyntheticTrailer trailer(spec);
   const video::MockH264Decoder decoder(trailer);
+  const ingest::H264FrameSource source(decoder);
   const vgpu::DeviceSpec device;
   const haar::Cascade cascade = chaos_cascade();
 
@@ -179,7 +181,7 @@ int run_chaos(int argc, char** argv) {
   // deadline and pin the ladder at its deepest rung.
   {
     serve::StreamingService probe(device, cascade, {}, options);
-    const serve::ServiceReport calib = probe.run(decoder, frames);
+    const serve::ServiceReport calib = probe.run(source, frames);
     double max_ms = 0.0;
     for (const auto& frame : calib.frames) {
       max_ms = std::max(max_ms, frame.latency_ms);
@@ -211,8 +213,8 @@ int run_chaos(int argc, char** argv) {
   trace.install();
 
   serve::StreamingService service(device, cascade, {}, options, &registry);
-  const serve::ServiceReport clean = service.run(decoder, frames);
-  const serve::ServiceReport chaos = service.run(decoder, frames, &plan);
+  const serve::ServiceReport clean = service.run(source, frames);
+  const serve::ServiceReport chaos = service.run(source, frames, &plan);
 
   std::printf(
       "fault-free: ok=%d degraded=%d dropped=%d failed=%d misses=%d\n",

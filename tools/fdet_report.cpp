@@ -66,7 +66,6 @@ const char* paper_artifact(const std::string& name) {
   static constexpr Mapping kMappings[] = {
       {"vgpu.check.", "kernel verification (racecheck/memcheck)"},
       {"vgpu.makespan_ms", "Table II per-config ms/frame"},
-      {"vgpu.multi_makespan_ms", "multi-GPU extension"},
       {"vgpu.sm_utilization", "Fig. 6 occupancy contrast"},
       {"vgpu.kernel_duration_ms", "Fig. 6 occupancy contrast"},
       {"vgpu.branch_efficiency", "Sec. VI-A 98.9% branch efficiency"},
