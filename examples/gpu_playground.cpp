@@ -12,6 +12,7 @@
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "vgpu/scheduler.h"
+#include "vgpu/warp.h"
 
 int main(int argc, char** argv) {
   using namespace fdet;
@@ -38,7 +39,7 @@ int main(int argc, char** argv) {
   const vgpu::DeviceSpec device;
   std::printf("device: %s — %d SMs, %d-lane warps, %.3f GHz, %d KiB shared "
               "per SM\n\n",
-              device.name, device.sm_count, device.warp_size, device.clock_ghz,
+              device.name, device.sm_count, vgpu::kWarpSize, device.clock_ghz,
               device.shared_mem_per_sm / 1024);
 
   constexpr int kThreads = 256;

@@ -7,13 +7,13 @@
 
 #include "core/check.h"
 #include "vgpu/device.h"
+#include "vgpu/warp.h"
 
 namespace fdet::analyze {
 namespace {
 
-constexpr int kWarpSize = 32;
-constexpr int kSharedBanks = 32;
-constexpr std::uint64_t kSegmentBytes = 128;
+using vgpu::kSegmentBytes;
+using vgpu::kWarpSize;
 
 int severity_rank(Severity s) {
   switch (s) {
@@ -90,37 +90,21 @@ struct SharedSlotPrediction {
   int max_degree = 1;              ///< worst per-issue serialization
 };
 
-/// Mirrors the executor: dedup distinct 4-byte words per issue (same-word
-/// broadcast is free), count distinct words per bank, degree - 1 extra.
+/// The executor's reduction (vgpu/warp.h) over each evaluated warp issue.
 SharedSlotPrediction predict_shared_slot(const vgpu::KernelConfig& config,
                                          const AccessPattern& p) {
   SharedSlotPrediction out;
+  vgpu::BankConflictSlot banks;
   for_each_warp_issue(
       config, p.form,
-      [&out](const std::array<std::int64_t, kWarpSize>& values, int active,
-             std::int64_t reps) {
-        std::array<std::uint32_t, kWarpSize> words;
-        int n_words = 0;
+      [&out, &banks](const std::array<std::int64_t, kWarpSize>& values,
+                     int active, std::int64_t reps) {
+        banks.clear();
         for (int l = 0; l < active; ++l) {
-          const auto word =
-              static_cast<std::uint32_t>(values[static_cast<std::size_t>(l)] / 4);
-          bool seen = false;
-          for (int s = 0; s < n_words; ++s) {
-            if (words[static_cast<std::size_t>(s)] == word) {
-              seen = true;
-              break;
-            }
-          }
-          if (!seen) {
-            words[static_cast<std::size_t>(n_words++)] = word;
-          }
+          banks.add(static_cast<std::uint32_t>(
+              values[static_cast<std::size_t>(l)] / 4));
         }
-        std::array<int, kSharedBanks> per_bank{};
-        int degree = 0;
-        for (int s = 0; s < n_words; ++s) {
-          const auto bank = words[static_cast<std::size_t>(s)] % kSharedBanks;
-          degree = std::max(degree, ++per_bank[static_cast<std::size_t>(bank)]);
-        }
+        const int degree = banks.degree();
         out.max_degree = std::max(out.max_degree, std::max(degree, 1));
         out.extra_passes += static_cast<std::uint64_t>(std::max(0, degree - 1)) *
                             static_cast<std::uint64_t>(reps);
@@ -136,29 +120,18 @@ struct GlobalSlotPrediction {
 GlobalSlotPrediction predict_global_slot(const vgpu::KernelConfig& config,
                                          const AccessPattern& p) {
   GlobalSlotPrediction out;
+  vgpu::SegmentSlot segments;
   for_each_warp_issue(
       config, p.form,
-      [&out, &p](const std::array<std::int64_t, kWarpSize>& values, int active,
-                 std::int64_t reps) {
-        std::array<std::uint64_t, kWarpSize> segments;
-        int distinct = 0;
+      [&out, &p, &segments](const std::array<std::int64_t, kWarpSize>& values,
+                            int active, std::int64_t reps) {
+        segments.clear();
         for (int l = 0; l < active; ++l) {
-          const auto seg =
-              static_cast<std::uint64_t>(values[static_cast<std::size_t>(l)]) /
-              kSegmentBytes;
-          bool seen = false;
-          for (int s = 0; s < distinct; ++s) {
-            if (segments[static_cast<std::size_t>(s)] == seg) {
-              seen = true;
-              break;
-            }
-          }
-          if (!seen) {
-            segments[static_cast<std::size_t>(distinct++)] = seg;
-          }
+          segments.add(
+              static_cast<std::uint64_t>(values[static_cast<std::size_t>(l)]));
         }
-        out.transactions +=
-            static_cast<std::uint64_t>(distinct) * static_cast<std::uint64_t>(reps);
+        out.transactions += static_cast<std::uint64_t>(segments.count()) *
+                            static_cast<std::uint64_t>(reps);
         const std::uint64_t bytes =
             static_cast<std::uint64_t>(active) * std::max<std::uint32_t>(1, p.bytes);
         out.min_transactions +=
@@ -430,7 +403,7 @@ void check_occupancy(const KernelIR& ir, const AnalysisOptions& options,
       spec, threads, ir.config.shared_bytes, ir.config.regs_per_thread);
   // Re-derive each limiter the way the occupancy calculation combines
   // them, to name the binding one.
-  const int warps_per_block = (threads + spec.warp_size - 1) / spec.warp_size;
+  const int warps_per_block = (threads + kWarpSize - 1) / kWarpSize;
   const int by_warps = spec.max_warps_per_sm / warps_per_block;
   const int by_blocks = spec.max_blocks_per_sm;
   const int by_shared = ir.config.shared_bytes > 0

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/check.h"
+#include "vgpu/warp.h"
 
 namespace fdet::analyze {
 namespace {
@@ -151,7 +152,7 @@ void CaptureEngine::begin_kernel(const vgpu::DeviceSpec& spec,
   s.sample_by = axis_samples(config.grid.y, options_.blocks_per_axis);
   s.sample_bz = axis_samples(config.grid.z, options_.blocks_per_axis);
   s.warps_per_block =
-      (config.block.count() + spec.warp_size - 1) / spec.warp_size;
+      (config.block.count() + vgpu::kWarpSize - 1) / vgpu::kWarpSize;
   s.sample_warps = axis_samples(static_cast<int>(s.warps_per_block),
                                 options_.warps_per_block - 1);
   const int mid = static_cast<int>(s.warps_per_block) / 2;
@@ -194,7 +195,7 @@ void CaptureEngine::begin_lane(const vgpu::Dim3& thread) {
   }
   const vgpu::Dim3& block = s.raw.config.block;
   const int flat = thread.x + block.x * (thread.y + block.y * thread.z);
-  const int warp = flat / s.spec.warp_size;
+  const int warp = flat / vgpu::kWarpSize;
   s.lane_active = contains(s.sample_warps, warp);
   if (s.lane_active) {
     ++s.cur_phase().lanes_sampled;

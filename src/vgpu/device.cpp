@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/check.h"
+#include "vgpu/warp.h"
 
 namespace fdet::vgpu {
 
@@ -17,7 +18,7 @@ Occupancy compute_occupancy(const DeviceSpec& spec, int threads_per_block,
   FDET_CHECK(regs_per_thread >= 0);
 
   const int warps_per_block =
-      (threads_per_block + spec.warp_size - 1) / spec.warp_size;
+      (threads_per_block + kWarpSize - 1) / kWarpSize;
 
   int limit = spec.max_blocks_per_sm;
   limit = std::min(limit, spec.max_warps_per_sm / warps_per_block);

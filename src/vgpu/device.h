@@ -14,7 +14,6 @@ namespace fdet::vgpu {
 struct DeviceSpec {
   const char* name = "vGTX470";
   int sm_count = 14;
-  int warp_size = 32;
   int max_threads_per_block = 1024;
   int max_blocks_per_sm = 8;
   int max_warps_per_sm = 48;        // 1536 threads per SM on Fermi

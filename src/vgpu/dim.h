@@ -26,7 +26,7 @@ struct ThreadCoord {
   Dim3 thread;   ///< threadIdx
 
   /// Linear thread index within the block (x fastest), as CUDA defines it;
-  /// warp membership is flat_thread() / warp_size.
+  /// warp membership is flat_thread() / kWarpSize (vgpu/warp.h).
   constexpr int flat_thread() const {
     return thread.x + block.x * (thread.y + block.y * thread.z);
   }

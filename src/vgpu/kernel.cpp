@@ -4,18 +4,57 @@
 #include <array>
 
 #include "core/check.h"
+#include "vgpu/warp.h"
 
 namespace fdet::vgpu {
 namespace {
 
-constexpr int kWarpSize = 32;
-constexpr std::uint64_t kSegmentBytes = 128;  // Fermi coalescing granularity
+/// One kind of lane event (shared words, global ops or branch outcomes)
+/// of every lane of a warp as raw (data, size) views, taken once per warp
+/// so the slot loops index plain arrays.
+template <typename T>
+struct LaneSlots {
+  std::array<const T*, kWarpSize> data{};
+  std::array<std::size_t, kWarpSize> size{};
+  std::size_t min_size = 0;  ///< slots every lane issued
+  std::size_t max_size = 0;  ///< slots some lane issued
+
+  void set(int lane, const std::vector<T>& events) {
+    const auto l = static_cast<std::size_t>(lane);
+    data[l] = events.data();
+    size[l] = events.size();
+    min_size = lane == 0 ? events.size() : std::min(min_size, events.size());
+    max_size = lane == 0 ? events.size() : std::max(max_size, events.size());
+  }
+
+  /// Calls fn(event) with slot `slot` of each lane that issued it, in lane
+  /// order. A slot every lane issued skips the per-lane size check.
+  template <typename Fn>
+  void for_each_in_slot(int active, std::size_t slot, Fn&& fn) const {
+    if (slot < min_size) {
+      for (int l = 0; l < active; ++l) {
+        fn(data[static_cast<std::size_t>(l)][slot]);
+      }
+      return;
+    }
+    for (int l = 0; l < active; ++l) {
+      const auto i = static_cast<std::size_t>(l);
+      if (slot < size[i]) {
+        fn(data[i][slot]);
+      }
+    }
+  }
+};
 
 /// Scratch for one warp's aggregation, reused across warps to avoid
 /// allocation in the hot loop (Per.14/Per.15).
 struct WarpScratch {
   std::array<LaneCtx, kWarpSize> lanes;
-  std::array<std::uint64_t, kWarpSize> segments;  // dedup buffer per slot
+  LaneSlots<std::uint32_t> shared_words;
+  LaneSlots<LaneCtx::GlobalOp> global_ops;
+  LaneSlots<std::uint8_t> branch_trace;
+  BankConflictSlot bank_slot;
+  SegmentSlot segment_slot;
 };
 
 struct WarpCost {
@@ -25,25 +64,33 @@ struct WarpCost {
   double bank_conflict_issue = 0.0;  ///< serialized shared-memory passes
 };
 
-constexpr int kSharedBanks = 32;  // Fermi: 32 banks, 4-byte wide
-
 /// Reduces the lanes of one warp (lanes[0..active)) into cost + counters.
+/// Integer counters are summed per warp; the floating-point sums
+/// (lane_issue_cycles, the warp's issue and stall) add their terms in lane
+/// order and slot order, so every result is bit-identical to adding them
+/// one lane and one slot at a time.
 WarpCost aggregate_warp(const CostModel& cost, const KernelConfig& config,
                         WarpScratch& scratch, int active,
                         PerfCounters& counters) {
   WarpCost warp;
-  double max_lane_issue = 0.0;
-  double sum_lane_issue = 0.0;
-  std::size_t max_global_ops = 0;
-  std::size_t max_shared_ops = 0;
-  std::size_t max_branch_trace = 0;
-  std::uint32_t max_untracked = 0;
-
   const double const_cost =
       config.constant_broadcast ? cost.constant_access : cost.constant_serialized;
 
+  // Per lane: issue cycles (SIMD lockstep pays the max) and op counts.
+  std::uint64_t alu = 0;
+  std::uint64_t fma = 0;
+  std::uint64_t sfu = 0;
+  std::uint64_t shared = 0;
+  std::uint64_t constant = 0;
+  std::uint64_t texture = 0;
+  std::uint32_t max_untracked = 0;
+  double max_lane_issue = 0.0;
+  double sum_lane_issue = 0.0;
   for (int l = 0; l < active; ++l) {
-    const LaneCtx& lane = scratch.lanes[l];
+    const LaneCtx& lane = scratch.lanes[static_cast<std::size_t>(l)];
+    scratch.shared_words.set(l, lane.shared_words());
+    scratch.global_ops.set(l, lane.global_ops());
+    scratch.branch_trace.set(l, lane.branch_trace());
     double issue = lane.alu_count() * cost.alu + lane.fma_count() * cost.fma +
                    lane.sfu_count() * cost.sfu +
                    lane.shared_count() * cost.shared_access +
@@ -52,30 +99,24 @@ WarpCost aggregate_warp(const CostModel& cost, const KernelConfig& config,
     const std::size_t branches =
         lane.branch_trace().size() + lane.untracked_branches();
     issue += static_cast<double>(branches) * cost.branch;
-
-    counters.alu_ops += lane.alu_count();
-    counters.fma_ops += lane.fma_count();
-    counters.sfu_ops += lane.sfu_count();
-    counters.shared_accesses += lane.shared_count();
-    counters.constant_accesses += lane.constant_count();
-    counters.texture_fetches += lane.texture_count();
+    alu += lane.alu_count();
+    fma += lane.fma_count();
+    sfu += lane.sfu_count();
+    shared += lane.shared_count();
+    constant += lane.constant_count();
+    texture += lane.texture_count();
+    max_untracked = std::max(max_untracked, lane.untracked_branches());
     counters.lane_issue_cycles += issue;
-
     sum_lane_issue += issue;
     max_lane_issue = std::max(max_lane_issue, issue);
-    max_global_ops = std::max(max_global_ops, lane.global_ops().size());
-    max_shared_ops = std::max(max_shared_ops, lane.shared_words().size());
-    max_branch_trace = std::max(max_branch_trace, lane.branch_trace().size());
-    max_untracked = std::max(max_untracked, lane.untracked_branches());
-
-    for (const auto& op : lane.global_ops()) {
-      if (op.store) {
-        counters.global_write_bytes += op.bytes;
-      } else {
-        counters.global_read_bytes += op.bytes;
-      }
-    }
   }
+  counters.alu_ops += alu;
+  counters.fma_ops += fma;
+  counters.sfu_ops += sfu;
+  counters.shared_accesses += shared;
+  counters.constant_accesses += constant;
+  counters.texture_fetches += texture;
+
   warp.issue = max_lane_issue;
   // SIMD lockstep: the warp pays max-lane issue, so the gap between the
   // slowest lane and the lane average is issue capacity burned on idle
@@ -83,97 +124,77 @@ WarpCost aggregate_warp(const CostModel& cost, const KernelConfig& config,
   warp.divergence_issue =
       std::max(0.0, max_lane_issue - sum_lane_issue / kWarpSize);
 
-  // Bank conflicts: align addressed shared accesses by slot index across
-  // lanes (lanes of a warp issue their k-th shared access together).
-  // Distinct 4-byte words falling into the same of the 32 banks serialize;
-  // an n-way conflict costs n - 1 extra passes. Lanes reading the same
-  // word broadcast for free.
-  for (std::size_t slot = 0; slot < max_shared_ops; ++slot) {
-    std::array<std::uint32_t, kWarpSize> words;
-    int n_words = 0;
-    for (int l = 0; l < active; ++l) {
-      const auto& lane_words = scratch.lanes[static_cast<std::size_t>(l)]
-                                   .shared_words();
-      if (slot >= lane_words.size()) {
-        continue;
-      }
-      const std::uint32_t word = lane_words[slot];
-      bool seen = false;
-      for (int s = 0; s < n_words; ++s) {
-        if (words[static_cast<std::size_t>(s)] == word) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) {
-        words[static_cast<std::size_t>(n_words++)] = word;
-      }
-    }
-    std::array<int, kSharedBanks> per_bank{};
-    int degree = 0;
-    for (int s = 0; s < n_words; ++s) {
-      const auto bank = words[static_cast<std::size_t>(s)] % kSharedBanks;
-      degree = std::max(degree, ++per_bank[static_cast<std::size_t>(bank)]);
-    }
-    const int extra = std::max(0, degree - 1);
+  // Bank conflicts (vgpu/warp.h): an n-way conflict in a slot costs n - 1
+  // extra serialized passes.
+  std::uint64_t bank_conflicts = 0;
+  BankConflictSlot& banks = scratch.bank_slot;
+  for (std::size_t slot = 0; slot < scratch.shared_words.max_size; ++slot) {
+    banks.clear();
+    scratch.shared_words.for_each_in_slot(
+        active, slot, [&banks](std::uint32_t word) { banks.add(word); });
+    const int extra = banks.degree() - 1;
     if (extra > 0) {
-      counters.bank_conflicts += static_cast<std::uint64_t>(extra);
+      bank_conflicts += static_cast<std::uint64_t>(extra);
       const double serialized = extra * cost.shared_conflict;
       warp.issue += serialized;
       warp.bank_conflict_issue += serialized;
     }
   }
+  counters.bank_conflicts += bank_conflicts;
 
-  // Coalescing: align global accesses by slot index across lanes; lanes of
-  // a warp issue their k-th access together, and distinct 128-byte segments
-  // become separate transactions.
-  for (std::size_t slot = 0; slot < max_global_ops; ++slot) {
-    int distinct = 0;
-    for (int l = 0; l < active; ++l) {
-      const auto& ops = scratch.lanes[l].global_ops();
-      if (slot >= ops.size()) {
-        continue;
-      }
-      const std::uint64_t seg = ops[slot].addr / kSegmentBytes;
-      bool seen = false;
-      for (int s = 0; s < distinct; ++s) {
-        if (scratch.segments[static_cast<std::size_t>(s)] == seg) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) {
-        scratch.segments[static_cast<std::size_t>(distinct++)] = seg;
-      }
-    }
-    counters.global_transactions += static_cast<std::uint64_t>(distinct);
+  // Coalescing (vgpu/warp.h): each distinct 128-byte segment of a slot is
+  // one transaction, and every slot is one dependent wait.
+  std::uint64_t transactions = 0;
+  std::uint64_t read_bytes = 0;
+  std::uint64_t write_bytes = 0;
+  SegmentSlot& segments = scratch.segment_slot;
+  for (std::size_t slot = 0; slot < scratch.global_ops.max_size; ++slot) {
+    segments.clear();
+    scratch.global_ops.for_each_in_slot(
+        active, slot, [&](const LaneCtx::GlobalOp& op) {
+          segments.add(op.addr);
+          (op.store ? write_bytes : read_bytes) += op.bytes;
+        });
+    const int distinct = segments.count();
+    transactions += static_cast<std::uint64_t>(distinct);
     warp.issue += distinct * cost.global_transaction_issue;
-    warp.stall += cost.global_latency;  // one dependent wait per slot
+    warp.stall += cost.global_latency;
   }
+  counters.global_transactions += transactions;
+  counters.global_read_bytes += read_bytes;
+  counters.global_write_bytes += write_bytes;
 
   // Divergence: a warp branch is divergent when participating lanes
-  // disagree on the outcome at the same trace position.
-  for (std::size_t k = 0; k < max_branch_trace; ++k) {
+  // disagree on the outcome at the same trace position. Untracked branches
+  // are uniform by construction (kernels with regular control flow); they
+  // count at warp level without divergence.
+  std::uint64_t divergent = 0;
+  for (std::size_t k = 0; k < scratch.branch_trace.max_size; ++k) {
     bool saw_taken = false;
     bool saw_not_taken = false;
-    for (int l = 0; l < active; ++l) {
-      const auto& trace = scratch.lanes[l].branch_trace();
-      if (k >= trace.size()) {
-        continue;
-      }
-      (trace[k] != 0 ? saw_taken : saw_not_taken) = true;
-    }
-    ++counters.warp_branches;
-    if (saw_taken && saw_not_taken) {
-      ++counters.divergent_branches;
-    }
+    scratch.branch_trace.for_each_in_slot(
+        active, k, [&](std::uint8_t taken) {
+          (taken != 0 ? saw_taken : saw_not_taken) = true;
+        });
+    divergent += saw_taken && saw_not_taken ? 1 : 0;
   }
-  // Untracked branches are uniform by construction (kernels with regular
-  // control flow); count them at warp level without divergence.
-  counters.warp_branches += max_untracked;
+  counters.warp_branches += scratch.branch_trace.max_size + max_untracked;
+  counters.divergent_branches += divergent;
 
   counters.warp_issue_cycles += warp.issue;
   return warp;
+}
+
+/// Steps a thread index to the next lane in flat_thread() order (x
+/// fastest), carrying into y and z instead of dividing.
+void advance_thread(Dim3& thread, const Dim3& block) {
+  if (++thread.x == block.x) {
+    thread.x = 0;
+    if (++thread.y == block.y) {
+      thread.y = 0;
+      ++thread.z;
+    }
+  }
 }
 
 }  // namespace
@@ -260,15 +281,11 @@ LaunchCost execute_kernel(const DeviceSpec& spec, const KernelConfig& config,
       if (owner != nullptr) {
         owner->begin_phase(static_cast<int>(phase));
       }
+      coord.thread = Dim3{0, 0, 0};
       for (int w = 0; w < warps_per_block; ++w) {
-        const int first_thread = w * kWarpSize;
         const int active =
-            std::min(kWarpSize, threads_per_block - first_thread);
+            std::min(kWarpSize, threads_per_block - w * kWarpSize);
         for (int l = 0; l < active; ++l) {
-          const int t = first_thread + l;
-          coord.thread.x = t % config.block.x;
-          coord.thread.y = (t / config.block.x) % config.block.y;
-          coord.thread.z = t / (config.block.x * config.block.y);
           LaneCtx& lane = scratch.lanes[static_cast<std::size_t>(l)];
           lane.reset();
           lane.set_track_branches(track_branches);
@@ -281,6 +298,7 @@ LaunchCost execute_kernel(const DeviceSpec& spec, const KernelConfig& config,
           if (owner != nullptr) {
             owner->end_lane(lane);
           }
+          advance_thread(coord.thread, config.block);
         }
         const WarpCost warp = aggregate_warp(spec.cost, config, scratch,
                                              active, result.counters);

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 
 #include "vgpu/kernel.h"
@@ -137,23 +138,29 @@ TEST(PerfCounters, MergeIsAssociativeOverEveryField) {
 
 // --- bank-conflict model (one warp, one addressed access per lane) -----
 
-LaunchCost run_shared_pattern(std::uint64_t stride_words) {
+using WordOf = std::function<std::uint64_t(int lane)>;
+
+WordOf stride(std::uint64_t words) {
+  return [=](int lane) { return static_cast<std::uint64_t>(lane) * words; };
+}
+
+/// One block of `lanes` threads (at most one warp); lane l loads shared
+/// word word_of(l).
+LaunchCost run_shared_pattern(int lanes, const WordOf& word_of) {
   const DeviceSpec spec;
   KernelConfig config{.name = "shared_pattern",
                       .grid = {1, 1, 1},
-                      .block = {32, 1, 1},
+                      .block = {lanes, 1, 1},
                       .shared_bytes = 4096};
   return execute_kernel(
-      spec, config, [=](const ThreadCoord& t, LaneCtx& ctx, SharedMem&) {
-        const std::size_t offset =
-            static_cast<std::size_t>(t.thread.x) * stride_words * 4;
-        ctx.shared_load(offset, 4);
+      spec, config, [&](const ThreadCoord& t, LaneCtx& ctx, SharedMem&) {
+        ctx.shared_load(static_cast<std::size_t>(word_of(t.thread.x)) * 4, 4);
       });
 }
 
 TEST(BankConflicts, StrideOneIsConflictFree) {
   // word = lane: every lane hits its own bank.
-  const LaunchCost cost = run_shared_pattern(1);
+  const LaunchCost cost = run_shared_pattern(32, stride(1));
   EXPECT_EQ(cost.counters.shared_accesses, 32u);
   EXPECT_EQ(cost.counters.bank_conflicts, 0u);
   EXPECT_DOUBLE_EQ(cost.counters.bank_conflict_cycles, 0.0);
@@ -161,7 +168,7 @@ TEST(BankConflicts, StrideOneIsConflictFree) {
 
 TEST(BankConflicts, BroadcastOfOneWordIsFree) {
   // All 32 lanes read the same word: hardware broadcasts in one pass.
-  const LaunchCost cost = run_shared_pattern(0);
+  const LaunchCost cost = run_shared_pattern(32, stride(0));
   EXPECT_EQ(cost.counters.bank_conflicts, 0u);
   EXPECT_DOUBLE_EQ(cost.counters.bank_conflict_cycles, 0.0);
 }
@@ -170,13 +177,13 @@ TEST(BankConflicts, Stride32SerializesIntoThirtyTwoPasses) {
   // word = lane * 32: 32 distinct words, all in bank 0 — the classic
   // worst case (column walk of a 32-wide shared tile). Degree 32 means
   // 31 extra serialized passes for the single access slot.
-  const LaunchCost cost = run_shared_pattern(32);
+  const LaunchCost cost = run_shared_pattern(32, stride(32));
   EXPECT_EQ(cost.counters.bank_conflicts, 31u);
   EXPECT_GT(cost.counters.bank_conflict_cycles, 0.0);
 
   // The serialization must cost real service cycles relative to the
   // conflict-free pattern with the identical instruction mix.
-  const LaunchCost clean = run_shared_pattern(1);
+  const LaunchCost clean = run_shared_pattern(32, stride(1));
   EXPECT_GT(cost.total_service_cycles, clean.total_service_cycles);
   const DeviceSpec spec;
   EXPECT_NEAR(cost.counters.warp_issue_cycles -
@@ -188,7 +195,7 @@ TEST(BankConflicts, TwoWayConflictCostsOneExtraPass) {
   // word = lane * 2: lanes l and l+16 land in the same even bank with
   // distinct words — 16 banks with degree 2 each. The slot pays
   // max-degree-minus-one, not the sum over banks: one extra pass.
-  const LaunchCost cost = run_shared_pattern(2);
+  const LaunchCost cost = run_shared_pattern(32, stride(2));
   EXPECT_EQ(cost.counters.bank_conflicts, 1u);
 }
 
@@ -210,6 +217,33 @@ TEST(BankConflicts, MisalignedSlotsDoNotCrossConflict) {
         }
       });
   EXPECT_EQ(cost.counters.bank_conflicts, 15u);
+}
+
+TEST(BankConflicts, Stride8PutsEightWordsInEachOfFourBanks) {
+  // word = lane * 8: banks 0, 8, 16, 24 each receive 8 distinct words.
+  const LaunchCost cost = run_shared_pattern(32, stride(8));
+  EXPECT_EQ(cost.counters.bank_conflicts, 7u);
+}
+
+TEST(BankConflicts, OddStrideIsConflictFree) {
+  // word = lane * 5: 5 is coprime with 32, so the 32 lanes land in 32
+  // distinct banks.
+  const LaunchCost cost = run_shared_pattern(32, stride(5));
+  EXPECT_EQ(cost.counters.bank_conflicts, 0u);
+}
+
+TEST(BankConflicts, RepeatedWordsInAConflictingBankCountOnce) {
+  // Four distinct words, all in bank 0, each read by 8 lanes: the repeats
+  // broadcast, so the degree is 4 (3 extra passes), not 32.
+  const LaunchCost cost =
+      run_shared_pattern(32, [](int lane) { return (lane % 4) * 32u; });
+  EXPECT_EQ(cost.counters.bank_conflicts, 3u);
+}
+
+TEST(BankConflicts, PartialWarpColumnWalkCountsOnlyItsLanes) {
+  // A 20-lane block walking a column: 20 distinct words in bank 0.
+  const LaunchCost cost = run_shared_pattern(20, stride(32));
+  EXPECT_EQ(cost.counters.bank_conflicts, 19u);
 }
 
 // --- service-cycle decomposition ---------------------------------------

@@ -247,6 +247,38 @@ TEST(Executor, PartialWarpsAreHandled) {
   EXPECT_EQ(cost.counters.warps, 2u);
 }
 
+TEST(Executor, ThreeDimensionalBlockIssuesLanesInFlatOrder) {
+  // 60 threads: the second warp starts at flat thread 32 = (2, 0, 2), mid
+  // row, and crosses from z = 2 into z = 3 at flat thread 45.
+  const DeviceSpec spec = test_spec();
+  KernelConfig config{.name = "cube", .grid = {2, 1, 1}, .block = {5, 3, 4}};
+  const int threads = 5 * 3 * 4;
+  std::vector<std::vector<int>> order(4);  // per (block, phase)
+  std::vector<int> hits(2 * 2 * threads, 0);
+  const auto record = [&](int phase) {
+    return [&, phase](const ThreadCoord& t, LaneCtx& ctx, SharedMem&) {
+      ASSERT_LT(t.thread.x, 5);
+      ASSERT_LT(t.thread.y, 3);
+      ASSERT_LT(t.thread.z, 4);
+      const int slot = t.block_id.x * 2 + phase;
+      order[static_cast<std::size_t>(slot)].push_back(t.flat_thread());
+      ++hits[static_cast<std::size_t>(slot * threads + t.flat_thread())];
+      ctx.alu();
+    };
+  };
+  const LaunchCost cost = execute_kernel(spec, config, record(0), record(1));
+
+  std::vector<int> flat(threads);
+  std::iota(flat.begin(), flat.end(), 0);
+  for (const auto& issued : order) {
+    EXPECT_EQ(issued, flat);
+  }
+  for (const int h : hits) {
+    EXPECT_EQ(h, 1);
+  }
+  EXPECT_EQ(cost.counters.warps, 2u * 2u * 2u);
+}
+
 TEST(Executor, HigherOccupancyHidesMoreLatency) {
   const DeviceSpec spec = test_spec();
   // Same per-block work; the low-occupancy variant wastes shared memory so
