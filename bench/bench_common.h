@@ -160,13 +160,16 @@ class RunRecorder {
         << "--repeat=" << repeat_ << " requested but " << artifact_
         << " recorded " << repeats_.size()
         << " repeat(s); this bench does not implement the repeat loop";
-    metrics().gauge("bench.wall_seconds").set(watch_.elapsed_seconds());
+    // Host wall time is printed, not recorded: the records hold the
+    // deterministic modeled clock, and perfbench owns the host clock.
+    std::printf("\n[%s] bench.wall_seconds %.3f\n", artifact_.c_str(),
+                watch_.elapsed_seconds());
     if (!trace_out_.empty()) {
       session_.write_file(trace_out_);
       const obs::json::Value trace = obs::json::parse_file(trace_out_);
       FDET_CHECK(!trace.at("traceEvents").as_array().empty())
           << "trace '" << trace_out_ << "' has no events";
-      std::printf("\n[%s] trace written to %s (%zu events)\n",
+      std::printf("[%s] trace written to %s (%zu events)\n",
                   artifact_.c_str(), trace_out_.c_str(),
                   trace.at("traceEvents").as_array().size());
     }

@@ -41,17 +41,16 @@ void BM_IntegralCpu(benchmark::State& state) {
 }
 BENCHMARK(BM_IntegralCpu)->Arg(256)->Arg(512)->Arg(1024);
 
-void BM_GpuScanFunctional(benchmark::State& state) {
+void BM_GpuIntegralFunctional(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));
   const vgpu::DeviceSpec spec;
-  img::ImageI32 in(side, side, 3);
-  img::ImageI32 out(side, side);
+  const img::ImageU8 image = random_image(side, side, 3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(integral::scan_rows_gpu(spec, in, out));
+    benchmark::DoNotOptimize(integral::integral_gpu(spec, image));
   }
   state.SetItemsProcessed(state.iterations() * side * side);
 }
-BENCHMARK(BM_GpuScanFunctional)->Arg(256)->Arg(512);
+BENCHMARK(BM_GpuIntegralFunctional)->Arg(256)->Arg(512);
 
 void BM_CascadeKernelFunctional(benchmark::State& state) {
   const vgpu::DeviceSpec spec;

@@ -46,18 +46,32 @@ std::vector<LintTarget> production_targets(int width, int height) {
 
   std::vector<LintTarget> targets;
 
-  // Integral pipeline: scan_rows, transpose, scan_rows, transpose. Virtual
-  // addresses are per-array byte offsets, so one range sized like the
-  // largest array covers every launch.
+  // Integral row pass (scan_rows) over the frame.
   targets.push_back(LintTarget{
-      .name = "integral",
-      .allocations = {{"integral arrays", 0, i32_bytes}},
+      .name = "integral-rows",
+      .allocations = {{"source/table", 0, i32_bytes}},
       .suppressions = {},
       .driver =
           [width, height](std::uint64_t seed) {
             const vgpu::DeviceSpec spec;
-            const img::ImageU8 frame = random_image(width, height, seed);
-            integral::integral_gpu(spec, frame);
+            const img::ImageI32 source =
+                random_image(width, height, seed).cast<std::int32_t>();
+            img::ImageI32 table(width, height);
+            integral::scan_rows_gpu(spec, source, table);
+          },
+  });
+
+  // Integral column pass (scan_cols), in place over a frame-sized table.
+  targets.push_back(LintTarget{
+      .name = "integral-cols",
+      .allocations = {{"table", 0, i32_bytes}},
+      .suppressions = {},
+      .driver =
+          [width, height](std::uint64_t seed) {
+            const vgpu::DeviceSpec spec;
+            img::ImageI32 table =
+                random_image(width, height, seed).cast<std::int32_t>();
+            integral::scan_cols_gpu(spec, table);
           },
   });
 

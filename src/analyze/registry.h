@@ -29,8 +29,9 @@ struct LintTarget {
   std::function<void(std::uint64_t seed)> driver;
 };
 
-/// All production kernels at one frame geometry: integral scan/transpose,
-/// pyramid scale + separable filters, cascade evaluation, display overlay.
+/// All production kernels at one frame geometry: the integral row and
+/// column passes, pyramid scale + separable filters, cascade evaluation,
+/// display overlay.
 std::vector<LintTarget> production_targets(int width, int height);
 
 }  // namespace fdet::analyze

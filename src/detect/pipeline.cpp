@@ -46,7 +46,7 @@ void FrameResult::publish_metrics(obs::Registry& registry,
   // Where the SM-seconds go, by pipeline stage ("integral images are
   // ~20 % of the computation").
   for (const char* stage :
-       {"scale", "filter", "scan", "transpose", "cascade"}) {
+       {"scale", "filter", "scan", "cascade"}) {
     obs::Labels stage_labels = labels;
     stage_labels.emplace_back("stage", stage);
     registry.gauge("detect.busy_share", stage_labels).set(busy_share(stage));
@@ -145,16 +145,15 @@ Pipeline::Built Pipeline::build(const img::ImageU8& luma) const {
            stream});
     }
 
-    // Integral image: scan, transpose, scan, transpose.
+    // Integral image: row pass, then column pass.
     integral::GpuIntegralResult ii = [&] {
       const obs::ScopedSpan span("pipeline.integral" + suffix);
       const obs::ProfileStageScope stage("integral");
       return integral::integral_gpu(spec_, level_image);
     }();
-    const char* names[4] = {"scan", "transpose", "scan2", "transpose2"};
-    for (std::size_t k = 0; k < ii.launches.size(); ++k) {
-      ii.launches[k].config.name = std::string(names[k]) + suffix;
-      launches.push_back({std::move(ii.launches[k]), stream});
+    for (vgpu::LaunchCost& cost : ii.launches) {
+      cost.config.name += suffix;
+      launches.push_back({std::move(cost), stream});
     }
 
     // Cascade evaluation.

@@ -1,7 +1,7 @@
 // The full GPU face-detection pipeline of paper Fig. 1:
 //
 //   (decoded luma) -> scaling -> filtering -> integral image
-//   (prefix sum + transpose, twice) -> cascade evaluation -> [display]
+//   (row scan, then in-place column scan) -> cascade evaluation -> [display]
 //
 // Every pyramid level runs its kernels in its own CUDA stream; the
 // scheduler then executes the issue sequence either serially (the paper's
@@ -64,8 +64,8 @@ struct FrameResult {
   img::ImageU8 display;                 ///< only when run_display
 
   /// Σ busy SM-seconds of launches whose name starts with `prefix`,
-  /// divided by the total — e.g. share("scan") + share("transpose") is the
-  /// paper's "integral images are ~20 % of the computation".
+  /// divided by the total — e.g. share("scan") (scan_rows + scan_cols) is
+  /// the paper's "integral images are ~20 % of the computation".
   double busy_share(const std::string& prefix) const;
 
   /// Publishes this frame into `registry` under `labels`: the timeline's

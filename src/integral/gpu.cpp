@@ -1,19 +1,21 @@
 #include "integral/gpu.h"
 
-#include <array>
+#include <algorithm>
 #include <cstdint>
-#include <string>
+#include <span>
 
 #include "core/check.h"
 
 namespace fdet::integral {
 namespace {
 
-constexpr int kScanThreads = 256;
-constexpr int kScanTreeSteps = 8;  // ceil(log2(kScanThreads))
-constexpr int kTileDim = 32;
-constexpr int kTileRows = 8;       // threads in y; each handles 4 tile rows
-constexpr int kTileStride = kTileDim + 1;  // +1 padding avoids bank conflicts
+constexpr int kTileDim = 32;   // strip height, tile width, lanes per warp
+constexpr int kTileRows = 8;   // threads in y; each moves 4 tile rows
+// +1 padding: word (r, i) of a tile sits in bank (r + i) mod 32, so both
+// the row-per-lane scan and the row-per-warp moves are conflict-free.
+constexpr int kTileStride = kTileDim + 1;
+constexpr int kTileWords = kTileDim * kTileStride;
+constexpr int kColThreads = 256;
 
 /// Deterministic virtual address: the element's byte offset within its
 /// image. Within one warp access slot all lanes touch the same array, so
@@ -34,189 +36,59 @@ vgpu::LaunchCost scan_rows_gpu(const vgpu::DeviceSpec& spec,
   const int h = input.height();
   FDET_CHECK(output.width() == w && output.height() == h)
       << "scan output must match input dimensions";
-
-  const int chunk = (w + kScanThreads - 1) / kScanThreads;
-  const int padded = chunk * kScanThreads;
-  const int shared_bytes =
-      static_cast<int>((padded + 2 * kScanThreads) * sizeof(std::int32_t));
+  const int tiles = (w + kTileDim - 1) / kTileDim;
 
   vgpu::KernelConfig config{
       .name = "scan_rows",
-      .grid = {1, h, 1},
-      .block = {kScanThreads, 1, 1},
-      .shared_bytes = shared_bytes,
+      .grid = {1, (h + kTileDim - 1) / kTileDim, 1},
+      .block = {kTileDim, kTileRows, 1},
+      .shared_bytes = static_cast<int>((2 * kTileWords + kTileDim) *
+                                       sizeof(std::int32_t)),
       .regs_per_thread = 20,
   };
 
-  // Shared layout (identical carve order in every phase): the padded row
-  // buffer, then the two chunk-sum ping-pong buffers.
-  const auto carve = [padded](vgpu::SharedMem& shared) {
+  // Shared layout (identical carve order in every phase): two tile
+  // buffers — tile t lives in buffer t % 2 — then one running-sum carry
+  // per strip row.
+  const auto carve = [](vgpu::SharedMem& shared) {
     struct Views {
-      std::span<std::int32_t> row;
-      std::span<std::int32_t> sums_a;
-      std::span<std::int32_t> sums_b;
+      std::span<std::int32_t> tiles[2];
+      std::span<std::int32_t> carry;
     };
-    return Views{shared.array<std::int32_t>(static_cast<std::size_t>(padded)),
-                 shared.array<std::int32_t>(kScanThreads),
-                 shared.array<std::int32_t>(kScanThreads)};
+    return Views{{shared.array<std::int32_t>(kTileWords),
+                  shared.array<std::int32_t>(kTileWords)},
+                 shared.array<std::int32_t>(kTileDim)};
   };
 
-  std::vector<vgpu::PhaseFn> phases;
-
-  // Phase 1: cooperative coalesced load (lane l reads elements i*T + l).
-  phases.push_back([&, chunk, w](const vgpu::ThreadCoord& t, vgpu::LaneCtx& ctx,
-                                 vgpu::SharedMem& shared) {
-    auto views = carve(shared);
-    const int row_y = t.block_id.y;
-    for (int i = 0; i < chunk; ++i) {
-      const int idx = i * kScanThreads + t.thread.x;
-      ctx.alu(2);
-      std::int32_t value = 0;
-      if (idx < w) {
-        value = input(idx, row_y);
-        ctx.global_load(addr_of(input, idx, row_y), 4);
-      }
-      views.row[static_cast<std::size_t>(idx)] = value;
-      ctx.shared_store_at(shared, views.row[static_cast<std::size_t>(idx)]);
-    }
-  });
-
-  // Phase 2: each lane scans its contiguous chunk, depositing the chunk sum.
-  phases.push_back([&, chunk](const vgpu::ThreadCoord& t, vgpu::LaneCtx& ctx,
-                              vgpu::SharedMem& shared) {
-    auto views = carve(shared);
-    const int base = t.thread.x * chunk;
-    std::int32_t acc = 0;
-    for (int i = 0; i < chunk; ++i) {
-      auto& cell = views.row[static_cast<std::size_t>(base + i)];
-      acc += cell;
-      ctx.shared_load_at(shared, cell);
-      cell = acc;
-      ctx.shared_store_at(shared, cell);
-      ctx.alu(1);
-    }
-    views.sums_a[static_cast<std::size_t>(t.thread.x)] = acc;
-    ctx.shared_store_at(shared,
-                        views.sums_a[static_cast<std::size_t>(t.thread.x)]);
-  });
-
-  // Phases 3..10: Hillis–Steele inclusive scan over the chunk sums with
-  // ping-pong buffers (a real barrier-separated tree, not a shortcut).
-  for (int step = 0; step < kScanTreeSteps; ++step) {
-    const int offset = 1 << step;
-    const bool src_is_a = (step % 2 == 0);
-    phases.push_back([&, offset, src_is_a](const vgpu::ThreadCoord& t,
-                                           vgpu::LaneCtx& ctx,
-                                           vgpu::SharedMem& shared) {
-      auto views = carve(shared);
-      auto src = src_is_a ? views.sums_a : views.sums_b;
-      auto dst = src_is_a ? views.sums_b : views.sums_a;
-      const int lane = t.thread.x;
-      std::int32_t value = src[static_cast<std::size_t>(lane)];
-      ctx.shared_load_at(shared, src[static_cast<std::size_t>(lane)]);
-      ctx.branch(lane >= offset);
-      if (lane >= offset) {
-        value += src[static_cast<std::size_t>(lane - offset)];
-        ctx.shared_load_at(shared,
-                           src[static_cast<std::size_t>(lane - offset)]);
-        ctx.alu(1);
-      }
-      dst[static_cast<std::size_t>(lane)] = value;
-      ctx.shared_store_at(shared, dst[static_cast<std::size_t>(lane)]);
-    });
-  }
-  // After 8 steps (last destination: sums_a) the inclusive chunk-sum scan
-  // lives in sums_a.
-  static_assert(kScanTreeSteps % 2 == 0,
-                "final tree buffer assumed to be sums_a");
-
-  // Phase 11: propagate chunk offsets (exclusive: lane l adds scan[l-1]).
-  phases.push_back([&, chunk](const vgpu::ThreadCoord& t, vgpu::LaneCtx& ctx,
-                              vgpu::SharedMem& shared) {
-    auto views = carve(shared);
-    const int lane = t.thread.x;
-    ctx.branch(lane > 0);
-    if (lane == 0) {
-      return;
-    }
-    const std::int32_t offset = views.sums_a[static_cast<std::size_t>(lane - 1)];
-    ctx.shared_load_at(shared, views.sums_a[static_cast<std::size_t>(lane - 1)]);
-    const int base = lane * chunk;
-    for (int i = 0; i < chunk; ++i) {
-      auto& cell = views.row[static_cast<std::size_t>(base + i)];
-      ctx.shared_load_at(shared, cell);
-      cell += offset;
-      ctx.shared_store_at(shared, cell);
-      ctx.alu(1);
-    }
-  });
-
-  // Phase 12: cooperative coalesced store.
-  phases.push_back([&, chunk, w](const vgpu::ThreadCoord& t, vgpu::LaneCtx& ctx,
-                                 vgpu::SharedMem& shared) {
-    auto views = carve(shared);
-    const int row_y = t.block_id.y;
-    for (int i = 0; i < chunk; ++i) {
-      const int idx = i * kScanThreads + t.thread.x;
-      ctx.alu(2);
-      if (idx < w) {
-        output(idx, row_y) = views.row[static_cast<std::size_t>(idx)];
-        ctx.shared_load_at(shared, views.row[static_cast<std::size_t>(idx)]);
-        ctx.global_store(addr_of(output, idx, row_y), 4);
-      }
-    }
-  });
-
-  return execute_kernel(spec, config, std::span<const vgpu::PhaseFn>(phases));
-}
-
-vgpu::LaunchCost transpose_gpu(const vgpu::DeviceSpec& spec,
-                               const img::ImageI32& input,
-                               img::ImageI32& output) {
-  const int w = input.width();
-  const int h = input.height();
-  FDET_CHECK(output.width() == h && output.height() == w)
-      << "transpose output must have swapped dimensions";
-
-  vgpu::KernelConfig config{
-      .name = "transpose",
-      .grid = {(w + kTileDim - 1) / kTileDim, (h + kTileDim - 1) / kTileDim, 1},
-      .block = {kTileDim, kTileRows, 1},
-      .shared_bytes =
-          static_cast<int>(kTileDim * kTileStride * sizeof(std::int32_t)),
-      .regs_per_thread = 16,
-  };
-
-  const int rows_per_thread = kTileDim / kTileRows;
-
-  const auto load_phase = [&](const vgpu::ThreadCoord& t, vgpu::LaneCtx& ctx,
-                              vgpu::SharedMem& shared) {
-    auto tile = shared.array<std::int32_t>(kTileDim * kTileStride);
-    for (int j = 0; j < rows_per_thread; ++j) {
-      const int x = t.block_id.x * kTileDim + t.thread.x;
-      const int y = t.block_id.y * kTileDim + t.thread.y + j * kTileRows;
+  // Coalesced tile moves: thread (x, y) moves tile rows y, y+8, y+16 and
+  // y+24, so the 32 lanes of a warp touch 32 consecutive words of one
+  // image row per access slot.
+  const auto load_tile = [&](const vgpu::ThreadCoord& t, vgpu::LaneCtx& ctx,
+                             vgpu::SharedMem& shared,
+                             std::span<std::int32_t> tile, int tile_index) {
+    const int x = tile_index * kTileDim + t.thread.x;
+    for (int row = t.thread.y; row < kTileDim; row += kTileRows) {
+      const int y = t.block_id.y * kTileDim + row;
       ctx.alu(3);
       if (x < w && y < h) {
-        auto& cell = tile[static_cast<std::size_t>(
-            (t.thread.y + j * kTileRows) * kTileStride + t.thread.x)];
+        auto& cell = tile[static_cast<std::size_t>(row * kTileStride + t.thread.x)];
         cell = input(x, y);
         ctx.global_load(addr_of(input, x, y), 4);
         ctx.shared_store_at(shared, cell);
       }
     }
   };
-
-  const auto store_phase = [&](const vgpu::ThreadCoord& t, vgpu::LaneCtx& ctx,
-                               vgpu::SharedMem& shared) {
-    auto tile = shared.array<std::int32_t>(kTileDim * kTileStride);
-    for (int j = 0; j < rows_per_thread; ++j) {
-      // Destination coordinates: the tile's grid position transposes.
-      const int x = t.block_id.y * kTileDim + t.thread.x;
-      const int y = t.block_id.x * kTileDim + t.thread.y + j * kTileRows;
+  const auto store_tile = [&](const vgpu::ThreadCoord& t, vgpu::LaneCtx& ctx,
+                              vgpu::SharedMem& shared,
+                              std::span<const std::int32_t> tile,
+                              int tile_index) {
+    const int x = tile_index * kTileDim + t.thread.x;
+    for (int row = t.thread.y; row < kTileDim; row += kTileRows) {
+      const int y = t.block_id.y * kTileDim + row;
       ctx.alu(3);
-      if (x < h && y < w) {
-        const auto& cell = tile[static_cast<std::size_t>(
-            t.thread.x * kTileStride + t.thread.y + j * kTileRows)];
+      if (x < w && y < h) {
+        const auto& cell =
+            tile[static_cast<std::size_t>(row * kTileStride + t.thread.x)];
         output(x, y) = cell;
         ctx.shared_load_at(shared, cell);
         ctx.global_store(addr_of(output, x, y), 4);
@@ -224,32 +96,108 @@ vgpu::LaunchCost transpose_gpu(const vgpu::DeviceSpec& spec,
     }
   };
 
-  return execute_kernel(spec, config, load_phase, store_phase);
+  std::vector<vgpu::PhaseFn> phases;
+
+  // Phase 0: stage tile 0 and zero the carries.
+  phases.push_back([&](const vgpu::ThreadCoord& t, vgpu::LaneCtx& ctx,
+                       vgpu::SharedMem& shared) {
+    const auto views = carve(shared);
+    load_tile(t, ctx, shared, views.tiles[0], 0);
+    if (t.thread.y == 0) {
+      auto& carry = views.carry[static_cast<std::size_t>(t.thread.x)];
+      carry = 0;
+      ctx.shared_store_at(shared, carry);
+    }
+  });
+
+  for (int tile = 0; tile < tiles; ++tile) {
+    // Scan phase: lane r of warp 0 scans row r of the tile serially,
+    // starting from the row's carry, and leaves the new carry behind.
+    const int cols = std::min(kTileDim, w - tile * kTileDim);
+    phases.push_back([&, tile, cols](const vgpu::ThreadCoord& t,
+                                     vgpu::LaneCtx& ctx,
+                                     vgpu::SharedMem& shared) {
+      const auto views = carve(shared);
+      const int row = t.thread.x;
+      if (t.thread.y != 0 || t.block_id.y * kTileDim + row >= h) {
+        return;
+      }
+      auto& carry = views.carry[static_cast<std::size_t>(row)];
+      std::int32_t acc = carry;
+      ctx.shared_load_at(shared, carry);
+      for (auto& cell : views.tiles[tile % 2].subspan(
+               static_cast<std::size_t>(row * kTileStride),
+               static_cast<std::size_t>(cols))) {
+        acc += cell;
+        ctx.shared_load_at(shared, cell);
+        cell = acc;
+        ctx.shared_store_at(shared, cell);
+        ctx.alu(1);
+      }
+      carry = acc;
+      ctx.shared_store_at(shared, carry);
+    });
+
+    // Move phase: store the scanned tile, then stage the next one into
+    // the other buffer. Stores come first so that a lane past the right
+    // edge only drops trailing accesses and the warp's slots stay
+    // aligned (interleaving them would misalign slots into conflicts).
+    phases.push_back([&, tile](const vgpu::ThreadCoord& t, vgpu::LaneCtx& ctx,
+                               vgpu::SharedMem& shared) {
+      const auto views = carve(shared);
+      store_tile(t, ctx, shared, views.tiles[tile % 2], tile);
+      if (tile + 1 < tiles) {
+        load_tile(t, ctx, shared, views.tiles[(tile + 1) % 2], tile + 1);
+      }
+    });
+  }
+
+  return execute_kernel(spec, config, std::span<const vgpu::PhaseFn>(phases));
+}
+
+vgpu::LaunchCost scan_cols_gpu(const vgpu::DeviceSpec& spec,
+                               img::ImageI32& table) {
+  const int w = table.width();
+  const int h = table.height();
+
+  vgpu::KernelConfig config{
+      .name = "scan_cols",
+      .grid = {(w + kColThreads - 1) / kColThreads, 1, 1},
+      .block = {kColThreads, 1, 1},
+      .shared_bytes = 0,
+      .regs_per_thread = 16,
+  };
+
+  return execute_kernel(
+      spec, config,
+      [&](const vgpu::ThreadCoord& t, vgpu::LaneCtx& ctx, vgpu::SharedMem&) {
+        const int x = t.block_id.x * kColThreads + t.thread.x;
+        if (x >= w) {
+          return;
+        }
+        std::int32_t acc = 0;
+        for (int y = 0; y < h; ++y) {
+          acc += table(x, y);
+          ctx.global_load(addr_of(table, x, y), 4);
+          table(x, y) = acc;
+          ctx.global_store(addr_of(table, x, y), 4);
+          ctx.alu(2);
+        }
+      });
 }
 
 GpuIntegralResult integral_gpu(const vgpu::DeviceSpec& spec,
                                const img::ImageU8& input) {
   check_integral_range(input);
-  const int w = input.width();
-  const int h = input.height();
 
-  // On the real device the first scan kernel reads the 8-bit luma plane
-  // directly; the cast here only changes the host representation.
+  // On the real device the row pass reads the 8-bit luma plane directly;
+  // the cast here only changes the host representation.
   const img::ImageI32 source = input.cast<std::int32_t>();
 
   GpuIntegralResult result;
-  img::ImageI32 row_scanned(w, h);
-  result.launches.push_back(scan_rows_gpu(spec, source, row_scanned));
-
-  img::ImageI32 transposed(h, w);
-  result.launches.push_back(transpose_gpu(spec, row_scanned, transposed));
-
-  img::ImageI32 col_scanned(h, w);
-  result.launches.push_back(scan_rows_gpu(spec, transposed, col_scanned));
-
-  img::ImageI32 table(w, h);
-  result.launches.push_back(transpose_gpu(spec, col_scanned, table));
-
+  img::ImageI32 table(input.width(), input.height());
+  result.launches.push_back(scan_rows_gpu(spec, source, table));
+  result.launches.push_back(scan_cols_gpu(spec, table));
   result.integral = IntegralImage(std::move(table));
   return result;
 }

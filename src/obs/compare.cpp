@@ -80,22 +80,11 @@ Direction metric_direction(std::string_view name) {
 
 CompareReport compare_runs(const RunRecord& baseline, const RunRecord& current,
                            const CompareOptions& options) {
-  FDET_CHECK(options.relative_threshold >= 0.0 && options.mad_multiplier >= 0.0)
-      << "compare thresholds must be non-negative";
-  const auto ignored = [&](const std::string& name) {
-    for (const std::string& needle : options.ignore) {
-      if (name.find(needle) != std::string::npos) {
-        return true;
-      }
-    }
-    return false;
-  };
+  FDET_CHECK(options.mad_multiplier >= 0.0)
+      << "compare MAD multiplier must be non-negative";
 
   CompareReport report;
   for (const MetricSeries& base : baseline.metrics) {
-    if (ignored(base.name)) {
-      continue;
-    }
     MetricVerdict v;
     v.name = base.name;
     v.labels = base.labels;
@@ -122,10 +111,16 @@ CompareReport compare_runs(const RunRecord& baseline, const RunRecord& current,
       const double delta = cur->median - base.median;
       v.relative_change =
           base.median == 0.0 ? 0.0 : delta / std::fabs(base.median);
-      v.band = std::max(
-          {options.relative_threshold * std::fabs(base.median),
-           options.mad_multiplier * std::max(base.mad, cur->mad),
-           options.absolute_floor});
+      const double dust = kCompareDust * std::max(1.0, std::fabs(base.median));
+      const auto agree = [dust](const MetricSeries& series) {
+        return std::all_of(series.samples.begin(), series.samples.end(),
+                           [&](double sample) {
+                             return std::fabs(sample - series.median) <= dust;
+                           });
+      };
+      v.exact = agree(base) && agree(*cur);
+      v.band = std::max(options.mad_multiplier * std::max(base.mad, cur->mad),
+                        dust);
       if (std::fabs(delta) <= v.band) {
         v.verdict = Verdict::kUnchanged;
       } else {
@@ -142,6 +137,9 @@ CompareReport compare_runs(const RunRecord& baseline, const RunRecord& current,
         }
       }
     }
+    if (v.exact && v.verdict == Verdict::kImproved) {
+      ++report.drifted;
+    }
     switch (v.verdict) {
       case Verdict::kImproved:  ++report.improved; break;
       case Verdict::kUnchanged: ++report.unchanged; break;
@@ -152,8 +150,7 @@ CompareReport compare_runs(const RunRecord& baseline, const RunRecord& current,
   }
 
   for (const MetricSeries& cur : current.metrics) {
-    if (ignored(cur.name) ||
-        baseline.find(cur.name, cur.labels) != nullptr) {
+    if (baseline.find(cur.name, cur.labels) != nullptr) {
       continue;
     }
     MetricVerdict v;
@@ -180,7 +177,7 @@ CompareReport compare_runs(const RunRecord& baseline, const RunRecord& current,
 }
 
 std::string describe(const MetricVerdict& v) {
-  char buf[256];
+  char buf[512];
   std::string id = v.name;
   const std::string labels = format_labels(v.labels);
   if (!labels.empty()) {
@@ -197,9 +194,12 @@ std::string describe(const MetricVerdict& v) {
       break;
     default:
       std::snprintf(buf, sizeof buf,
-                    "%-9s  %s  %.6g -> %.6g  (%+.1f%%, band %.3g)",
+                    "%-9s  %s  %.10g -> %.10g  (%+.3f%%, band %.3g)%s",
                     verdict_name(v.verdict), id.c_str(), v.baseline_median,
-                    v.current_median, v.relative_change * 100.0, v.band);
+                    v.current_median, v.relative_change * 100.0, v.band,
+                    v.exact && v.verdict == Verdict::kImproved
+                        ? "  exact series drifted: re-pin the record"
+                        : "");
   }
   return buf;
 }
@@ -214,9 +214,9 @@ std::string render_text_report(const CompareReport& report,
     out << describe(v) << "\n";
   }
   out << "verdicts: " << report.regressed << " regressed, " << report.missing
-      << " missing, " << report.improved << " improved, " << report.added
-      << " new, " << report.unchanged << " unchanged — "
-      << (report.ok() ? "OK" : "GATE FAILED") << "\n";
+      << " missing, " << report.improved << " improved (" << report.drifted
+      << " exact), " << report.added << " new, " << report.unchanged
+      << " unchanged — " << (report.ok() ? "OK" : "GATE FAILED") << "\n";
   return out.str();
 }
 

@@ -9,16 +9,18 @@
 //               direction for this metric
 //   unchanged   median shift within the noise band
 //   regressed   shift beyond the band in the bad direction — or any
-//               shift of a direction-neutral (exact) metric, since the
-//               virtual-GPU quantities are deterministic and drift means
-//               behavior changed
+//               shift of a direction-neutral (exact) metric
 //   missing     series present in the baseline, absent from the run
 //   new         series only the current run has (informational)
 //
-// The noise band combines a relative threshold (default 10 %, the kind
-// of margin the paper's Table II ratios carry) with a multiple of the
-// repeats' median absolute deviation, so host-noisy metrics need a
-// genuinely large shift while deterministic virtual metrics gate tightly.
+// The noise band is max(3 × the repeats' median absolute deviation,
+// float-printing dust). A series whose samples agree on both sides —
+// every modeled-clock series, since the virtual GPU is deterministic —
+// therefore gets the dust band alone, and any drift beyond it fails the
+// gate in either direction: an improvement there means behaviour changed
+// and the committed record must be re-pinned. The verdict still names
+// the direction. Host-clock series stay out of the records; perfbench
+// measures that clock with alternating pairs.
 // `fdet_report diff` and bench::RunRecorder's --baseline flag both sit on
 // top of this and exit non-zero when CompareReport::ok() is false.
 #pragma once
@@ -50,17 +52,14 @@ enum class Direction {
 /// are kExact.
 Direction metric_direction(std::string_view name);
 
+/// Float-printing dust, relative to max(1, |baseline median|): the slack
+/// that lets a deterministic value printed, re-parsed or summed in
+/// another order by another compiler still compare equal.
+inline constexpr double kCompareDust = 1e-9;
+
 struct CompareOptions {
-  /// Relative shift tolerated before a verdict: |Δ| <= rel * |baseline|.
-  double relative_threshold = 0.10;
   /// Noise band as a multiple of max(baseline MAD, current MAD).
   double mad_multiplier = 3.0;
-  /// Absolute floor so near-zero medians don't gate on rounding dust.
-  double absolute_floor = 1e-9;
-  /// Series whose name contains any of these substrings are skipped
-  /// entirely (host wall time is run-to-run noise, not a bench
-  /// regression).
-  std::vector<std::string> ignore = {"bench.wall_seconds", "host_wall"};
 };
 
 struct MetricVerdict {
@@ -74,6 +73,15 @@ struct MetricVerdict {
   /// or either side is non-finite.
   double relative_change = 0.0;
   double band = 0.0;  ///< absolute tolerance that was applied
+  /// Every sample on both sides agreed to within the dust: any verdict
+  /// other than unchanged fails the gate, an improvement included.
+  bool exact = false;
+
+  /// True when this verdict alone fails the gate.
+  bool fails() const {
+    return verdict == Verdict::kRegressed || verdict == Verdict::kMissing ||
+           (exact && verdict == Verdict::kImproved);
+  }
 };
 
 struct CompareReport {
@@ -85,9 +93,11 @@ struct CompareReport {
   int regressed = 0;
   int missing = 0;
   int added = 0;
+  int drifted = 0;  ///< improved verdicts on exact series
 
-  /// The gate: true when nothing regressed and nothing went missing.
-  bool ok() const { return regressed == 0 && missing == 0; }
+  /// The gate: true when nothing regressed, nothing went missing and no
+  /// exact series drifted.
+  bool ok() const { return regressed == 0 && missing == 0 && drifted == 0; }
 };
 
 CompareReport compare_runs(const RunRecord& baseline, const RunRecord& current,

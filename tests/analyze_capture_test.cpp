@@ -97,12 +97,14 @@ TEST(AnalyzeCapture, NonAffineIndexIsFlaggedNotMiscompiled) {
 }
 
 TEST(AnalyzeCapture, MultiPhaseKernelKeepsBarrierStructure) {
-  // The production scan kernel: 12 phases = load, chunk scan, 8 tree
-  // steps, propagate, store — 11 implicit barriers. The IR must preserve
-  // that structure phase by phase, with the global traffic confined to the
-  // first and last phases (everything between works in shared memory).
-  img::ImageI32 input(64, 2, 1);
-  img::ImageI32 output(64, 2, 0);
+  // The production row scan over 3 tiles: 2·tiles+1 = 7 phases (stage
+  // tile 0, then scan/move per tile) — 6 implicit barriers. The IR must
+  // preserve that structure phase by phase: the scan phases work in
+  // shared memory only, every other phase moves a tile through global
+  // memory.
+  constexpr int kTiles = 3;
+  img::ImageI32 input(32 * kTiles, 2, 1);
+  img::ImageI32 output(32 * kTiles, 2, 0);
   const std::vector<KernelIR> irs =
       capture_kernels([&input, &output](std::uint64_t seed) {
         core::Rng rng(seed);
@@ -115,16 +117,14 @@ TEST(AnalyzeCapture, MultiPhaseKernelKeepsBarrierStructure) {
   ASSERT_EQ(irs.size(), 1u);
   const KernelIR& ir = irs.front();
   EXPECT_EQ(ir.config.name, "scan_rows");
-  ASSERT_EQ(ir.phases.size(), 12u);
-  EXPECT_EQ(ir.barrier_count(), 11);
-  EXPECT_FALSE(ir.phases.front().global_slots.empty());
-  EXPECT_FALSE(ir.phases.back().global_slots.empty());
-  for (std::size_t i = 1; i + 1 < ir.phases.size(); ++i) {
-    EXPECT_TRUE(ir.phases[i].global_slots.empty())
-        << "phase " << i << " should only touch shared memory";
+  ASSERT_EQ(ir.phases.size(), 2u * kTiles + 1);
+  EXPECT_EQ(ir.barrier_count(), 2 * kTiles);
+  for (std::size_t i = 0; i < ir.phases.size(); ++i) {
+    const bool scan_phase = i % 2 == 1;
+    EXPECT_EQ(ir.phases[i].global_slots.empty(), scan_phase)
+        << "phase " << i;
+    EXPECT_FALSE(ir.phases[i].shared_slots.empty()) << "phase " << i;
   }
-  // The tree phases load and store shared words.
-  EXPECT_FALSE(ir.phases[2].shared_slots.empty());
 }
 
 TEST(AnalyzeCapture, ForcesBranchTrackingWhenConfigHasItOff) {

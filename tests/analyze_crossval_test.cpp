@@ -44,69 +44,46 @@ img::ImageI32 random_i32(int w, int h, std::uint64_t seed) {
   return im;
 }
 
-TEST(AnalyzeCrossval, TransposePredictionEqualsMeasuredCounters) {
-  // 128x64 is a multiple of the 32x32 tile on both axes: every guard
-  // passes, every slot has full participation and affine indices, so both
-  // predictions are complete and must match the executor exactly —
-  // including zero bank conflicts from the stride-33 tile padding.
-  constexpr int kW = 128;
+TEST(AnalyzeCrossval, IntegralPassPredictionsEqualMeasuredCounters) {
+  // 256x64 is whole 32x32 tiles, whole 32-row strips and one full
+  // 256-thread column block: every tile-move and column slot has full
+  // participation and affine addresses, so both global predictions are
+  // complete and must match the executor exactly. The row pass's scan
+  // phases run on warp 0 only (partial participation), so its shared
+  // prediction is a lower bound — and both sides read zero conflicts
+  // from the stride-33 tile padding.
+  constexpr int kW = 256;
   constexpr int kH = 64;
   const img::ImageI32 input = random_i32(kW, kH, 7);
-  img::ImageI32 output(kH, kW);
-  const vgpu::LaunchCost measured =
-      integral::transpose_gpu(kSpec, input, output);
+  img::ImageI32 table(kW, kH);
+  const vgpu::LaunchCost measured[2] = {
+      integral::scan_rows_gpu(kSpec, input, table),
+      integral::scan_cols_gpu(kSpec, table)};
 
   const std::vector<KernelIR> irs =
       capture_kernels([](std::uint64_t seed) {
         const img::ImageI32 in = random_i32(kW, kH, seed);
-        img::ImageI32 out(kH, kW);
-        integral::transpose_gpu(kSpec, in, out);
+        img::ImageI32 t(kW, kH);
+        integral::scan_rows_gpu(kSpec, in, t);
+        integral::scan_cols_gpu(kSpec, t);
       });
-  ASSERT_EQ(irs.size(), 1u);
+  ASSERT_EQ(irs.size(), 2u);
 
-  const PredictedTraffic traffic = predict_traffic(irs.front());
-  EXPECT_TRUE(traffic.shared_complete);
-  EXPECT_TRUE(traffic.global_complete);
-  EXPECT_EQ(traffic.skipped_slots, 0);
-  EXPECT_EQ(traffic.bank_conflicts, measured.counters.bank_conflicts);
-  EXPECT_EQ(traffic.bank_conflicts, 0u);  // the padding idiom works
-  EXPECT_EQ(traffic.global_transactions,
-            measured.counters.global_transactions);
-  EXPECT_GT(traffic.global_transactions, 0u);
-}
-
-TEST(AnalyzeCrossval, ScanRowsGlobalPredictionExactSharedLowerBound) {
-  // Width 1024 = 256 threads x chunk 4: every load/store guard passes, so
-  // the two global phases are fully predictable — transaction equality.
-  // The Hillis-Steele tree phases are guarded (lane >= offset), partial
-  // participation, so the conflict prediction is an incomplete lower
-  // bound; the phase-1 chunk scan alone (full participation, words
-  // 4*tid+i) already contributes degree-4 conflicts, making the bound
-  // provably nonzero.
-  constexpr int kW = 1024;
-  constexpr int kH = 4;
-  const img::ImageI32 input = random_i32(kW, kH, 11);
-  img::ImageI32 output(kW, kH);
-  const vgpu::LaunchCost measured =
-      integral::scan_rows_gpu(kSpec, input, output);
-
-  const std::vector<KernelIR> irs =
-      capture_kernels([](std::uint64_t seed) {
-        const img::ImageI32 in = random_i32(kW, kH, seed);
-        img::ImageI32 out(kW, kH);
-        integral::scan_rows_gpu(kSpec, in, out);
-      });
-  ASSERT_EQ(irs.size(), 1u);
-
-  const PredictedTraffic traffic = predict_traffic(irs.front());
-  EXPECT_TRUE(traffic.global_complete);
-  EXPECT_EQ(traffic.global_transactions,
-            measured.counters.global_transactions);
-  EXPECT_GT(traffic.global_transactions, 0u);
-
-  EXPECT_FALSE(traffic.shared_complete);
-  EXPECT_GT(traffic.bank_conflicts, 0u);  // chunk-scan degree-4 conflicts
-  EXPECT_LE(traffic.bank_conflicts, measured.counters.bank_conflicts);
+  for (std::size_t k = 0; k < irs.size(); ++k) {
+    const PredictedTraffic traffic = predict_traffic(irs[k]);
+    const vgpu::PerfCounters& counters = measured[k].counters;
+    EXPECT_EQ(irs[k].config.name, measured[k].config.name);
+    EXPECT_TRUE(traffic.global_complete) << irs[k].config.name;
+    EXPECT_EQ(traffic.global_transactions, counters.global_transactions)
+        << irs[k].config.name;
+    EXPECT_EQ(traffic.global_transactions, 2u * kH * (kW / 32))
+        << irs[k].config.name;
+    EXPECT_EQ(traffic.bank_conflicts, counters.bank_conflicts)
+        << irs[k].config.name;
+    EXPECT_EQ(counters.bank_conflicts, 0u) << irs[k].config.name;
+  }
+  EXPECT_FALSE(predict_traffic(irs[0]).shared_complete);  // warp-0 scan
+  EXPECT_TRUE(predict_traffic(irs[1]).shared_complete);   // no shared
 }
 
 TEST(AnalyzeCrossval, CascadePredictionsAreLowerBounds) {

@@ -136,8 +136,7 @@ TEST(Pipeline, BusyShareSplitsKernelFamilies) {
     p = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
   }
   const FrameResult result = pipeline.process(frame);
-  const double integral_share =
-      result.busy_share("scan") + result.busy_share("transpose");
+  const double integral_share = result.busy_share("scan");
   const double cascade_share = result.busy_share("cascade");
   EXPECT_GT(integral_share, 0.0);
   EXPECT_GT(cascade_share, 0.0);

@@ -55,7 +55,6 @@ TEST(PipelineEdge, BusySharesArePartitionOfUnity) {
   }
   const FrameResult result = pipeline.process(frame);
   const double total = result.busy_share("scan") +
-                       result.busy_share("transpose") +
                        result.busy_share("cascade") +
                        result.busy_share("scale") +
                        result.busy_share("filter");

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "core/check.h"
 #include "core/rng.h"
 #include "integral/cpu_model.h"
@@ -89,68 +91,83 @@ TEST(RectSumApi, MatchesCoordinateApi) {
   EXPECT_EQ(ii.sum(r), ii.sum(2, 3, 7, 7));
 }
 
-class GpuScanParam : public ::testing::TestWithParam<int> {};
-
-TEST_P(GpuScanParam, MatchesSerialPrefixSumAtAnyWidth) {
-  const int w = GetParam();
-  const int h = 3;
-  const vgpu::DeviceSpec spec;
-  core::Rng rng(static_cast<std::uint64_t>(w));
-  img::ImageI32 in(w, h);
-  for (auto& p : in.pixels()) {
-    p = rng.uniform_int(-50, 50);
-  }
-  img::ImageI32 out(w, h);
-  scan_rows_gpu(spec, in, out);
-  for (int y = 0; y < h; ++y) {
+/// Serial row-wise inclusive prefix sum: the row pass's reference.
+img::ImageI32 row_prefix_naive(const img::ImageI32& in) {
+  img::ImageI32 out(in.width(), in.height());
+  for (int y = 0; y < in.height(); ++y) {
     std::int32_t acc = 0;
-    for (int x = 0; x < w; ++x) {
+    for (int x = 0; x < in.width(); ++x) {
       acc += in(x, y);
-      ASSERT_EQ(out(x, y), acc) << "x=" << x << " y=" << y << " w=" << w;
+      out(x, y) = acc;
     }
   }
+  return out;
 }
 
-// Widths around the 256-thread / chunking boundaries.
-INSTANTIATE_TEST_SUITE_P(Widths, GpuScanParam,
-                         ::testing::Values(1, 7, 255, 256, 257, 511, 512, 513,
-                                           1000, 1920));
+class GpuIntegralParam
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
-class GpuTransposeParam
-    : public ::testing::TestWithParam<std::pair<int, int>> {};
-
-TEST_P(GpuTransposeParam, TransposesExactly) {
+// Both passes and the pipeline against the serial references, at widths
+// around the 32-column tile and the 256-column block and heights around
+// the 32-row strip; every pass is conflict-free, moves 4·w·h bytes each
+// way, and pays one transaction per warp slot when rows are 128-byte
+// aligned.
+TEST_P(GpuIntegralParam, PassesMatchNaive) {
   const auto [w, h] = GetParam();
   const vgpu::DeviceSpec spec;
-  core::Rng rng(7);
-  img::ImageI32 in(w, h);
-  for (auto& p : in.pixels()) {
-    p = rng.uniform_int(-1000, 1000);
-  }
-  img::ImageI32 out(h, w);
-  transpose_gpu(spec, in, out);
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      ASSERT_EQ(out(y, x), in(x, y));
+  const img::ImageU8 im =
+      random_image(w, h, static_cast<std::uint64_t>(w * 7919 + h));
+  const img::ImageI32 source = im.cast<std::int32_t>();
+  const std::uint64_t bytes = 4ull * static_cast<std::uint64_t>(w) *
+                              static_cast<std::uint64_t>(h);
+
+  const img::ImageI32 expected = integral_naive(im).table();
+
+  img::ImageI32 table(w, h);
+  const vgpu::LaunchCost rows = scan_rows_gpu(spec, source, table);
+  ASSERT_EQ(table, row_prefix_naive(source));
+  const vgpu::LaunchCost cols = scan_cols_gpu(spec, table);
+  ASSERT_EQ(table, expected);
+
+  const GpuIntegralResult gpu = integral_gpu(spec, im);
+  ASSERT_EQ(gpu.integral.table(), expected);
+  ASSERT_EQ(gpu.launches.size(), 2u);
+
+  const int tiles = (w + 31) / 32;
+  EXPECT_EQ(rows.block_count(), (h + 31) / 32);
+  EXPECT_EQ(rows.counters.warps,
+            static_cast<std::uint64_t>(rows.block_count()) * 8 *
+                (2 * tiles + 1));
+  for (const vgpu::LaunchCost* pass : {&rows, &cols}) {
+    EXPECT_EQ(pass->counters.bank_conflicts, 0u) << pass->config.name;
+    EXPECT_EQ(pass->counters.global_read_bytes, bytes) << pass->config.name;
+    EXPECT_EQ(pass->counters.global_write_bytes, bytes) << pass->config.name;
+    if (w % 32 == 0) {
+      // One load and one store transaction per (32-column run, row).
+      EXPECT_EQ(pass->counters.global_transactions,
+                2ull * static_cast<std::uint64_t>(h) *
+                    static_cast<std::uint64_t>(w / 32))
+          << pass->config.name;
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Sizes, GpuTransposeParam,
-    ::testing::Values(std::pair{1, 1}, std::pair{32, 32}, std::pair{33, 31},
-                      std::pair{64, 48}, std::pair{100, 7}, std::pair{7, 100},
-                      std::pair{129, 65}));
+    Sizes, GpuIntegralParam,
+    ::testing::Combine(::testing::Values(1, 31, 32, 33, 63, 64, 65, 255, 256,
+                                         257, 1000, 1920),
+                       ::testing::Values(1, 31, 32, 33, 65, 1080)));
 
-TEST(GpuTranspose, DoubleTransposeIsIdentity) {
+TEST(GpuIntegral, RowScanHandlesNegativeValues) {
   const vgpu::DeviceSpec spec;
-  const img::ImageU8 src = random_image(75, 43, 9);
-  const img::ImageI32 in = src.cast<std::int32_t>();
-  img::ImageI32 once(43, 75);
-  img::ImageI32 twice(75, 43);
-  transpose_gpu(spec, in, once);
-  transpose_gpu(spec, once, twice);
-  EXPECT_EQ(twice, in);
+  core::Rng rng(11);
+  img::ImageI32 in(70, 40);
+  for (auto& p : in.pixels()) {
+    p = rng.uniform_int(-50, 50);
+  }
+  img::ImageI32 out(70, 40);
+  scan_rows_gpu(spec, in, out);
+  EXPECT_EQ(out, row_prefix_naive(in));
 }
 
 TEST(GpuIntegral, MatchesNaiveOnRandomImages) {
@@ -162,33 +179,9 @@ TEST(GpuIntegral, MatchesNaiveOnRandomImages) {
     const GpuIntegralResult gpu = integral_gpu(spec, im);
     EXPECT_EQ(gpu.integral.table(), integral_naive(im).table())
         << "seed " << seed;
-    EXPECT_EQ(gpu.launches.size(), 4u);
+    EXPECT_EQ(gpu.launches.size(), 2u);
     EXPECT_GT(gpu.total_service_cycles(), 0.0);
   }
-}
-
-TEST(GpuIntegral, ScanIsCoalesced) {
-  const vgpu::DeviceSpec spec;
-  img::ImageI32 in(1024, 4, 1);
-  img::ImageI32 out(1024, 4);
-  const vgpu::LaunchCost cost = scan_rows_gpu(spec, in, out);
-  // Cooperative loads: 32 lanes touch 32 consecutive int32 = one 128-byte
-  // transaction per warp access slot (two when the row base is unaligned).
-  // 1024 elements / 32 lanes = 32 slots per warp, 8 warps, 4 rows,
-  // load+store. An uncoalesced kernel would need ~8192 transactions.
-  // load+store x (chunk=4 slots/warp) x 8 warps/block x 4 row-blocks:
-  const std::uint64_t ideal = 2ull * 4 * 8 * 4;
-  EXPECT_LE(cost.counters.global_transactions, 2 * ideal);
-  EXPECT_GE(cost.counters.global_transactions, ideal);
-}
-
-TEST(GpuIntegral, TransposeWritesEveryElementOnce) {
-  const vgpu::DeviceSpec spec;
-  img::ImageI32 in(96, 64, 5);
-  img::ImageI32 out(64, 96);
-  const vgpu::LaunchCost cost = transpose_gpu(spec, in, out);
-  EXPECT_EQ(cost.counters.global_read_bytes, 96ull * 64 * 4);
-  EXPECT_EQ(cost.counters.global_write_bytes, 96ull * 64 * 4);
 }
 
 TEST(GpuIntegral, LargerImagesCostMoreCycles) {

@@ -255,7 +255,7 @@ TEST(FleetScheduler, DeviceSlowInflatesServiceTime) {
 
 TEST(FleetScheduler, SheddingDrainsBestEffortBeforeGold) {
   FleetOptions options = generous_options();
-  options.deadline_ms = 0.5;  // everything misses: sustained overload
+  options.deadline_ms = 1e-3;  // unmeetable: sustained overload
   options.shed_cooldown_s = 0.0;
   FleetScheduler fleet(vgpu::DeviceSpec{}, fleet_cascade(), {}, options);
   const int gold = fleet.add_tenant({"gold", QosClass::kGold, {}});

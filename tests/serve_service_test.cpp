@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <string>
 
@@ -13,6 +14,7 @@
 #include "ingest/registry.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
 #include "obs/trace.h"
 #include "train/boost.h"
 #include "video/decoder.h"
@@ -78,6 +80,70 @@ TEST(StreamingService, FaultFreeRunServesEveryFrameDeterministically) {
       EXPECT_EQ(a.frames[i].detections[d].box, b.frames[i].detections[d].box);
     }
   }
+}
+
+/// First modeled field on which two reports disagree ("" when none):
+/// per-frame status, latency_ms and detect_ms, and the deadline misses.
+/// Exact comparison — the modeled clock is deterministic.
+std::string modeled_mismatch(const ServiceReport& a, const ServiceReport& b) {
+  if (a.frames.size() != b.frames.size()) {
+    return "frame count";
+  }
+  if (a.deadline_misses != b.deadline_misses) {
+    return "deadline_misses";
+  }
+  for (std::size_t i = 0; i < a.frames.size(); ++i) {
+    const std::string frame = "frame " + std::to_string(i) + " ";
+    if (a.frames[i].status != b.frames[i].status) {
+      return frame + "status";
+    }
+    if (a.frames[i].latency_ms != b.frames[i].latency_ms) {
+      return frame + "latency_ms";
+    }
+    if (a.frames[i].detect_ms != b.frames[i].detect_ms) {
+      return frame + "detect_ms";
+    }
+  }
+  return "";
+}
+
+TEST(StreamingService, ObservabilityChargesNoModeledTime) {
+  // One faulted stream served four ways — tracing and the flight recorder
+  // on or off, a KernelProfiler collecting or not — must give the same
+  // modeled report bit for bit. (Host overhead is perfbench's
+  // obs.host_overhead_ratio.)
+  const video::MockH264Decoder decoder = test_decoder();
+  const ingest::H264FrameSource source(decoder);
+  const FaultPlan plan = FaultPlan::parse("decode@2x2,launch@5,corrupt@8", 1);
+  ServiceOptions obs_on;
+  obs_on.deadline_ms = 2.0;  // tight enough that retried frames miss
+  ServiceOptions obs_off = obs_on;
+  obs_off.obs.tracing = false;
+  obs_off.obs.flight_recorder = false;
+
+  const auto serve = [&](const ServiceOptions& options) {
+    StreamingService service(vgpu::DeviceSpec{}, service_cascade(), {},
+                             options);
+    return service.run(source, 12, &plan);
+  };
+  const ServiceReport reference = serve(obs_off);
+  ASSERT_EQ(reference.faults_injected, 3);
+  ASSERT_GT(reference.deadline_misses, 0);
+
+  EXPECT_EQ(modeled_mismatch(reference, serve(obs_on)), "");
+  obs::KernelProfiler profiler;
+  {
+    const obs::ScopedProfileCollection collect(profiler);
+    EXPECT_EQ(modeled_mismatch(reference, serve(obs_off)), "");
+    EXPECT_EQ(modeled_mismatch(reference, serve(obs_on)), "");
+  }
+  EXPECT_GT(profiler.launches(), 0u);
+
+  // The comparison can fail: one ulp on one frame's latency is caught.
+  ServiceReport nudged = reference;
+  nudged.frames[4].latency_ms =
+      std::nextafter(nudged.frames[4].latency_ms, 1e9);
+  EXPECT_EQ(modeled_mismatch(reference, nudged), "frame 4 latency_ms");
 }
 
 TEST(StreamingService, TransientDecodeFaultRetriesAndRecovers) {

@@ -8,8 +8,10 @@
 //                                          back to the paper's artifacts
 //   fdet_report diff <baseline> <current>  statistical comparison
 //                                          (obs::compare_runs); exit 2
-//                                          when a metric regressed or
-//                                          went missing
+//                                          when a metric regressed, went
+//                                          missing, or an exact
+//                                          (deterministic) series drifted
+//                                          either way
 //   fdet_report selftest                   gate logic self-check used by
 //                                          the bench_regression_gate
 //                                          ctest target
@@ -27,9 +29,9 @@
 //                                          fleet-wide fault/batching
 //                                          summary from a fleet chaos
 //                                          record (fdet_chaos fleet)
-//   fdet_report fleet diff <base> <cur>    regression-gates the fleet
-//                                          record (latency/miss growth
-//                                          regresses); exit 2
+//   fdet_report fleet diff <base> <cur>    gates the fleet record; the
+//                                          virtual-time series are exact,
+//                                          so any drift exits 2
 //
 // Exit codes: 0 success/gate-clean, 1 usage error, 2 regression gate
 // failed, 3 a run-record operand is missing or corrupt (distinct from 2
@@ -38,7 +40,6 @@
 #include <cstdio>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -587,15 +588,15 @@ int run_diff(const obs::RunRecord& baseline, const obs::RunRecord& current,
   table.print_markdown(std::cout);
   std::printf("\n");
   for (const obs::MetricVerdict& v : report.verdicts) {
-    if (v.verdict == obs::Verdict::kRegressed ||
-        v.verdict == obs::Verdict::kMissing) {
+    if (v.fails()) {
       std::printf("%s\n", obs::describe(v).c_str());
     }
   }
-  std::printf("verdicts: %d regressed, %d missing, %d improved, %d new, "
-              "%d unchanged — %s\n",
-              report.regressed, report.missing, report.improved, report.added,
-              report.unchanged, report.ok() ? "OK" : "GATE FAILED");
+  std::printf("verdicts: %d regressed, %d missing, %d improved (%d exact), "
+              "%d new, %d unchanged — %s\n",
+              report.regressed, report.missing, report.improved,
+              report.drifted, report.added, report.unchanged,
+              report.ok() ? "OK" : "GATE FAILED");
   return report.ok() ? 0 : 2;
 }
 
@@ -890,8 +891,7 @@ int usage() {
       "       fdet_report fleet show <BENCH_fleet_chaos.json>...\n"
       "       fdet_report fleet diff <baseline.json> <current.json>\n"
       "       fdet_report selftest\n"
-      "flags: --threshold=R --mad-mult=M --ignore=prefix1,prefix2\n"
-      "       --show-unchanged\n");
+      "flags: --mad-mult=M --show-unchanged\n");
   return 1;
 }
 
@@ -900,14 +900,10 @@ int usage() {
 
 int main(int argc, char** argv) {
   using namespace fdet;
-  double threshold = obs::CompareOptions{}.relative_threshold;
   double mad_mult = obs::CompareOptions{}.mad_multiplier;
-  std::string ignore = "bench.wall_seconds,host_wall";
   bool show_unchanged = false;
   core::Cli cli("fdet_report");
-  cli.flag("threshold", threshold, "relative shift tolerated before a verdict");
   cli.flag("mad-mult", mad_mult, "noise band in multiples of the repeat MAD");
-  cli.flag("ignore", ignore, "comma-separated metric-name substrings to skip");
   cli.flag("show-unchanged", show_unchanged, "list unchanged metrics in diffs");
   std::vector<std::string> args;
   if (!cli.parse_known(argc, argv, args)) {
@@ -921,15 +917,7 @@ int main(int argc, char** argv) {
   const std::vector<std::string> operands(args.begin() + 2, args.end());
 
   obs::CompareOptions options;
-  options.relative_threshold = threshold;
   options.mad_multiplier = mad_mult;
-  options.ignore.clear();
-  std::istringstream prefixes(ignore);
-  for (std::string prefix; std::getline(prefixes, prefix, ',');) {
-    if (!prefix.empty()) {
-      options.ignore.push_back(prefix);
-    }
-  }
 
   try {
     if (command == "show") {
