@@ -19,8 +19,12 @@
 // cross-stream batching, and device fault domains — --faults then also
 // accepts the device fault vocabulary (device-lost@1:2+0.5,
 // device-hang@0:3+0.2, device-slow@0.05*4) alongside the frame-level
-// kinds, split by serve::parse_mixed_fault_plan. The run ends with a
-// per-tenant QoS summary instead of a per-frame log.
+// kinds, split by serve::parse_mixed_fault_plan. Every fleet frame is
+// served through the same per-frame path as the single stream, so the
+// frame-level kinds retry, quarantine and trip breakers exactly as they
+// do there: with --faults=launch@2x2,const@4 each stream retries frame 2
+// and quarantines frame 4. The run ends with a per-tenant QoS summary
+// instead of a per-frame log.
 //
 // Uses the trained cascade pair (trains once into --cache-dir on first
 // use; expect a few minutes on a cache miss).

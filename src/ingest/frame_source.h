@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -65,8 +66,9 @@ struct ByteRange {
 /// order. Well-behaved sources deliver every frame exactly once, in
 /// order; a network-ish wrapper (LossyReorderSource) can deliver frames
 /// late or twice — the serving layer counts and cause-tags both instead
-/// of treating them as malformed input.
-enum class FrameArrival {
+/// of treating them as malformed input. One byte: every served frame
+// record carries one.
+enum class FrameArrival : std::uint8_t {
   kInOrder,
   kOutOfOrder,  ///< an earlier frame delivered after a later one
   kDuplicate,   ///< same frame delivered again

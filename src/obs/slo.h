@@ -54,10 +54,10 @@ struct SloOptions {
   /// keeps miss == degrade.
   double degrade_burn = 1.0;
   /// Recovery: "comfortably in budget" = latency < recover_fraction *
-  /// deadline_ms (mirror of serve::DegradeOptions::recover_fraction).
+  /// deadline_ms. Both serving engines keep this default and the next, so
+  /// the degradation ladder climbs back after 3 frames under 0.75x.
   double recover_fraction = 0.75;
-  /// Consecutive comfortable frames per recover signal (mirror of
-  /// serve::DegradeOptions::recover_after).
+  /// Consecutive comfortable frames per recover signal.
   int recover_after = 3;
   SketchOptions sketch;
 };

@@ -348,21 +348,6 @@ DeviceFaultPlan DeviceFaultPlan::parse(const std::string& text,
   return DeviceFaultPlan(seed, std::move(specs));
 }
 
-std::vector<const DeviceFaultSpec*> DeviceFaultPlan::outages(
-    int device) const {
-  std::vector<const DeviceFaultSpec*> windows;
-  for (const DeviceFaultSpec& spec : specs_) {
-    if (is_outage(spec.kind) && spec.device == device) {
-      windows.push_back(&spec);
-    }
-  }
-  std::sort(windows.begin(), windows.end(),
-            [](const DeviceFaultSpec* a, const DeviceFaultSpec* b) {
-              return a->start_s < b->start_s;
-            });
-  return windows;
-}
-
 double DeviceFaultPlan::slow_factor(int device, int stream, int frame,
                                     double at_s) const {
   double factor = 1.0;

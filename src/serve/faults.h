@@ -181,9 +181,6 @@ class DeviceFaultPlan {
   bool empty() const { return specs_.empty(); }
   std::uint64_t seed() const { return seed_; }
 
-  /// Outage (lost/hang) windows targeting `device`, sorted by onset.
-  std::vector<const DeviceFaultSpec*> outages(int device) const;
-
   /// Combined service-time multiplier for one dispatch on `device` at
   /// virtual time `at_s`: windowed slow specs active at `at_s` times the
   /// probabilistic slow specs firing for (device, stream, frame) — the

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <limits>
+#include <optional>
 #include <queue>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "core/check.h"
@@ -15,17 +18,19 @@ namespace fdet::serve {
 
 namespace {
 
-/// 64-bit FNV-1a over a luma plane — the detection-identity digest the
-/// cross-stream result cache keys on (CRC32's collision odds are too
-/// thin once hundreds of streams share frames).
-std::uint64_t luma_digest(const img::ImageU8& luma) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const std::uint8_t px : luma.pixels()) {
-    h ^= px;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+/// Admitted backlog per stream; arrivals beyond it are shed.
+constexpr int kStreamQueueCapacity = 4;
+/// Ready frames per device before class-aware shedding kicks in.
+constexpr int kDeviceQueueCapacity = 64;
+/// Frames fused per cross-stream dispatch.
+constexpr int kBatchMax = 4;
+/// Launch overhead a fused dispatch saves per extra frame.
+constexpr double kBatchOverheadMs = 0.5;
+/// Overload when total backlog exceeds this many frames per active
+/// stream (the queue-depth half of the shared shed signal).
+constexpr double kOverloadBacklogPerStream = 2.0;
+/// Flight-recorder ring size.
+constexpr std::size_t kRecorderCapacity = 16384;
 
 /// Nearest-rank percentile over served-frame latencies; `values` is
 /// consumed (sorted in place).
@@ -35,9 +40,8 @@ double percentile(std::vector<double>& values, double p) {
   }
   std::sort(values.begin(), values.end());
   const auto n = values.size();
-  auto rank = static_cast<std::size_t>(
-      std::ceil(p * static_cast<double>(n)));
-  rank = std::min(n, std::max<std::size_t>(1, rank));
+  const auto rank = std::clamp<std::size_t>(
+      static_cast<std::size_t>(std::ceil(p * static_cast<double>(n))), 1, n);
   return values[rank - 1];
 }
 
@@ -62,10 +66,7 @@ struct Event {
 
 struct EventAfter {
   bool operator()(const Event& x, const Event& y) const {
-    if (x.t != y.t) return x.t > y.t;
-    if (x.kind != y.kind) return x.kind > y.kind;
-    if (x.a != y.a) return x.a > y.a;
-    return x.b > y.b;
+    return std::tie(x.t, x.kind, x.a, x.b) > std::tie(y.t, y.kind, y.a, y.b);
   }
 };
 
@@ -80,34 +81,15 @@ struct ReadyFrame {
 /// Dispatch priority: gold before silver before best-effort, then FIFO,
 /// then stream id — total and deterministic.
 bool ready_before(const ReadyFrame& x, const ReadyFrame& y) {
-  if (x.cls != y.cls) return x.cls < y.cls;
-  if (x.arrival_s != y.arrival_s) return x.arrival_s < y.arrival_s;
-  return x.stream < y.stream;
+  return std::tie(x.cls, x.arrival_s, x.stream) <
+         std::tie(y.cls, y.arrival_s, y.stream);
 }
 
 /// Shed priority (worst first): best-effort before silver before gold,
 /// newest arrival first.
 bool shed_before(const ReadyFrame& x, const ReadyFrame& y) {
-  if (x.cls != y.cls) return x.cls > y.cls;
-  if (x.arrival_s != y.arrival_s) return x.arrival_s > y.arrival_s;
-  return x.stream > y.stream;
+  return ready_before(y, x);
 }
-
-struct BatchItem {
-  int stream = 0;
-  int frame = 0;
-};
-
-struct DecodeEntry {
-  double decode_ms = 0.0;
-  img::ImageU8 luma;
-  std::uint64_t digest = 0;
-};
-
-struct DetectEntry {
-  double detect_ms = 0.0;
-  std::vector<detect::Detection> detections;
-};
 
 /// Launch observer failing every launch with a transient LaunchError: a
 /// lost device, as the launching thread sees it.
@@ -123,13 +105,6 @@ class DeviceLoss final : public vgpu::LaunchObserver {
  private:
   std::string what_;
 };
-
-void append_cause(FleetFrame& rec, const std::string& token) {
-  if (!rec.cause.empty()) {
-    rec.cause += " -> ";
-  }
-  rec.cause += token;
-}
 
 }  // namespace
 
@@ -198,10 +173,10 @@ std::vector<TenantMixEntry> parse_tenant_mix(const std::string& text) {
   return mix;
 }
 
-const FleetFrame* FleetReport::frame(int stream, int index) const {
+const ServedFrame* FleetReport::frame(int stream, int index) const {
   const auto it = std::lower_bound(
       frames.begin(), frames.end(), std::make_pair(stream, index),
-      [](const FleetFrame& f, const std::pair<int, int>& key) {
+      [](const ServedFrame& f, const std::pair<int, int>& key) {
         return std::make_pair(f.stream, f.index) < key;
       });
   if (it == frames.end() || it->stream != stream || it->index != index) {
@@ -234,19 +209,22 @@ struct FleetScheduler::Sim {
     /// The next dispatch must be solo: the stream is mid-failover and a
     /// batch may not cross the fault-domain boundary.
     bool solo_next = false;
-    DegradationLadder ladder;
+    StreamRecovery recovery;  ///< ladder, breakers and backoff jitter
+    /// The frame plan under this stream's seed split (empty = none).
+    FaultPlan plan;
     int max_level = 0;
   };
 
   struct SimDevice {
-    DeviceHealth health;
+    DeviceState state = DeviceState::kHealthy;
+    int faults = 0;
     bool hanging = false;
     double hang_until = 0.0;
     std::uint64_t generation = 0;
     bool busy = false;
     double dispatch_s = 0.0;
     std::vector<ReadyFrame> ready;
-    std::vector<BatchItem> batch;
+    std::vector<ReadyFrame> batch;  ///< in flight
     int frames = 0;
     int failovers_out = 0;
     double busy_ms = 0.0;
@@ -254,7 +232,6 @@ struct FleetScheduler::Sim {
 
   FleetScheduler* host = nullptr;
   const DeviceFaultPlan* device_plan = nullptr;
-  std::vector<FaultPlan> stream_plans;  ///< per-stream seed split (empty = none)
 
   std::priority_queue<Event, std::vector<Event>, EventAfter> events;
   std::vector<SimStream> streams;
@@ -262,35 +239,42 @@ struct FleetScheduler::Sim {
   std::vector<TokenBucket> buckets;  ///< one per tenant
   std::vector<int> offsets;          ///< stream -> first record index
   FleetReport report;
-  std::unique_ptr<obs::SloEngine> slo;
   double last_shed_s = -1e18;
 
-  std::map<std::pair<const void*, int>, DecodeEntry> decode_cache;
-  std::map<std::pair<std::uint64_t, int>, DetectEntry> detect_cache;
-  const img::ImageU8* probe_luma = nullptr;  ///< any decoded luma (seam probe)
+  /// One decoded luma for the launch-seam device-loss probe (kept for
+  /// the run once a loss first needs it).
+  std::optional<img::ImageU8> probe_luma;
 
-  FleetFrame& rec(int stream, int frame) {
+  ServedFrame& rec(int stream, int frame) {
     return report.frames[static_cast<std::size_t>(offsets[
         static_cast<std::size_t>(stream)] + frame)];
   }
 
-  const FleetOptions& opt() const { return host->options_; }
-
   // -- terminal bookkeeping --------------------------------------------------
 
-  void settle(FleetFrame& r, FrameStatus status, double t) {
+  void settle(ServedFrame& r, FrameStatus status, double t) {
     r.status = status;
     r.completion_s = t;
     r.latency_ms = (t - r.arrival_s) * 1e3;
     r.settled = true;
   }
 
+  /// Drops admitted frame `f` of stream `s` before service.
+  void shed(int s, int f, const char* reason, double t) {
+    ServedFrame& r = rec(s, f);
+    append_cause(r, std::string("shed:") + reason);
+    settle(r, FrameStatus::kDropped, t);
+    host->executor_.flight(obs::FlightEventKind::kDrop, f, t * 1e6, 0.0,
+                           "drop", reason, 0.0, s);
+  }
+
   // -- admission -------------------------------------------------------------
 
   void arrival(int s, int f, double t) {
     SimStream& ss = streams[static_cast<std::size_t>(s)];
-    FleetFrame& r = rec(s, f);
+    ServedFrame& r = rec(s, f);
     r.arrival_s = t;
+    ss.recovery.on_frame();
     TokenBucket& bucket = buckets[static_cast<std::size_t>(ss.tenant)];
     if (!bucket.try_admit(t)) {
       append_cause(r, "admission-reject");
@@ -301,14 +285,10 @@ struct FleetScheduler::Sim {
                                ")",
                            0};
       settle(r, FrameStatus::kAdmissionRejected, t);
-      host->flight(obs::FlightEventKind::kDrop, s, f, t * 1e6, "admission",
-                   qos_class_name(ss.cls));
-    } else if (static_cast<int>(ss.queue.size()) >=
-               opt().stream_queue_capacity) {
-      append_cause(r, "shed:stream-backpressure");
-      settle(r, FrameStatus::kDropped, t);
-      host->flight(obs::FlightEventKind::kDrop, s, f, t * 1e6, "drop",
-                   "stream-backpressure");
+      host->executor_.flight(obs::FlightEventKind::kDrop, f, t * 1e6, 0.0,
+                             "admission", qos_class_name(ss.cls), 0.0, s);
+    } else if (static_cast<int>(ss.queue.size()) >= kStreamQueueCapacity) {
+      shed(s, f, "stream-backpressure", t);
     } else {
       ss.queue.push_back(f);
       promote(s, t);
@@ -317,10 +297,10 @@ struct FleetScheduler::Sim {
       }
     }
     const int depth = backlog();
-    slo->observe_queue_depth(static_cast<double>(depth));
-    if (depth > static_cast<int>(opt().overload_backlog_per_stream *
+    host->executor_.slo().observe_queue_depth(static_cast<double>(depth));
+    if (depth > static_cast<int>(kOverloadBacklogPerStream *
                                  static_cast<double>(streams.size()))) {
-      shed_one("queue-overload", t);
+      step_class(true, t);
     }
   }
 
@@ -340,15 +320,10 @@ struct FleetScheduler::Sim {
       return;
     }
     // The shed-frames rung serves only the newest backlog frame.
-    if (ss.ladder.step().shed_queued_frames) {
+    if (ss.recovery.ladder.step().shed_queued_frames) {
       while (ss.queue.size() > 1) {
-        const int f = ss.queue.front();
+        shed(s, ss.queue.front(), "shed-frames", t);
         ss.queue.pop_front();
-        FleetFrame& r = rec(s, f);
-        append_cause(r, "shed:shed-frames");
-        settle(r, FrameStatus::kDropped, t);
-        host->flight(obs::FlightEventKind::kDrop, s, f, t * 1e6, "drop",
-                     "shed-frames");
       }
     }
     const int f = ss.queue.front();
@@ -361,18 +336,14 @@ struct FleetScheduler::Sim {
 
   void shed_device_overflow(int d, double t) {
     SimDevice& dev = devices[static_cast<std::size_t>(d)];
-    while (static_cast<int>(dev.ready.size()) > opt().device_queue_capacity) {
+    while (static_cast<int>(dev.ready.size()) > kDeviceQueueCapacity) {
       const auto victim =
           std::min_element(dev.ready.begin(), dev.ready.end(), shed_before);
       const int vs = victim->stream;
       const int vf = victim->frame;
       dev.ready.erase(victim);
       streams[static_cast<std::size_t>(vs)].has_ready = false;
-      FleetFrame& r = rec(vs, vf);
-      append_cause(r, "shed:fleet-backpressure");
-      settle(r, FrameStatus::kDropped, t);
-      host->flight(obs::FlightEventKind::kDrop, vs, vf, t * 1e6, "drop",
-                   "fleet-backpressure");
+      shed(vs, vf, "fleet-backpressure", t);
       promote(vs, t);  // next frame of the shed stream may take the slot
     }
   }
@@ -380,8 +351,8 @@ struct FleetScheduler::Sim {
   // -- dispatch --------------------------------------------------------------
 
   bool dispatchable(const SimDevice& dev) const {
-    return !dev.busy && !dev.hanging &&
-           dev.health.state() != DeviceState::kLost && !dev.ready.empty();
+    return !dev.busy && !dev.hanging && dev.state != DeviceState::kLost &&
+           !dev.ready.empty();
   }
 
   void maybe_dispatch(int d, double t) {
@@ -391,21 +362,18 @@ struct FleetScheduler::Sim {
           std::min_element(dev.ready.begin(), dev.ready.end(), ready_before);
       std::vector<ReadyFrame> picked{*primary};
       dev.ready.erase(primary);
-      const int level =
-          streams[static_cast<std::size_t>(picked[0].stream)].ladder.level();
+      const int level = streams[static_cast<std::size_t>(picked[0].stream)]
+                            .recovery.ladder.level();
       // Batching boundary rule: only a fully healthy device fuses
       // cross-stream work, and never with a stream mid-failover — a
       // recovered device (probation) and failed-over streams serve solo.
-      const bool may_batch = opt().cross_stream_batching &&
-                             !picked[0].solo &&
-                             dev.health.state() == DeviceState::kHealthy;
-      while (may_batch &&
-             static_cast<int>(picked.size()) < opt().batch_max) {
+      const bool may_batch =
+          !picked[0].solo && dev.state == DeviceState::kHealthy;
+      while (may_batch && static_cast<int>(picked.size()) < kBatchMax) {
         auto best = dev.ready.end();
         for (auto it = dev.ready.begin(); it != dev.ready.end(); ++it) {
-          if (it->solo ||
-              streams[static_cast<std::size_t>(it->stream)].ladder.level() !=
-                  level) {
+          if (it->solo || streams[static_cast<std::size_t>(it->stream)]
+                                  .recovery.ladder.level() != level) {
             continue;
           }
           if (best == dev.ready.end() || ready_before(*it, *best)) {
@@ -418,35 +386,40 @@ struct FleetScheduler::Sim {
         picked.push_back(*best);
         dev.ready.erase(best);
       }
-      std::vector<BatchItem> batch;
       for (const ReadyFrame& rf : picked) {
         SimStream& ss = streams[static_cast<std::size_t>(rf.stream)];
         ss.has_ready = false;
         ss.in_flight = true;
         ss.solo_next = false;
-        batch.push_back({rf.stream, rf.frame});
       }
-      if (dispatch_batch(d, std::move(batch), t)) {
+      if (dispatch_batch(d, picked, t)) {
         return;  // device busy until the completion event
       }
-      // Every frame of the batch settled at decode; try the next ready set.
+      // Every frame of the batch settled at dispatch; try the next ready set.
     }
   }
 
-  /// Runs decode + cached detection for the batch and schedules its
-  /// completion. Returns false when everything settled immediately (the
-  /// device stays free).
-  bool dispatch_batch(int d, std::vector<BatchItem> batch, double t) {
+  /// Serves every frame of the batch through the per-frame path and
+  /// schedules the batch's completion. A frame that fails in service
+  /// settles here. Returns false when every frame settled (the device
+  /// stays free).
+  bool dispatch_batch(int d, const std::vector<ReadyFrame>& batch,
+                      double t) {
     SimDevice& dev = devices[static_cast<std::size_t>(d)];
-    std::vector<BatchItem> live;
+    std::vector<ReadyFrame> live;
     double total_ms = 0.0;
-    for (const BatchItem& item : batch) {
+    for (const ReadyFrame& item : batch) {
       SimStream& ss = streams[static_cast<std::size_t>(item.stream)];
-      FleetFrame& r = rec(item.stream, item.frame);
+      ServedFrame& r = rec(item.stream, item.frame);
       r.device = d;
-      r.degradation_level = ss.ladder.level();
-      ss.max_level = std::max(ss.max_level, ss.ladder.level());
-      if (!decode_frame(item, r, t)) {
+      ss.recovery.serve_frame(host->executor_, r, *ss.source,
+                              ss.plan.empty() ? nullptr : &ss.plan, t);
+      // Serving can only deepen the ladder: a tripped breaker forces the
+      // serial rung.
+      ss.max_level = std::max(ss.max_level, ss.recovery.ladder.level());
+      if (r.status == FrameStatus::kFailed ||
+          r.status == FrameStatus::kDropped) {
+        settle(r, r.status, t);
         ss.in_flight = false;
         promote(item.stream, t);
         continue;
@@ -458,11 +431,12 @@ struct FleetScheduler::Sim {
       if (slow > 1.0) {
         r.fault_injected = true;
         append_cause(r, "fault:device-slow");
-        host->flight(obs::FlightEventKind::kFault, item.stream, item.frame,
-                     t * 1e6, "fault", "device-slow", slow);
+        host->executor_.flight(obs::FlightEventKind::kFault, item.frame,
+                               t * 1e6, 0.0, "fault", "device-slow", slow,
+                               item.stream);
       }
       r.detect_ms *= slow;
-      total_ms += r.decode_ms + r.detect_ms;
+      total_ms += r.decode_ms + r.backoff_ms + r.detect_ms;
       live.push_back(item);
     }
     if (live.empty()) {
@@ -471,13 +445,13 @@ struct FleetScheduler::Sim {
     if (live.size() > 1) {
       // The concurrent-kernel trick across streams: fused same-level
       // launches amortize per-launch overhead.
-      total_ms = std::max(0.01, total_ms - opt().batch_overhead_ms *
+      total_ms = std::max(0.01, total_ms - kBatchOverheadMs *
                                                static_cast<double>(
                                                    live.size() - 1));
       ++report.batches;
       report.batched_frames += static_cast<int>(live.size());
     }
-    for (const BatchItem& item : live) {
+    for (const ReadyFrame& item : live) {
       rec(item.stream, item.frame).batch_size = static_cast<int>(live.size());
     }
     dev.batch = std::move(live);
@@ -485,131 +459,6 @@ struct FleetScheduler::Sim {
     dev.dispatch_s = t;
     events.push({t + total_ms * 1e-3, kEvComplete, d, 0, dev.generation});
     return true;
-  }
-
-  /// Decode stage of one frame, through the per-run pristine-decode
-  /// cache. Returns false when the frame settled (missing / malformed /
-  /// retries exhausted).
-  bool decode_frame(const BatchItem& item, FleetFrame& r, double t) {
-    const SimStream& ss = streams[static_cast<std::size_t>(item.stream)];
-    const FaultPlan* splan =
-        stream_plans.empty()
-            ? nullptr
-            : &stream_plans[static_cast<std::size_t>(item.stream)];
-    if (splan != nullptr &&
-        splan->fires(FaultKind::kBitstream, item.frame, 0)) {
-      r.fault_injected = true;
-      append_cause(r, "fault:bitstream -> quarantine:decode/malformed");
-      r.error = FrameError{item.frame, "decode", ErrorClass::kMalformed,
-                           "injected bitstream damage", 1};
-      settle(r, FrameStatus::kFailed, t);
-      host->flight(obs::FlightEventKind::kQuarantine, item.stream, item.frame,
-                   t * 1e6, "quarantine", "decode/malformed");
-      return false;
-    }
-    const DecodeEntry* entry = nullptr;
-    try {
-      entry = &decode_entry(ss.source, item.frame);
-    } catch (const ingest::IngestError& error) {
-      if (error.kind() == ingest::IngestErrorKind::kMissingFrame) {
-        r.missing = true;
-        append_cause(r, "missing-frame");
-        settle(r, FrameStatus::kDropped, t);
-        host->flight(obs::FlightEventKind::kDrop, item.stream, item.frame,
-                     t * 1e6, "drop", "missing-frame");
-      } else {
-        append_cause(r, std::string("quarantine:decode/") +
-                            ingest::ingest_error_kind_name(error.kind()));
-        r.error = FrameError{item.frame, "decode", ErrorClass::kMalformed,
-                             error.what(), 1};
-        settle(r, FrameStatus::kFailed, t);
-        host->flight(obs::FlightEventKind::kQuarantine, item.stream,
-                     item.frame, t * 1e6, "quarantine", "decode/malformed");
-      }
-      return false;
-    }
-    r.decode_ms = entry->decode_ms;
-    r.arrival = ss.source->arrival_kind(item.frame);
-    if (r.arrival == ingest::FrameArrival::kOutOfOrder) {
-      append_cause(r, "out-of-order");
-    } else if (r.arrival == ingest::FrameArrival::kDuplicate) {
-      append_cause(r, "duplicate-frame");
-    }
-    // Injected decode glitches: the fleet models StreamingService's
-    // bounded retry as extra charged decode attempts (no backoff jitter
-    // at fleet granularity); exhausting the bound quarantines.
-    if (splan != nullptr) {
-      int failing = 0;
-      while (failing < 3 &&
-             splan->fires(FaultKind::kDecodeFail, item.frame, failing)) {
-        ++failing;
-      }
-      if (failing > 0) {
-        r.fault_injected = true;
-        r.decode_ms *= static_cast<double>(failing + 1);
-        if (failing >= 3) {
-          append_cause(r, "fault:decode -> failed:decode");
-          r.error = FrameError{item.frame, "decode", ErrorClass::kTransient,
-                               "injected decode failure (retries exhausted)",
-                               3};
-          settle(r, FrameStatus::kFailed, t);
-          return false;
-        }
-        append_cause(r, "fault:decode -> retry:decode");
-      }
-    }
-    std::uint64_t digest = entry->digest;
-    const img::ImageU8* luma = &entry->luma;
-    img::ImageU8 corrupted;
-    if (splan != nullptr &&
-        splan->fires(FaultKind::kCorruptLuma, item.frame, 0)) {
-      r.fault_injected = true;
-      append_cause(r, "fault:corrupt");
-      corrupted = entry->luma;
-      corrupt_luma(corrupted,
-                   core::hash_combine(
-                       splan->seed(),
-                       static_cast<std::uint64_t>(item.frame)));
-      digest = luma_digest(corrupted);
-      luma = &corrupted;
-    }
-    const DetectEntry& det = detect_entry(digest, r.degradation_level, *luma);
-    r.detect_ms = det.detect_ms;
-    r.detections = det.detections;
-    return true;
-  }
-
-  DecodeEntry& decode_entry(const ingest::FrameSource* source, int frame) {
-    const std::pair<const void*, int> key{source, frame};
-    const auto it = decode_cache.find(key);
-    if (it != decode_cache.end()) {
-      return it->second;
-    }
-    video::DecodedFrame decoded = source->decode(frame);  // may throw
-    DecodeEntry entry;
-    entry.decode_ms = decoded.decode_ms;
-    entry.luma = std::move(decoded.frame.luma());
-    entry.digest = luma_digest(entry.luma);
-    DecodeEntry& stored = decode_cache.emplace(key, std::move(entry))
-                              .first->second;
-    if (probe_luma == nullptr) {
-      probe_luma = &stored.luma;
-    }
-    return stored;
-  }
-
-  const DetectEntry& detect_entry(std::uint64_t digest, int level,
-                                  const img::ImageU8& luma) {
-    const std::pair<std::uint64_t, int> key{digest, level};
-    const auto it = detect_cache.find(key);
-    if (it != detect_cache.end()) {
-      return it->second;
-    }
-    detect::FrameResult result = host->pipeline_for_level(level).process(luma);
-    DetectEntry entry;
-    entry.detect_ms = result.detect_ms;
-    entry.detections = std::move(result.detections);
-    return detect_cache.emplace(key, std::move(entry)).first->second;
   }
 
   // -- completion ------------------------------------------------------------
@@ -629,29 +478,32 @@ struct FleetScheduler::Sim {
     dev.busy = false;
     dev.busy_ms += (t - dev.dispatch_s) * 1e3;
     std::vector<int> touched;
-    for (const BatchItem& item : dev.batch) {
+    for (const ReadyFrame& item : dev.batch) {
       SimStream& ss = streams[static_cast<std::size_t>(item.stream)];
-      FleetFrame& r = rec(item.stream, item.frame);
+      ServedFrame& r = rec(item.stream, item.frame);
       settle(r,
              r.degradation_level > 0 ? FrameStatus::kDegraded
                                      : FrameStatus::kOk,
              t);
       ++dev.frames;
-      dev.health.on_frame_ok();
-      if (r.latency_ms > opt().deadline_ms) {
+      if (dev.state == DeviceState::kProbation) {
+        dev.state = DeviceState::kHealthy;  // one clean frame ends probation
+      }
+      if (r.latency_ms > host->options_.deadline_ms) {
         r.deadline_miss = true;
         append_cause(r, "deadline-miss");
-        host->flight(obs::FlightEventKind::kDeadlineMiss, item.stream,
-                     item.frame, t * 1e6, "deadline-miss", "", r.latency_ms);
+        host->executor_.flight(obs::FlightEventKind::kDeadlineMiss, item.frame,
+                               t * 1e6, 0.0, "deadline-miss", "", r.latency_ms,
+                               item.stream);
       }
-      host->flight(obs::FlightEventKind::kFrame, item.stream, item.frame,
-                   r.arrival_s * 1e6, "frame", frame_status_name(r.status),
-                   r.latency_ms);
-      const obs::SloDecision decision = slo->observe_frame(r.latency_ms);
-      if (decision.degrade) {
-        shed_one("slo-burn", t);
-      } else if (decision.recover) {
-        recover_one("slo-recover", t);
+      host->executor_.flight(obs::FlightEventKind::kFrame, item.frame,
+                             r.arrival_s * 1e6, 0.0, "frame",
+                             frame_status_name(r.status), r.latency_ms,
+                             item.stream);
+      const obs::SloDecision decision =
+          host->executor_.slo().observe_frame(r.latency_ms);
+      if (decision.degrade || decision.recover) {
+        step_class(decision.degrade, t);
       }
       ss.in_flight = false;
       promote(item.stream, t);
@@ -668,53 +520,40 @@ struct FleetScheduler::Sim {
 
   // -- fleet-wide shedding ---------------------------------------------------
 
-  void shed_one(const char* cause, double t) {
-    if (t - last_shed_s < opt().shed_cooldown_s) {
+  /// Moves the first QoS class that can move one rung, every stream of
+  /// it at once. Shedding starts at best-effort, so gold sheds only when
+  /// everyone below is already at the floor, and waits out the cooldown;
+  /// recovery starts at gold, so the premium class climbs back to full
+  /// quality before lower classes get headroom back.
+  void step_class(bool shed, double t) {
+    if (shed && t - last_shed_s < host->options_.shed_cooldown_s) {
       return;
     }
-    // Best-effort gives capacity first; gold sheds only when everyone
-    // below is already at the floor.
-    for (const QosClass cls : {QosClass::kBestEffort, QosClass::kSilver,
-                               QosClass::kGold}) {
+    constexpr QosClass kShedOrder[] = {QosClass::kBestEffort,
+                                       QosClass::kSilver, QosClass::kGold};
+    for (int i = 0; i < kQosClassCount; ++i) {
+      const QosClass cls = kShedOrder[shed ? i : kQosClassCount - 1 - i];
+      const int limit = shed ? DegradationLadder::max_level() : 0;
       bool moved = false;
-      for (std::size_t s = 0; s < streams.size(); ++s) {
-        SimStream& ss = streams[s];
-        if (ss.cls != cls ||
-            ss.ladder.level() >= DegradationLadder::max_level()) {
+      for (SimStream& ss : streams) {
+        DegradationLadder& ladder = ss.recovery.ladder;
+        if (ss.cls != cls || ladder.level() == limit) {
           continue;
         }
-        ss.ladder.apply(true, false, cause);
-        ss.max_level = std::max(ss.max_level, ss.ladder.level());
+        ladder.apply(shed, !shed);
+        ss.max_level = std::max(ss.max_level, ladder.level());
         moved = true;
       }
       if (moved) {
-        ++report.shed_steps;
-        last_shed_s = t;
-        host->flight(obs::FlightEventKind::kLadder, -1, -1, t * 1e6, "shed",
-                     qos_class_name(cls), 1.0);
-        return;
-      }
-    }
-  }
-
-  void recover_one(const char* cause, double t) {
-    // Gold recovers first: the premium class climbs back to full
-    // quality before lower classes get headroom back.
-    for (const QosClass cls : {QosClass::kGold, QosClass::kSilver,
-                               QosClass::kBestEffort}) {
-      bool moved = false;
-      for (std::size_t s = 0; s < streams.size(); ++s) {
-        SimStream& ss = streams[s];
-        if (ss.cls != cls || ss.ladder.level() == 0) {
-          continue;
+        if (shed) {
+          ++report.shed_steps;
+          last_shed_s = t;
+        } else {
+          ++report.recover_steps;
         }
-        ss.ladder.apply(false, true, cause);
-        moved = true;
-      }
-      if (moved) {
-        ++report.recover_steps;
-        host->flight(obs::FlightEventKind::kLadder, -1, -1, t * 1e6,
-                     "recover", qos_class_name(cls), -1.0);
+        host->executor_.flight(obs::FlightEventKind::kLadder, -1, t * 1e6, 0.0,
+                               shed ? "shed" : "recover",
+                               qos_class_name(cls), shed ? 1.0 : -1.0);
         return;
       }
     }
@@ -728,12 +567,12 @@ struct FleetScheduler::Sim {
         device_plan->specs()[static_cast<std::size_t>(spec_index)];
     const char* kind = device_fault_kind_name(spec.kind);
     ++report.device_faults;
-    host->flight(obs::FlightEventKind::kFault, -1, d, t * 1e6, "fault", kind,
-                 static_cast<double>(d));
+    host->executor_.flight(obs::FlightEventKind::kFault, d, t * 1e6, 0.0,
+                           "fault", kind, static_cast<double>(d));
     if (!dev.batch.empty()) {
       inject_via_launch_seam(d, kind);
-      for (const BatchItem& item : dev.batch) {
-        FleetFrame& r = rec(item.stream, item.frame);
+      for (const ReadyFrame& item : dev.batch) {
+        ServedFrame& r = rec(item.stream, item.frame);
         r.fault_injected = true;
         append_cause(r, std::string("fault:") + kind);
       }
@@ -742,10 +581,9 @@ struct FleetScheduler::Sim {
       // Silent stall: nothing migrates until the watchdog notices.
       dev.hanging = true;
       dev.hang_until = t + spec.duration_s;
-      events.push({t + opt().hang_watchdog_ms * 1e-3, kEvWatchdog, d, 0,
-                   dev.generation});
+      events.push({t + host->options_.hang_watchdog_ms * 1e-3, kEvWatchdog,
+                   d, 0, dev.generation});
     } else {
-      dev.health.on_fault();
       fail_device(d, t);
     }
   }
@@ -757,19 +595,20 @@ struct FleetScheduler::Sim {
     }
     ++report.watchdog_fires;
     dev.hanging = false;
-    dev.health.on_fault();
-    host->flight(obs::FlightEventKind::kBreaker, -1, d, t * 1e6, "watchdog",
-                 "device-hang->lost", static_cast<double>(d));
+    host->executor_.flight(obs::FlightEventKind::kBreaker, d, t * 1e6, 0.0,
+                           "watchdog", "device-hang->lost",
+                           static_cast<double>(d));
     fail_device(d, t);
   }
 
   void device_up(int d, double t) {
     SimDevice& dev = devices[static_cast<std::size_t>(d)];
     dev.hanging = false;
-    if (dev.health.state() == DeviceState::kLost) {
-      dev.health.on_recovered();
-      host->flight(obs::FlightEventKind::kBreaker, -1, d, t * 1e6, "device",
-                   "lost->probation", static_cast<double>(d));
+    if (dev.state == DeviceState::kLost) {
+      dev.state = DeviceState::kProbation;
+      host->executor_.flight(obs::FlightEventKind::kBreaker, d, t * 1e6, 0.0,
+                             "device", "lost->probation",
+                             static_cast<double>(d));
       rebalance_to(d, t);
     }
     // A cleared hang (watchdog never fired) may leave ready work behind.
@@ -782,11 +621,13 @@ struct FleetScheduler::Sim {
   /// so failover traffic never fuses into a cross-stream batch.
   void fail_device(int d, double t) {
     SimDevice& dev = devices[static_cast<std::size_t>(d)];
+    dev.state = DeviceState::kLost;
+    ++dev.faults;
     ++dev.generation;  // discard any in-flight completion
     dev.busy = false;
-    for (const BatchItem& item : dev.batch) {
+    for (const ReadyFrame& item : dev.batch) {
       SimStream& ss = streams[static_cast<std::size_t>(item.stream)];
-      FleetFrame& r = rec(item.stream, item.frame);
+      ServedFrame& r = rec(item.stream, item.frame);
       r.failed_over = true;
       append_cause(r, "failover:dev" + std::to_string(d));
       ++report.failovers;
@@ -823,12 +664,17 @@ struct FleetScheduler::Sim {
     }
   }
 
-  /// Routes the device loss through the vgpu launch seam: one pipeline
-  /// launch under an observer that throws LaunchError, so the fault
-  /// exercises the exact path a real mid-kernel device failure would take.
+  /// Routes the loss of a device with work in flight through the vgpu
+  /// launch seam: one pipeline launch over an in-flight frame, under an
+  /// observer that throws LaunchError, so the fault exercises the exact
+  /// path a real mid-kernel device failure would take.
   void inject_via_launch_seam(int d, const char* kind) {
-    if (probe_luma == nullptr) {
-      return;  // nothing ever decoded; the loss hit an idle fleet
+    FrameExecutor& executor = host->executor_;
+    if (!probe_luma) {
+      const ReadyFrame& item = devices[static_cast<std::size_t>(d)].batch[0];
+      probe_luma = std::move(streams[static_cast<std::size_t>(item.stream)]
+                                 .source->decode(item.frame)
+                                 .frame.luma());
     }
     bool surfaced = false;
     {
@@ -836,14 +682,14 @@ struct FleetScheduler::Sim {
                       std::to_string(d));
       const vgpu::LaunchObserverScope scope(loss);
       try {
-        host->pipeline_for_level(0).process(*probe_luma);
+        executor.pipeline(0).process(*probe_luma);
       } catch (const vgpu::LaunchError&) {
         surfaced = true;
       }
     }
     FDET_CHECK(surfaced) << "device fault did not surface through the "
                             "vgpu launch seam";
-    host->count("serve.fleet.faults.injected", {{"kind", kind}});
+    executor.count("serve.fleet.faults.injected", {{"kind", kind}});
   }
 
   int stream_load(int d) const {
@@ -862,7 +708,7 @@ struct FleetScheduler::Sim {
     for (std::size_t d = 0; d < devices.size(); ++d) {
       const SimDevice& dev = devices[d];
       if (static_cast<int>(d) == exclude || dev.hanging ||
-          dev.health.state() == DeviceState::kLost) {
+          dev.state == DeviceState::kLost) {
         continue;
       }
       const int load = stream_load(static_cast<int>(d));
@@ -924,29 +770,14 @@ FleetScheduler::FleetScheduler(const vgpu::DeviceSpec& spec,
                                haar::Cascade cascade,
                                detect::PipelineOptions base,
                                FleetOptions options, obs::Registry* registry)
-    : spec_(spec),
-      cascade_(std::move(cascade)),
-      base_(base),
-      options_(options),
-      registry_(registry) {
+    : options_(options),
+      executor_(spec, std::move(cascade), base, registry,
+                options_.flight_recorder ? kRecorderCapacity : 0) {
   FDET_CHECK(options_.devices >= 1) << "fleet needs at least one device";
   FDET_CHECK(options_.deadline_ms > 0.0) << "fleet deadline must be > 0";
-  FDET_CHECK(options_.batch_max >= 1) << "batch_max must be >= 1";
-  FDET_CHECK(options_.stream_queue_capacity >= 1)
-      << "stream_queue_capacity must be >= 1";
-  FDET_CHECK(options_.device_queue_capacity >= 1)
-      << "device_queue_capacity must be >= 1";
-  if (options_.flight_recorder) {
-    recorder_ = std::make_unique<obs::FlightRecorder>(
-        options_.recorder_capacity);
-  }
 }
 
 FleetScheduler::~FleetScheduler() = default;
-
-int FleetScheduler::stream_count() const {
-  return static_cast<int>(streams_.size());
-}
 
 int FleetScheduler::add_tenant(TenantSpec spec) {
   FDET_CHECK(!spec.name.empty()) << "tenant needs a name";
@@ -967,60 +798,6 @@ int FleetScheduler::add_stream(int tenant, const ingest::FrameSource& source,
   return static_cast<int>(streams_.size()) - 1;
 }
 
-const detect::Pipeline& FleetScheduler::pipeline_for_level(int level) {
-  auto it = pipelines_.find(level);
-  if (it == pipelines_.end()) {
-    const DegradationStep& step = DegradationLadder::step_at(level);
-    detect::PipelineOptions options = base_;
-    options.skip_finest_levels =
-        base_.skip_finest_levels + step.skip_finest_levels;
-    options.min_neighbors = base_.min_neighbors + step.min_neighbors_boost;
-    if (step.serial_exec) {
-      options.mode = vgpu::ExecMode::kSerial;
-    }
-    it = pipelines_
-             .emplace(level, std::make_unique<detect::Pipeline>(
-                                 spec_, cascade_, options))
-             .first;
-  }
-  return *it->second;
-}
-
-void FleetScheduler::count(const char* name, const obs::Labels& labels,
-                           double delta) {
-  if (registry_ != nullptr) {
-    registry_->counter(name, labels).add(delta);
-  }
-}
-
-void FleetScheduler::gauge(const char* name, double value,
-                           const obs::Labels& labels) {
-  if (registry_ != nullptr) {
-    registry_->gauge(name, labels).set(value);
-  }
-}
-
-void FleetScheduler::flight(obs::FlightEventKind kind, int stream, int frame,
-                            double ts_us, const char* name,
-                            const char* detail, double value) {
-  if (!recorder_) {
-    return;
-  }
-  obs::FlightEvent event;
-  event.kind = kind;
-  event.ts_us = ts_us;
-  event.frame = frame;
-  event.value = value;
-  event.set_name(name);
-  std::string tagged = detail;
-  if (stream >= 0) {
-    tagged = "s" + std::to_string(stream) +
-             (tagged.empty() ? "" : ":" + tagged);
-  }
-  event.set_detail(tagged.c_str());
-  recorder_->record(event);
-}
-
 FleetReport FleetScheduler::run(const DeviceFaultPlan* device_plan,
                                 const FaultPlan* frame_plan) {
   FDET_CHECK(!tenants_.empty()) << "fleet has no tenants";
@@ -1036,22 +813,8 @@ FleetReport FleetScheduler::run(const DeviceFaultPlan* device_plan,
   Sim sim;
   sim.host = this;
   sim.device_plan = device_plan;
-  if (frame_plan != nullptr && !frame_plan->empty()) {
-    // Per-stream seed split: frame-targeted specs hit the same frame of
-    // every stream; probabilistic specs diversify across streams.
-    sim.stream_plans.reserve(streams_.size());
-    for (std::size_t s = 0; s < streams_.size(); ++s) {
-      sim.stream_plans.emplace_back(
-          core::hash_combine(frame_plan->seed(), 0xabc0 + s),
-          frame_plan->specs());
-    }
-  }
 
-  obs::SloOptions slo_options = options_.slo;
-  slo_options.deadline_ms = options_.deadline_ms;
-  slo_options.recover_fraction = options_.degrade.recover_fraction;
-  slo_options.recover_after = options_.degrade.recover_after;
-  sim.slo = std::make_unique<obs::SloEngine>(slo_options);
+  executor_.begin_run(options_.deadline_ms);
 
   sim.buckets.reserve(tenants_.size());
   for (const TenantSpec& tenant : tenants_) {
@@ -1060,7 +823,11 @@ FleetReport FleetScheduler::run(const DeviceFaultPlan* device_plan,
   sim.devices.resize(static_cast<std::size_t>(options_.devices));
   sim.streams.reserve(streams_.size());
   sim.offsets.reserve(streams_.size());
-  int total_frames = 0;
+  std::size_t total_frames = 0;
+  for (const StreamConfig& config : streams_) {
+    total_frames += static_cast<std::size_t>(config.frames);
+  }
+  sim.report.frames.reserve(total_frames);
   for (std::size_t s = 0; s < streams_.size(); ++s) {
     const StreamConfig& config = streams_[s];
     Sim::SimStream ss;
@@ -1068,16 +835,20 @@ FleetReport FleetScheduler::run(const DeviceFaultPlan* device_plan,
     ss.cls = tenants_[static_cast<std::size_t>(config.tenant)].cls;
     ss.source = config.source;
     ss.device = static_cast<int>(s) % options_.devices;
-    ss.ladder = DegradationLadder();
+    // Per-stream seed split: frame-targeted specs hit the same frame of
+    // every stream; probabilistic specs and backoff jitter diversify
+    // across streams.
+    const std::uint64_t seed = core::hash_combine(
+        frame_plan != nullptr ? frame_plan->seed() : 0, 0xabc0 + s);
+    ss.recovery = StreamRecovery(RetryOptions{}, BreakerOptions{}, seed,
+                                 static_cast<int>(s));
+    if (frame_plan != nullptr) {
+      ss.plan = FaultPlan(seed, frame_plan->specs());
+    }
     sim.streams.push_back(std::move(ss));
-    sim.offsets.push_back(total_frames);
-    total_frames += config.frames;
-  }
-  sim.report.frames.resize(static_cast<std::size_t>(total_frames));
-  for (std::size_t s = 0; s < streams_.size(); ++s) {
-    const StreamConfig& config = streams_[s];
+    sim.offsets.push_back(static_cast<int>(sim.report.frames.size()));
     for (int f = 0; f < config.frames; ++f) {
-      FleetFrame& r = sim.rec(static_cast<int>(s), f);
+      ServedFrame& r = sim.report.frames.emplace_back();
       r.stream = static_cast<int>(s);
       r.index = f;
       r.tenant = config.tenant;
@@ -1115,10 +886,10 @@ FleetReport FleetScheduler::run(const DeviceFaultPlan* device_plan,
   // ---- finalize -----------------------------------------------------------
   FleetReport& report = sim.report;
   double end_s = 0.0;
-  for (FleetFrame& r : report.frames) {
+  for (ServedFrame& r : report.frames) {
     end_s = std::max(end_s, r.completion_s);
   }
-  for (FleetFrame& r : report.frames) {
+  for (ServedFrame& r : report.frames) {
     if (!r.settled) {
       // A scheduler bug, never expected: surface it as a typed failure
       // the chaos harness gates on instead of losing the frame.
@@ -1132,14 +903,12 @@ FleetReport FleetScheduler::run(const DeviceFaultPlan* device_plan,
 
   report.tenants.resize(tenants_.size());
   std::vector<std::vector<double>> latencies(tenants_.size());
-  for (std::size_t tnt = 0; tnt < tenants_.size(); ++tnt) {
-    report.tenants[tnt].name = tenants_[tnt].name;
-    report.tenants[tnt].cls = tenants_[tnt].cls;
-  }
   for (const Sim::SimStream& ss : sim.streams) {
-    ++report.tenants[static_cast<std::size_t>(ss.tenant)].streams;
+    TenantReport& tenant = report.tenants[static_cast<std::size_t>(ss.tenant)];
+    ++tenant.streams;
+    tenant.max_shed_level = std::max(tenant.max_shed_level, ss.max_level);
   }
-  for (const FleetFrame& r : report.frames) {
+  for (const ServedFrame& r : report.frames) {
     TenantReport& tenant = report.tenants[static_cast<std::size_t>(r.tenant)];
     ++tenant.frames;
     switch (r.status) {
@@ -1147,86 +916,78 @@ FleetReport FleetScheduler::run(const DeviceFaultPlan* device_plan,
       case FrameStatus::kDegraded: ++tenant.degraded; break;
       case FrameStatus::kDropped: ++tenant.dropped; break;
       case FrameStatus::kFailed: ++tenant.failed; break;
-      case FrameStatus::kAdmissionRejected:
-        ++tenant.admission_rejected;
-        break;
-    }
-    if (r.status != FrameStatus::kAdmissionRejected) {
-      ++tenant.admitted;
+      case FrameStatus::kAdmissionRejected: ++tenant.admission_rejected; break;
     }
     if (r.status == FrameStatus::kOk || r.status == FrameStatus::kDegraded) {
       latencies[static_cast<std::size_t>(r.tenant)].push_back(r.latency_ms);
       tenant.max_latency_ms = std::max(tenant.max_latency_ms, r.latency_ms);
-      ++report.served;
     }
     tenant.deadline_misses += r.deadline_miss ? 1 : 0;
     tenant.failovers += r.failed_over ? 1 : 0;
-    report.admission_rejected +=
-        r.status == FrameStatus::kAdmissionRejected ? 1 : 0;
-    report.dropped += r.status == FrameStatus::kDropped ? 1 : 0;
-    report.failed += r.status == FrameStatus::kFailed ? 1 : 0;
-    report.deadline_misses += r.deadline_miss ? 1 : 0;
     report.missing_frames += r.missing ? 1 : 0;
     report.out_of_order +=
         r.arrival == ingest::FrameArrival::kOutOfOrder ? 1 : 0;
     report.duplicates +=
         r.arrival == ingest::FrameArrival::kDuplicate ? 1 : 0;
   }
-  report.admitted = total_frames - report.admission_rejected;
-  for (const Sim::SimStream& ss : sim.streams) {
-    TenantReport& tenant =
-        report.tenants[static_cast<std::size_t>(ss.tenant)];
-    tenant.max_shed_level = std::max(tenant.max_shed_level, ss.max_level);
-  }
+  // Fleet totals are the tenants' sums.
   for (std::size_t tnt = 0; tnt < tenants_.size(); ++tnt) {
-    report.tenants[tnt].p50_ms = percentile(latencies[tnt], 0.50);
-    report.tenants[tnt].p99_ms = percentile(latencies[tnt], 0.99);
+    TenantReport& tenant = report.tenants[tnt];
+    tenant.name = tenants_[tnt].name;
+    tenant.cls = tenants_[tnt].cls;
+    tenant.admitted = tenant.frames - tenant.admission_rejected;
+    tenant.p50_ms = percentile(latencies[tnt], 0.50);
+    tenant.p99_ms = percentile(latencies[tnt], 0.99);
+    report.admitted += tenant.admitted;
+    report.admission_rejected += tenant.admission_rejected;
+    report.served += tenant.ok + tenant.degraded;
+    report.dropped += tenant.dropped;
+    report.failed += tenant.failed;
+    report.deadline_misses += tenant.deadline_misses;
   }
   report.devices.resize(sim.devices.size());
   for (std::size_t d = 0; d < sim.devices.size(); ++d) {
     const Sim::SimDevice& dev = sim.devices[d];
     report.devices[d].frames = dev.frames;
-    report.devices[d].faults = dev.health.faults();
+    report.devices[d].faults = dev.faults;
     report.devices[d].failovers_out = dev.failovers_out;
     report.devices[d].busy_ms = dev.busy_ms;
-    report.devices[d].final_state = dev.health.state();
+    report.devices[d].final_state = dev.state;
   }
-  report.slo = sim.slo->snapshot();
+  report.slo = executor_.slo().snapshot();
 
-  if (registry_ != nullptr) {
+  if (executor_.registry() != nullptr) {
     for (const TenantReport& tenant : report.tenants) {
       const obs::Labels labels{{"tenant", tenant.name},
                                {"class", qos_class_name(tenant.cls)}};
-      count("serve.fleet.frames", labels,
-            static_cast<double>(tenant.frames));
-      count("serve.fleet.admission_rejects", labels,
-            static_cast<double>(tenant.admission_rejected));
-      count("serve.fleet.deadline_misses", labels,
-            static_cast<double>(tenant.deadline_misses));
-      count("serve.fleet.failovers", labels,
-            static_cast<double>(tenant.failovers));
-      gauge("serve.fleet.latency_p50_ms", tenant.p50_ms, labels);
-      gauge("serve.fleet.latency_p99_ms", tenant.p99_ms, labels);
-      gauge("serve.fleet.max_shed_level",
-            static_cast<double>(tenant.max_shed_level), labels);
+      executor_.count("serve.fleet.frames", labels,
+                      static_cast<double>(tenant.frames));
+      executor_.count("serve.fleet.admission_rejects", labels,
+                      static_cast<double>(tenant.admission_rejected));
+      executor_.count("serve.fleet.deadline_misses", labels,
+                      static_cast<double>(tenant.deadline_misses));
+      executor_.count("serve.fleet.failovers", labels,
+                      static_cast<double>(tenant.failovers));
+      executor_.gauge("serve.fleet.latency_p50_ms", tenant.p50_ms, labels);
+      executor_.gauge("serve.fleet.latency_p99_ms", tenant.p99_ms, labels);
+      executor_.gauge("serve.fleet.max_shed_level",
+                      static_cast<double>(tenant.max_shed_level), labels);
     }
-    count("serve.fleet.device_faults", {},
-          static_cast<double>(report.device_faults));
-    count("serve.fleet.watchdog_fires", {},
-          static_cast<double>(report.watchdog_fires));
-    count("serve.fleet.batches", {}, static_cast<double>(report.batches));
-    count("serve.fleet.batched_frames", {},
-          static_cast<double>(report.batched_frames));
-    count("serve.fleet.shed_steps", {},
-          static_cast<double>(report.shed_steps));
-    count("serve.fleet.recover_steps", {},
-          static_cast<double>(report.recover_steps));
+    for (const auto& [name, value] :
+         {std::pair{"serve.fleet.device_faults", report.device_faults},
+          std::pair{"serve.fleet.watchdog_fires", report.watchdog_fires},
+          std::pair{"serve.fleet.batches", report.batches},
+          std::pair{"serve.fleet.batched_frames", report.batched_frames},
+          std::pair{"serve.fleet.shed_steps", report.shed_steps},
+          std::pair{"serve.fleet.recover_steps", report.recover_steps}}) {
+      executor_.count(name, {}, static_cast<double>(value));
+    }
     for (std::size_t d = 0; d < report.devices.size(); ++d) {
-      gauge("serve.fleet.device.state",
-            static_cast<double>(report.devices[d].final_state),
-            {{"device", std::to_string(d)}});
+      executor_.gauge("serve.fleet.device.state",
+                      static_cast<double>(report.devices[d].final_state),
+                      {{"device", std::to_string(d)}});
     }
-    sim.slo->publish(*registry_);
+    executor_.slo().publish(*executor_.registry());
   }
   return report;
 }

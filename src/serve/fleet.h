@@ -28,26 +28,22 @@
 //     never crosses a fault-domain boundary — a stream mid-failover is
 //     served solo on its new device first.
 //
+// Every dispatched frame is served through the one per-frame path of
+// serve/stream.h, exactly as StreamingService serves its frames: each
+// stream owns a StreamRecovery (ladder, breakers, backoff jitter), so a
+// frame-level FaultPlan means the same thing in both engines. The run's
+// memo lets streams that share footage share decode and detect results.
+//
 // Everything is virtual-time and seeded: the chaos harness replays the
 // same arrival pattern and device-loss schedule against a clean twin
 // and asserts byte-identical detections after failover.
 #pragma once
 
-#include <deque>
-#include <map>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "detect/pipeline.h"
-#include "ingest/frame_source.h"
-#include "obs/metrics.h"
-#include "obs/recorder.h"
 #include "obs/slo.h"
-#include "serve/faults.h"
-#include "serve/policy.h"
-#include "serve/service.h"
+#include "serve/stream.h"
 
 namespace fdet::serve {
 
@@ -74,7 +70,6 @@ class TokenBucket {
 
   /// Refills to `now_s` and takes one token if available.
   bool try_admit(double now_s);
-  double tokens() const { return tokens_; }
 
  private:
   AdmissionOptions options_;
@@ -105,82 +100,24 @@ std::vector<TenantMixEntry> parse_tenant_mix(const std::string& text);
 enum class DeviceState { kHealthy, kLost, kProbation };
 const char* device_state_name(DeviceState state);
 
-class DeviceHealth {
- public:
-  DeviceState state() const { return state_; }
-  int faults() const { return faults_; }
-  void on_fault() {
-    state_ = DeviceState::kLost;
-    ++faults_;
-  }
-  void on_recovered() {
-    if (state_ == DeviceState::kLost) {
-      state_ = DeviceState::kProbation;
-    }
-  }
-  void on_frame_ok() {
-    if (state_ == DeviceState::kProbation) {
-      state_ = DeviceState::kHealthy;
-    }
-  }
-
- private:
-  DeviceState state_ = DeviceState::kHealthy;
-  int faults_ = 0;
-};
-
+/// The fleet's settable knobs. Queue bounds, batching and the overload
+/// signal are constants of fleet.cpp (kStreamQueueCapacity,
+/// kDeviceQueueCapacity, kBatchMax, kBatchOverheadMs,
+/// kOverloadBacklogPerStream).
 struct FleetOptions {
   int devices = 4;
   double deadline_ms = 100.0;  ///< per-frame budget, arrival to completion
-  /// Admitted backlog per stream; arrivals beyond it are shed.
-  int stream_queue_capacity = 4;
-  /// Ready frames per device before class-aware shedding kicks in.
-  int device_queue_capacity = 64;
   /// A silently hanging device is declared lost this long after the hang
   /// onset (nothing else can tell a hang from a long frame).
   double hang_watchdog_ms = 50.0;
-  bool cross_stream_batching = true;
-  int batch_max = 4;                ///< frames fused per dispatch
-  double batch_overhead_ms = 0.5;   ///< launch overhead saved per extra frame
-  /// Overload when total backlog exceeds this many frames per active
-  /// stream (the queue-depth half of the shared shed signal).
-  double overload_backlog_per_stream = 2.0;
   /// Minimum virtual seconds between fleet-wide shed steps, so one burst
   /// walks the ladder one rung at a time instead of slamming to the floor.
   double shed_cooldown_s = 0.25;
-  DegradeOptions degrade;
-  obs::SloOptions slo;  ///< deadline_ms is overridden from FleetOptions
   bool flight_recorder = true;
-  std::size_t recorder_capacity = 16384;
-  std::uint64_t seed = 0xf1ee7;
 };
 
-/// Outcome of one frame of one stream through the fleet.
-struct FleetFrame {
-  int stream = 0;
-  int index = 0;
-  int tenant = 0;
-  int device = -1;  ///< device that completed (or last held) the frame
-  FrameStatus status = FrameStatus::kOk;
-  int degradation_level = 0;
-  double arrival_s = 0.0;
-  double completion_s = 0.0;
-  double decode_ms = 0.0;
-  double detect_ms = 0.0;
-  double latency_ms = 0.0;
-  int batch_size = 1;  ///< dispatch fan-in (1 = served solo)
-  bool fault_injected = false;
-  bool failed_over = false;  ///< re-dispatched after losing its device
-  ingest::FrameArrival arrival = ingest::FrameArrival::kInOrder;
-  bool missing = false;
-  bool deadline_miss = false;
-  /// Scheduler-internal: the frame has reached a terminal status. The
-  /// chaos harness asserts this holds for every admitted frame.
-  bool settled = false;
-  std::string cause;
-  std::vector<detect::Detection> detections;
-  std::optional<FrameError> error;
-};
+/// The fleet's name for the frame record (perfbench/ uses it).
+using FleetFrame = ServedFrame;
 
 struct TenantReport {
   std::string name;
@@ -211,7 +148,7 @@ struct DeviceReport {
 
 struct FleetReport {
   /// Every frame of every stream, ordered by (stream, index).
-  std::vector<FleetFrame> frames;
+  std::vector<ServedFrame> frames;
   std::vector<TenantReport> tenants;
   std::vector<DeviceReport> devices;
   int admitted = 0;
@@ -235,7 +172,7 @@ struct FleetReport {
   int stranded = 0;
   obs::SloSnapshot slo;
 
-  const FleetFrame* frame(int stream, int index) const;
+  const ServedFrame* frame(int stream, int index) const;
 };
 
 class FleetScheduler {
@@ -258,37 +195,22 @@ class FleetScheduler {
                  int frames, double phase_s = 0.0);
 
   /// Runs the whole fleet to completion under optional device-level and
-  /// frame-level fault plans. Resets all per-run state (ladders, health,
-  /// buckets, caches) so consecutive runs are independent and a faulted
-  /// run can be compared against its clean twin.
+  /// frame-level fault plans. Resets all per-run state (ladders, breakers,
+  /// health, buckets, memo) so consecutive runs are independent and a
+  /// faulted run can be compared against its clean twin.
   FleetReport run(const DeviceFaultPlan* device_plan = nullptr,
                   const FaultPlan* frame_plan = nullptr);
 
-  const FleetOptions& options() const { return options_; }
-  int tenant_count() const { return static_cast<int>(tenants_.size()); }
-  int stream_count() const;  // fleet.cpp (StreamConfig is incomplete here)
-  const obs::FlightRecorder* recorder() const { return recorder_.get(); }
+  const obs::FlightRecorder* recorder() const { return executor_.recorder(); }
 
  private:
   struct StreamConfig;
   struct Sim;  ///< whole per-run simulation state (fleet.cpp)
 
-  const detect::Pipeline& pipeline_for_level(int level);
-  void count(const char* name, const obs::Labels& labels = {},
-             double delta = 1.0);
-  void gauge(const char* name, double value, const obs::Labels& labels = {});
-  void flight(obs::FlightEventKind kind, int stream, int frame, double ts_us,
-              const char* name, const char* detail, double value = 0.0);
-
-  vgpu::DeviceSpec spec_;
-  haar::Cascade cascade_;
-  detect::PipelineOptions base_;
   FleetOptions options_;
-  obs::Registry* registry_;
+  FrameExecutor executor_;
   std::vector<TenantSpec> tenants_;
   std::vector<StreamConfig> streams_;
-  std::map<int, std::unique_ptr<detect::Pipeline>> pipelines_;
-  std::unique_ptr<obs::FlightRecorder> recorder_;
 };
 
 }  // namespace fdet::serve

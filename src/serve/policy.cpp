@@ -30,15 +30,6 @@ double retry_backoff_ms(const RetryOptions& options, int retry,
   return std::max(0.0, backoff * (1.0 + jitter));
 }
 
-const char* breaker_state_name(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed: return "closed";
-    case BreakerState::kOpen: return "open";
-    case BreakerState::kHalfOpen: return "half-open";
-  }
-  return "?";
-}
-
 void CircuitBreaker::on_frame() {
   if (state_ == BreakerState::kOpen && --open_frames_left_ <= 0) {
     state_ = BreakerState::kHalfOpen;
@@ -93,26 +84,25 @@ const DegradationStep& DegradationLadder::step_at(int level) {
   return kLadder[static_cast<std::size_t>(level)];
 }
 
-void DegradationLadder::apply(bool degrade, bool recover, const char* cause) {
+void DegradationLadder::apply(bool degrade, bool recover) {
   if (degrade) {
-    move_to(level_ + 1, cause);
+    move_to(level_ + 1);
   } else if (recover) {
-    move_to(level_ - 1, cause);
+    move_to(level_ - 1);
   }
 }
 
 void DegradationLadder::force_serial_fallback() {
   if (level_ < kSerialLevel) {
-    move_to(kSerialLevel, "breaker-serial-fallback");
+    move_to(kSerialLevel);
   }
 }
 
-void DegradationLadder::move_to(int level, const char* cause) {
+void DegradationLadder::move_to(int level) {
   const int clamped = std::clamp(level, 0, max_level());
   if (clamped != level_) {
     level_ = clamped;
     ++shifts_;
-    last_cause_ = cause;
   }
 }
 

@@ -61,7 +61,6 @@ double retry_backoff_ms(const RetryOptions& options, int retry,
                         core::Rng& rng);
 
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
-const char* breaker_state_name(BreakerState state);
 
 struct BreakerOptions {
   int failure_threshold = 3;  ///< consecutive frame failures to trip
@@ -95,13 +94,6 @@ class CircuitBreaker {
   int trips_ = 0;
 };
 
-/// Recovery hysteresis of the ladder's signal; the serving loops copy it
-/// into obs::SloOptions.
-struct DegradeOptions {
-  int recover_after = 3;          ///< consecutive in-budget frames per step down
-  double recover_fraction = 0.75; ///< "in budget" = latency < fraction * deadline
-};
-
 /// One rung of the degradation ladder: the pipeline-level knobs the
 /// service applies at this level (cumulative — higher levels shed more).
 struct DegradationStep {
@@ -125,26 +117,21 @@ class DegradationLadder {
   const DegradationStep& step() const { return step_at(level_); }
   int shifts() const { return shifts_; }
 
-  /// The ladder's signal (obs::SloEngine's per-frame decision): `degrade`
-  /// sheds one level, else `recover` climbs one level. `cause` is recorded (last_cause()) whenever the
-  /// level actually moves, so flight-recorder ladder events can name the
-  /// signal that moved it.
-  void apply(bool degrade, bool recover, const char* cause);
+  /// The ladder's signal (obs::SloEngine's per-frame decision, or the
+  /// fleet's class-wide shed/recover step): `degrade` sheds one level,
+  /// else `recover` climbs one level.
+  void apply(bool degrade, bool recover);
 
   /// Breaker-driven degradation: jumps straight to the serial-exec rung
   /// (or stays if already deeper) — the simplest failure domain while a
   /// stage is unhealthy.
   void force_serial_fallback();
 
-  /// Cause label of the most recent level movement ("" before any).
-  const char* last_cause() const { return last_cause_; }
-
  private:
-  void move_to(int level, const char* cause);
+  void move_to(int level);
 
   int level_ = 0;
   int shifts_ = 0;
-  const char* last_cause_ = "";
 };
 
 }  // namespace fdet::serve

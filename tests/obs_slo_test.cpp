@@ -77,10 +77,7 @@ TEST(SloEngine, ResetRecoveryClearsTheStreakOnly) {
 // the edge, and when it fires.
 TEST(SloEngine, DefaultDecisionsFollowTheDeadlineLadderRule) {
   const double deadline = 40.0;
-  const serve::DegradeOptions degrade;
-  SloOptions slo = options_with_deadline(deadline);
-  slo.recover_fraction = degrade.recover_fraction;
-  slo.recover_after = degrade.recover_after;
+  const SloOptions slo = options_with_deadline(deadline);
 
   SloEngine engine(slo);
   serve::DegradationLadder driven;
@@ -98,8 +95,8 @@ TEST(SloEngine, DefaultDecisionsFollowTheDeadlineLadderRule) {
       streak = 0;
       expected_level =
           std::min(expected_level + 1, serve::DegradationLadder::max_level());
-    } else if (latency < degrade.recover_fraction * deadline) {
-      if (++streak >= degrade.recover_after) {
+    } else if (latency < slo.recover_fraction * deadline) {
+      if (++streak >= slo.recover_after) {
         streak = 0;
         expected_level = std::max(expected_level - 1, 0);
       }
@@ -107,8 +104,7 @@ TEST(SloEngine, DefaultDecisionsFollowTheDeadlineLadderRule) {
       streak = 0;
     }
     const SloDecision decision = engine.observe_frame(latency);
-    driven.apply(decision.degrade, decision.recover,
-                 decision.degrade ? "slo-burn" : "slo-recover");
+    driven.apply(decision.degrade, decision.recover);
     ASSERT_EQ(driven.level(), expected_level) << "frame " << i
                                               << " latency " << latency;
   }

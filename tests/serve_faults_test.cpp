@@ -177,19 +177,6 @@ TEST(DeviceFaultPlan, ParseNamesTheOffendingToken) {
                core::CheckError);
 }
 
-TEST(DeviceFaultPlan, OutagesAreSortedPerDevice) {
-  const DeviceFaultPlan plan = DeviceFaultPlan::parse(
-      "device-lost@0:5+1,device-hang@0:1+0.5,device-lost@1:0+1", 1);
-  const auto outages = plan.outages(0);
-  ASSERT_EQ(outages.size(), 2u);
-  EXPECT_DOUBLE_EQ(outages[0]->start_s, 1.0);
-  EXPECT_DOUBLE_EQ(outages[1]->start_s, 5.0);
-  EXPECT_TRUE(plan.outages(2).empty());
-  // Slow specs are not outages.
-  const DeviceFaultPlan slow = DeviceFaultPlan::parse("device-slow@0:1+1", 1);
-  EXPECT_TRUE(slow.outages(0).empty());
-}
-
 TEST(DeviceFaultPlan, SlowFactorWindowsAndProbabilisticFiring) {
   const DeviceFaultPlan plan =
       DeviceFaultPlan::parse("device-slow@0:2+3*4", 1);

@@ -8,6 +8,8 @@
 #include "core/check.h"
 #include "facegen/dataset.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
+#include "serve/service.h"
 #include "train/boost.h"
 #include "video/decoder.h"
 
@@ -43,6 +45,17 @@ const ingest::H264FrameSource& fleet_source() {
   static const video::MockH264Decoder decoder(trailer);
   static const ingest::H264FrameSource source(decoder);
   return source;
+}
+
+void expect_same_detections(const std::vector<detect::Detection>& a,
+                            const std::vector<detect::Detection>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t d = 0; d < a.size(); ++d) {
+    EXPECT_EQ(a[d].box, b[d].box);
+    EXPECT_EQ(a[d].score, b[d].score);
+    EXPECT_EQ(a[d].neighbors, b[d].neighbors);
+    EXPECT_EQ(a[d].scale_index, b[d].scale_index);
+  }
 }
 
 FleetOptions generous_options() {
@@ -277,6 +290,146 @@ TEST(FleetScheduler, SheddingDrainsBestEffortBeforeGold) {
   EXPECT_GE(report.tenants[1].max_shed_level,
             report.tenants[0].max_shed_level);
   EXPECT_GT(report.tenants[2].max_shed_level, 0);
+}
+
+// One stream on one device and the same source through StreamingService:
+// under one frame plan, every frame must come out the same — the fleet
+// serves through the service's per-frame path, retries, breakers and all.
+TEST(FleetScheduler, FrameFaultsMeanTheSameAsInTheService) {
+  const FaultPlan plan = FaultPlan::parse(
+      "launch@2x2,const@4,shared@6,decode@8x2,bitstream@9", 17);
+  const int frames = 12;
+  const double fps = 5.0;  // 200 ms apart: no frame ever queues
+
+  ServiceOptions service_options;
+  service_options.fps = fps;
+  service_options.deadline_ms = 500.0;
+  StreamingService service(vgpu::DeviceSpec{}, fleet_cascade(), {},
+                           service_options);
+  const ServiceReport single = service.run(fleet_source(), frames, &plan);
+
+  FleetOptions fleet_options;
+  fleet_options.devices = 1;
+  fleet_options.deadline_ms = 500.0;
+  FleetScheduler fleet(vgpu::DeviceSpec{}, fleet_cascade(), {},
+                       fleet_options);
+  const int tenant = fleet.add_tenant({"gold", QosClass::kGold, {}});
+  fleet.add_stream(tenant, fleet_source(), fps, frames);
+  const FleetReport multi = fleet.run(nullptr, &plan);
+
+  ASSERT_EQ(single.frames.size(), static_cast<std::size_t>(frames));
+  ASSERT_EQ(multi.frames.size(), static_cast<std::size_t>(frames));
+  for (int i = 0; i < frames; ++i) {
+    const ServedFrame& a = single.frames[static_cast<std::size_t>(i)];
+    const ServedFrame& b = multi.frames[static_cast<std::size_t>(i)];
+    SCOPED_TRACE("frame " + std::to_string(i));
+    EXPECT_EQ(a.status, b.status);
+    EXPECT_EQ(a.retries, b.retries);
+    EXPECT_EQ(a.fault_injected, b.fault_injected);
+    EXPECT_EQ(a.cause, b.cause);
+    EXPECT_EQ(a.backoff_ms > 0.0, b.backoff_ms > 0.0);
+    expect_same_detections(a.detections, b.detections);
+  }
+  // Every fault kind of the plan fired where it was aimed.
+  EXPECT_EQ(multi.frames[2].retries, 2);
+  EXPECT_EQ(multi.frames[8].retries, 2);
+  for (const int quarantined : {4, 6, 9}) {
+    EXPECT_EQ(multi.frames[static_cast<std::size_t>(quarantined)].status,
+              FrameStatus::kFailed);
+  }
+  EXPECT_EQ(multi.frames[4].cause, "fault:const -> quarantine:detect/resource");
+  EXPECT_EQ(multi.failed, 3);
+}
+
+// Two streams share footage: the second stream's frame 2 must still see
+// its launch fault, though the first stream already memoized that frame.
+TEST(FleetScheduler, TheMemoNeverAnswersAnArmedAttempt) {
+  FleetOptions options = generous_options();
+  options.devices = 1;
+  FleetScheduler fleet(vgpu::DeviceSpec{}, fleet_cascade(), {}, options);
+  const int tenant = fleet.add_tenant({"gold", QosClass::kGold, {}});
+  fleet.add_stream(tenant, fleet_source(), 20.0, 4);
+  fleet.add_stream(tenant, fleet_source(), 20.0, 4);
+  const FaultPlan plan = FaultPlan::parse("launch@2x2", 5);
+  const FleetReport report = fleet.run(nullptr, &plan);
+
+  ASSERT_EQ(report.frames.size(), 8u);
+  for (int stream = 0; stream < 2; ++stream) {
+    const ServedFrame* faulted = report.frame(stream, 2);
+    ASSERT_NE(faulted, nullptr);
+    EXPECT_EQ(faulted->status, FrameStatus::kOk);
+    EXPECT_TRUE(faulted->fault_injected) << "stream " << stream;
+    EXPECT_EQ(faulted->retries, 2) << "stream " << stream;
+    EXPECT_EQ(faulted->cause,
+              "fault:launch -> retry:detect -> fault:launch -> retry:detect");
+    EXPECT_GT(faulted->backoff_ms, 0.0);
+    const ServedFrame* clean = report.frame(stream, 1);
+    ASSERT_NE(clean, nullptr);
+    EXPECT_FALSE(clean->fault_injected);
+    EXPECT_EQ(clean->retries, 0);
+  }
+  expect_same_detections(report.frame(0, 2)->detections,
+                         report.frame(1, 2)->detections);
+}
+
+// Memoized detection is sound only if detection is a pure function of
+// (luma, rung, cascade): every served frame of a shared-footage fleet
+// under device faults must equal a direct pass at its rung. A second run
+// must launch as many kernels as the first — the memo lives for one run.
+TEST(FleetScheduler, MemoizedFramesEqualADirectPassAndTheMemoLivesOneRun) {
+  FleetScheduler fleet(vgpu::DeviceSpec{}, fleet_cascade(), {},
+                       generous_options());
+  add_test_streams(fleet);
+  const DeviceFaultPlan plan = DeviceFaultPlan::parse(
+      "device-lost@0:0.12+0.1,device-hang@1:0.27+0.08", 7);
+  std::uint64_t launches[2] = {0, 0};
+  FleetReport reports[2];
+  for (int run = 0; run < 2; ++run) {
+    obs::KernelProfiler profiler;
+    const obs::ScopedProfileCollection scope(profiler);
+    reports[run] = fleet.run(&plan);
+    launches[run] = profiler.launches();
+  }
+  EXPECT_GT(launches[0], 0u);
+  EXPECT_EQ(launches[0], launches[1]);
+
+  const FleetReport& report = reports[0];
+  EXPECT_EQ(report.device_faults, 2);
+  EXPECT_EQ(report.stranded, 0);
+  std::map<int, std::unique_ptr<detect::Pipeline>> rungs;
+  int compared = 0;
+  for (const ServedFrame& frame : report.frames) {
+    if (frame.status != FrameStatus::kOk &&
+        frame.status != FrameStatus::kDegraded) {
+      continue;
+    }
+    auto it = rungs.find(frame.degradation_level);
+    if (it == rungs.end()) {
+      const DegradationStep& step =
+          DegradationLadder::step_at(frame.degradation_level);
+      detect::PipelineOptions options;
+      options.skip_finest_levels += step.skip_finest_levels;
+      options.min_neighbors += step.min_neighbors_boost;
+      if (step.serial_exec) {
+        options.mode = vgpu::ExecMode::kSerial;
+      }
+      it = rungs
+               .emplace(frame.degradation_level,
+                        std::make_unique<detect::Pipeline>(
+                            vgpu::DeviceSpec{}, fleet_cascade(), options))
+               .first;
+    }
+    const detect::FrameResult direct = it->second->process(
+        fleet_source().decode(frame.index).frame.luma());
+    SCOPED_TRACE("stream " + std::to_string(frame.stream) + " frame " +
+                 std::to_string(frame.index));
+    EXPECT_EQ(frame.detect_ms, direct.detect_ms);
+    expect_same_detections(frame.detections, direct.detections);
+    ++compared;
+  }
+  // 60 stream-frames over 10 footage frames: most came from the memo.
+  EXPECT_EQ(compared, report.served);
+  EXPECT_GT(compared, 10);
 }
 
 TEST(TokenBucketTest, RefillsAtRateAndCapsAtBurst) {

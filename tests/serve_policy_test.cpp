@@ -86,19 +86,19 @@ TEST(CircuitBreaker, SuccessResetsTheConsecutiveFailureCount) {
 /// The serving loops' ladder signal: each served frame's latency goes
 /// through the SLO engine, whose decision drives the ladder.
 struct SloDrivenLadder {
-  SloDrivenLadder(DegradeOptions degrade, double deadline_ms)
+  SloDrivenLadder(double deadline_ms, int recover_after = 3,
+                  double recover_fraction = 0.75)
       : engine([&] {
           obs::SloOptions slo;
           slo.deadline_ms = deadline_ms;
-          slo.recover_after = degrade.recover_after;
-          slo.recover_fraction = degrade.recover_fraction;
+          slo.recover_after = recover_after;
+          slo.recover_fraction = recover_fraction;
           return slo;
         }()) {}
 
   void observe(double latency_ms) {
     const obs::SloDecision decision = engine.observe_frame(latency_ms);
-    ladder.apply(decision.degrade, decision.recover,
-                 decision.degrade ? "slo-burn" : "slo-recover");
+    ladder.apply(decision.degrade, decision.recover);
   }
 
   obs::SloEngine engine;
@@ -106,7 +106,7 @@ struct SloDrivenLadder {
 };
 
 TEST(DegradationLadder, ShedsOneLevelPerDeadlineMiss) {
-  SloDrivenLadder driven(DegradeOptions{}, /*deadline_ms=*/10.0);
+  SloDrivenLadder driven(/*deadline_ms=*/10.0);
   const DegradationLadder& ladder = driven.ladder;
   EXPECT_EQ(ladder.level(), 0);
   EXPECT_STREQ(ladder.step().name, "full");
@@ -121,9 +121,8 @@ TEST(DegradationLadder, ShedsOneLevelPerDeadlineMiss) {
 }
 
 TEST(DegradationLadder, ClimbsBackAfterARecoveryStreak) {
-  SloDrivenLadder driven(
-      DegradeOptions{.recover_after = 3, .recover_fraction = 0.75},
-      /*deadline_ms=*/10.0);
+  SloDrivenLadder driven(/*deadline_ms=*/10.0, /*recover_after=*/3,
+                         /*recover_fraction=*/0.75);
   const DegradationLadder& ladder = driven.ladder;
   driven.observe(12.0);
   ASSERT_EQ(ladder.level(), 1);
@@ -136,9 +135,8 @@ TEST(DegradationLadder, ClimbsBackAfterARecoveryStreak) {
 }
 
 TEST(DegradationLadder, NearDeadlineFramesResetTheRecoveryStreak) {
-  SloDrivenLadder driven(
-      DegradeOptions{.recover_after = 2, .recover_fraction = 0.5},
-      /*deadline_ms=*/10.0);
+  SloDrivenLadder driven(/*deadline_ms=*/10.0, /*recover_after=*/2,
+                         /*recover_fraction=*/0.5);
   const DegradationLadder& ladder = driven.ladder;
   driven.observe(12.0);
   ASSERT_EQ(ladder.level(), 1);
@@ -156,7 +154,7 @@ TEST(DegradationLadder, ForceSerialFallbackNeverClimbs) {
   const int serial_level = ladder.level();
   EXPECT_TRUE(DegradationLadder::step_at(serial_level).serial_exec);
   // Already deeper: the forced fallback must not *reduce* shedding.
-  ladder.apply(true, false, "slo-burn");
+  ladder.apply(true, false);
   const int deeper = ladder.level();
   ladder.force_serial_fallback();
   EXPECT_EQ(ladder.level(), deeper);
@@ -182,9 +180,8 @@ TEST(DegradationLadder, ExactThresholdLatenciesNeverFlap) {
   // fraction is too close to the edge to climb (streak resets). A stream
   // oscillating between both edge values therefore never moves the
   // ladder in either direction.
-  SloDrivenLadder driven(
-      DegradeOptions{.recover_after = 2, .recover_fraction = 0.75},
-      /*deadline_ms=*/10.0);
+  SloDrivenLadder driven(/*deadline_ms=*/10.0, /*recover_after=*/2,
+                         /*recover_fraction=*/0.75);
   const DegradationLadder& ladder = driven.ladder;
   driven.observe(12.0);
   ASSERT_EQ(ladder.level(), 1);
@@ -205,31 +202,28 @@ TEST(DegradationLadder, ClampsAtBothEndsWithoutCountingShifts) {
   DegradationLadder ladder;
   // Bottom clamp: recovery at full quality is a no-op, not a shift.
   ASSERT_EQ(ladder.level(), 0);
-  ladder.apply(false, true, "slo-recover");
+  ladder.apply(false, true);
   EXPECT_EQ(ladder.level(), 0);
   EXPECT_EQ(ladder.shifts(), 0);
-  EXPECT_STREQ(ladder.last_cause(), "");  // no movement, no cause
 
   // Top clamp: sheds beyond the deepest rung change nothing.
   for (int i = 0; i < DegradationLadder::max_level(); ++i) {
-    ladder.apply(true, false, "slo-burn");
+    ladder.apply(true, false);
   }
   ASSERT_EQ(ladder.level(), DegradationLadder::max_level());
   const int shifts_at_max = ladder.shifts();
-  ladder.apply(true, false, "slo-burn");
+  ladder.apply(true, false);
   EXPECT_EQ(ladder.level(), DegradationLadder::max_level());
   EXPECT_EQ(ladder.shifts(), shifts_at_max);
 }
 
-TEST(DegradationLadder, ApplyPrefersDegradeAndRecordsTheCause) {
+TEST(DegradationLadder, ApplyPrefersDegrade) {
   DegradationLadder ladder;
   // degrade wins when both signals are set (shed before climb).
-  ladder.apply(true, true, "burn-and-recover");
+  ladder.apply(true, true);
   EXPECT_EQ(ladder.level(), 1);
-  EXPECT_STREQ(ladder.last_cause(), "burn-and-recover");
-  ladder.apply(false, true, "recovered");
+  ladder.apply(false, true);
   EXPECT_EQ(ladder.level(), 0);
-  EXPECT_STREQ(ladder.last_cause(), "recovered");
   EXPECT_EQ(ladder.shifts(), 2);
 }
 

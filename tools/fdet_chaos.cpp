@@ -500,7 +500,6 @@ int run_fleet_chaos(int argc, char** argv) {
 
   serve::FleetOptions fleet_options;
   fleet_options.devices = devices;
-  fleet_options.seed = static_cast<std::uint64_t>(seed);
 
   // Finite admission for best-effort tenants: the typed
   // kAdmissionRejected path must fire in the soak, and identically in
