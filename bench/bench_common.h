@@ -15,7 +15,6 @@
 #include "core/stopwatch.h"
 #include "core/table.h"
 #include "detect/pipeline.h"
-#include "obs/compare.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -63,22 +62,21 @@ inline void print_header(const char* artifact, const char* description) {
 ///   --trace-out         Chrome/Perfetto trace (ambient TraceSession; the
 ///                       binary's lifetime, so library-internal spans land
 ///                       automatically)
-///   --metrics-out       metrics registry of the *last* repeat (JSON/CSV)
-///   --profile-out       kernel profile (obs::ProfileRecord) aggregated
-///                       over every launch of the binary's lifetime — the
+///   --metrics-out       metrics registry of the *last* repeat (JSON)
+///   --profile-out       kernel profile (a one-repeat obs::RunRecord of
+///                       profile.* series, obs/profile.h) aggregated over
+///                       every launch of the binary's lifetime — the
 ///                       collector is installed from construction, so all
 ///                       repeats fold into one record
 ///   --record-out        obs::RunRecord aggregating all repeats (median +
 ///                       MAD per series); defaults to BENCH_<artifact>.json
 ///                       in the working directory, empty disables
 ///   --repeat            measurement repetitions folded into the record
-///   --baseline          gate this run against a stored record
-///                       (obs::compare_runs); finish() returns 2 on
-///                       regression so the binary's exit status fails CI
-///   --update-baseline   rewrite --baseline from this run instead of gating
+///   --variant           configuration variant stamped into both records
 ///
-/// finish() re-parses whatever it wrote — an invalid artifact fails
-/// loudly, which is what the ctest smoke targets rely on.
+/// Gating is `fdet_report diff <baseline> <record>`, on the files these
+/// flags write. finish() re-parses whatever it wrote — an invalid
+/// artifact fails loudly, which is what the ctest smoke targets rely on.
 class RunRecorder {
  public:
   explicit RunRecorder(std::string artifact)
@@ -94,18 +92,13 @@ class RunRecorder {
   void add_flags(core::Cli& cli) {
     cli.flag("trace-out", trace_out_,
              "write a Chrome/Perfetto trace-event JSON file");
-    cli.flag("metrics-out", metrics_out_,
-             "write run metrics (JSON, or CSV when the path ends in .csv)");
+    cli.flag("metrics-out", metrics_out_, "write run metrics (JSON)");
     cli.flag("record-out", record_out_,
              "run-record path (empty disables writing)");
     cli.flag("profile-out", profile_out_,
              "kernel-profile record path (empty disables writing)");
     cli.flag("repeat", repeat_,
              "measurement repetitions aggregated into the run record");
-    cli.flag("baseline", baseline_,
-             "baseline run record to gate this run against");
-    cli.flag("update-baseline", update_baseline_,
-             "rewrite --baseline from this run instead of gating");
     cli.flag("variant", variant_,
              "configuration variant stamped into the run record");
   }
@@ -147,11 +140,8 @@ class RunRecorder {
     }
   }
 
-  /// Writes the requested artifacts (validating each by re-parsing) and
-  /// runs the baseline gate. Returns the process exit code: 0; 2 when
-  /// --baseline comparison found a regressed or missing metric; 3 when
-  /// the --baseline file is missing or corrupt (distinct from a gate
-  /// failure so CI can tell "perf regressed" from "baseline is broken").
+  /// Writes the requested artifacts, validating each by re-parsing.
+  /// Returns the process exit code, 0.
   int finish() {
     // A bench that accepts --repeat but never runs the begin_repeat()
     // loop would silently write a 1-repeat record claiming fewer
@@ -175,37 +165,28 @@ class RunRecorder {
     }
     if (!metrics_out_.empty()) {
       metrics().write_file(metrics_out_);
-      if (metrics_out_.size() < 4 ||
-          metrics_out_.compare(metrics_out_.size() - 4, 4, ".csv") != 0) {
-        const obs::json::Value doc = obs::json::parse_file(metrics_out_);
-        FDET_CHECK(!doc.at("metrics").as_array().empty())
-            << "metrics '" << metrics_out_ << "' is empty";
-      }
+      const obs::json::Value doc = obs::json::parse_file(metrics_out_);
+      FDET_CHECK(!doc.at("metrics").as_array().empty())
+          << "metrics '" << metrics_out_ << "' is empty";
       std::printf("[%s] metrics written to %s (%zu series)\n",
                   artifact_.c_str(), metrics_out_.c_str(), metrics().size());
     }
 
     if (!profile_out_.empty()) {
-      const obs::ProfileRecord profile =
-          profiler_.snapshot(artifact_, variant_);
-      profile.write_file(profile_out_);
-      const obs::ProfileRecord reparsed =
-          obs::ProfileRecord::load_file(profile_out_);
-      std::printf("[%s] kernel profile written to %s "
-                  "(%zu kernels, %llu launches)\n",
+      profiler_.snapshot(artifact_, variant_).write_file(profile_out_);
+      const obs::RunRecord reparsed = obs::RunRecord::load_file(profile_out_);
+      std::printf("[%s] kernel profile written to %s (%zu series)\n",
                   artifact_.c_str(), profile_out_.c_str(),
-                  reparsed.kernels.size(),
-                  static_cast<unsigned long long>(reparsed.launches));
+                  reparsed.metrics.size());
     }
 
-    std::vector<const obs::Registry*> registries;
-    for (const auto& registry : repeats_) {
-      registries.push_back(registry.get());
-    }
-    const obs::RunRecord record =
-        obs::build_run_record(artifact_, variant_, {}, registries);
     if (!record_out_.empty()) {
-      record.write_file(record_out_);
+      std::vector<const obs::Registry*> registries;
+      for (const auto& registry : repeats_) {
+        registries.push_back(registry.get());
+      }
+      obs::build_run_record(artifact_, variant_, {}, registries)
+          .write_file(record_out_);
       const obs::RunRecord reparsed = obs::RunRecord::load_file(record_out_);
       FDET_CHECK(!reparsed.metrics.empty())
           << "run record '" << record_out_ << "' has no series";
@@ -213,32 +194,6 @@ class RunRecorder {
                   artifact_.c_str(), record_out_.c_str(),
                   reparsed.metrics.size(), reparsed.repeats,
                   reparsed.repeats == 1 ? "" : "s");
-    }
-    if (update_baseline_) {
-      FDET_CHECK(!baseline_.empty()) << "--update-baseline needs --baseline";
-      record.write_file(baseline_);
-      std::printf("[%s] baseline updated: %s\n", artifact_.c_str(),
-                  baseline_.c_str());
-      return 0;
-    }
-    if (!baseline_.empty()) {
-      obs::RunRecord baseline;
-      try {
-        baseline = obs::RunRecord::load_file(baseline_);
-      } catch (const core::CheckError& error) {
-        std::fprintf(stderr,
-                     "[%s] cannot load baseline: %s\n"
-                     "[%s] run with --baseline=%s --update-baseline to "
-                     "(re)create it\n",
-                     artifact_.c_str(), error.what(), artifact_.c_str(),
-                     baseline_.c_str());
-        return 3;
-      }
-      const obs::CompareReport report = obs::compare_runs(baseline, record);
-      std::printf("\n[%s] baseline gate vs %s:\n%s", artifact_.c_str(),
-                  baseline_.c_str(),
-                  obs::render_text_report(report).c_str());
-      return report.ok() ? 0 : 2;
     }
     return 0;
   }
@@ -250,8 +205,6 @@ class RunRecorder {
   std::string metrics_out_;
   std::string record_out_;
   std::string profile_out_;
-  std::string baseline_;
-  bool update_baseline_ = false;
   int repeat_ = 1;
   std::vector<std::unique_ptr<obs::Registry>> repeats_;
   obs::TraceSession session_;

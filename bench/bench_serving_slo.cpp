@@ -6,7 +6,8 @@
 // the miss ratio nonzero so the percentile/burn series are exercised,
 // exactly like a production tail-latency incident.
 //
-// `fdet_report slo BENCH_serving_slo.json` renders the record.
+// `fdet_report show BENCH_serving_slo.json` renders the record, SLO
+// section included.
 #include "bench_common.h"
 
 #include "ingest/frame_source.h"

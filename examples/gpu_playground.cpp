@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   cli.flag("streams", streams, "concurrent streams");
   cli.flag("blocks", blocks_per_kernel, "blocks per kernel");
   cli.flag("trace-out", trace_out, "write a Perfetto trace-event JSON file");
-  cli.flag("metrics-out", metrics_out, "write run metrics (JSON or .csv)");
+  cli.flag("metrics-out", metrics_out, "write run metrics (JSON)");
   cli.flag("profile-out", profile_out, "write a kernel profile (JSON)");
   if (!cli.parse(argc, argv)) {
     return 1;
@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
   if (!profile_out.empty()) {
     profiler.snapshot("playground").write_file(profile_out);
     std::printf("kernel profile written to %s (inspect with "
-                "`fdet_report profile show %s`)\n",
+                "`fdet_report show %s`)\n",
                 profile_out.c_str(), profile_out.c_str());
   }
   return 0;

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   cli.flag("faces", faces, "training faces");
   cli.flag("out", out, "annotated output image (PPM)");
   cli.flag("trace-out", trace_out, "write a Perfetto trace-event JSON file");
-  cli.flag("metrics-out", metrics_out, "write run metrics (JSON or .csv)");
+  cli.flag("metrics-out", metrics_out, "write run metrics (JSON)");
   cli.flag("profile-out", profile_out, "write a kernel profile (JSON)");
   if (!cli.parse(argc, argv)) {
     return 1;
@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
   if (!profile_out.empty()) {
     profiler.snapshot("quickstart").write_file(profile_out);
     std::printf("kernel profile written to %s (inspect with "
-                "`fdet_report profile show %s`)\n",
+                "`fdet_report show %s`)\n",
                 profile_out.c_str(), profile_out.c_str());
   }
   return 0;

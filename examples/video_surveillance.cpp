@@ -336,7 +336,7 @@ int main(int argc, char** argv) {
   if (!profile_out.empty()) {
     profiler.snapshot("surveillance").write_file(profile_out);
     std::printf("kernel profile written to %s (inspect with "
-                "`fdet_report profile show %s`)\n",
+                "`fdet_report show %s`)\n",
                 profile_out.c_str(), profile_out.c_str());
   }
   return 0;

@@ -43,7 +43,7 @@ void print_findings(std::ostream& out,
 
 /// Exports analyze.lint.* metrics: per-kernel clean gauge, finding
 /// counters by kind/severity, predicted traffic counters. `fdet_report
-/// lint` renders these back as a table.
+/// show` renders these back as a table.
 void publish_lint_results(obs::Registry& registry,
                           const std::vector<KernelLintResult>& results);
 

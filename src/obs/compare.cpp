@@ -4,9 +4,6 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <sstream>
-
-#include "core/check.h"
 
 namespace fdet::obs {
 
@@ -78,11 +75,8 @@ Direction metric_direction(std::string_view name) {
   return Direction::kExact;
 }
 
-CompareReport compare_runs(const RunRecord& baseline, const RunRecord& current,
-                           const CompareOptions& options) {
-  FDET_CHECK(options.mad_multiplier >= 0.0)
-      << "compare MAD multiplier must be non-negative";
-
+CompareReport compare_runs(const RunRecord& baseline,
+                           const RunRecord& current) {
   CompareReport report;
   for (const MetricSeries& base : baseline.metrics) {
     MetricVerdict v;
@@ -119,7 +113,7 @@ CompareReport compare_runs(const RunRecord& baseline, const RunRecord& current,
                            });
       };
       v.exact = agree(base) && agree(*cur);
-      v.band = std::max(options.mad_multiplier * std::max(base.mad, cur->mad),
+      v.band = std::max(kCompareMadMultiplier * std::max(base.mad, cur->mad),
                         dust);
       if (std::fabs(delta) <= v.band) {
         v.verdict = Verdict::kUnchanged;
@@ -202,22 +196,6 @@ std::string describe(const MetricVerdict& v) {
                         : "");
   }
   return buf;
-}
-
-std::string render_text_report(const CompareReport& report,
-                               bool include_unchanged) {
-  std::ostringstream out;
-  for (const MetricVerdict& v : report.verdicts) {
-    if (!include_unchanged && v.verdict == Verdict::kUnchanged) {
-      continue;
-    }
-    out << describe(v) << "\n";
-  }
-  out << "verdicts: " << report.regressed << " regressed, " << report.missing
-      << " missing, " << report.improved << " improved (" << report.drifted
-      << " exact), " << report.added << " new, " << report.unchanged
-      << " unchanged — " << (report.ok() ? "OK" : "GATE FAILED") << "\n";
-  return out.str();
 }
 
 }  // namespace fdet::obs

@@ -21,8 +21,8 @@
 // and the committed record must be re-pinned. The verdict still names
 // the direction. Host-clock series stay out of the records; perfbench
 // measures that clock with alternating pairs.
-// `fdet_report diff` and bench::RunRecorder's --baseline flag both sit on
-// top of this and exit non-zero when CompareReport::ok() is false.
+// `fdet_report diff` is the one gate built on this: it exits 2 when
+// CompareReport::ok() is false, whatever kind of record it compares.
 #pragma once
 
 #include <string>
@@ -57,10 +57,8 @@ Direction metric_direction(std::string_view name);
 /// another order by another compiler still compare equal.
 inline constexpr double kCompareDust = 1e-9;
 
-struct CompareOptions {
-  /// Noise band as a multiple of max(baseline MAD, current MAD).
-  double mad_multiplier = 3.0;
-};
+/// Noise band as a multiple of max(baseline MAD, current MAD).
+inline constexpr double kCompareMadMultiplier = 3.0;
 
 struct MetricVerdict {
   std::string name;
@@ -100,16 +98,13 @@ struct CompareReport {
   bool ok() const { return regressed == 0 && missing == 0 && drifted == 0; }
 };
 
-CompareReport compare_runs(const RunRecord& baseline, const RunRecord& current,
-                           const CompareOptions& options = {});
+CompareReport compare_runs(const RunRecord& baseline,
+                           const RunRecord& current);
 
 /// One human-readable line, e.g.
 /// `regressed  vgpu.makespan_ms{mode=concurrent}  4.000 -> 4.800  (+20.0%, band 0.400)`.
+/// An exact series that drifted in the good direction says to re-pin the
+/// record.
 std::string describe(const MetricVerdict& verdict);
-
-/// Multi-line report: every non-unchanged verdict (all of them with
-/// `include_unchanged`) plus a summary count line.
-std::string render_text_report(const CompareReport& report,
-                               bool include_unchanged = false);
 
 }  // namespace fdet::obs

@@ -229,37 +229,10 @@ std::string Registry::to_json() const {
   return out.str();
 }
 
-std::string Registry::to_csv() const {
-  std::ostringstream out;
-  out << "name,kind,labels,field,value\n";
-  const auto row = [&](const Sample& s, const std::string& field,
-                       double value) {
-    // Labels may contain commas between pairs; quote the cell.
-    out << s.name << "," << s.kind << ",\"" << format_labels(s.labels)
-        << "\"," << field << "," << json::number(value) << "\n";
-  };
-  for (const Sample& s : samples()) {
-    if (s.kind == "histogram") {
-      row(s, "sum", s.value);
-      row(s, "count", s.count);
-      for (std::size_t i = 0; i < s.bucket_counts.size(); ++i) {
-        const std::string le =
-            i < s.bounds.size() ? "le_" + json::number(s.bounds[i]) : "le_inf";
-        row(s, le, s.bucket_counts[i]);
-      }
-    } else {
-      row(s, "value", s.value);
-    }
-  }
-  return out.str();
-}
-
 void Registry::write_file(const std::string& path) const {
-  const bool csv =
-      path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
   std::ofstream out(path, std::ios::binary);
   FDET_CHECK(out.good()) << "cannot write metrics file '" << path << "'";
-  out << (csv ? to_csv() : to_json());
+  out << to_json();
   FDET_CHECK(out.good()) << "error writing metrics file '" << path << "'";
 }
 

@@ -11,8 +11,8 @@
 //
 // Every metric carries a name plus an ordered label set, so the same
 // quantity can be published per {mode=serial|concurrent}, per scale, per
-// trailer, ... The registry serializes to JSON and CSV; bench binaries
-// write these files via --metrics-out (bench_common.h).
+// trailer, ... The registry serializes to JSON; bench binaries write
+// these files via --metrics-out (bench_common.h).
 //
 // Thread safety: metric creation and all value updates are guarded by one
 // registry mutex — contention is irrelevant at the rates benches publish.
@@ -79,9 +79,9 @@ class Gauge {
 // counts are CUMULATIVE, Prometheus-style — element i is the count of
 // observations <= bounds()[i], the final element (the implicit +inf
 // bucket) equals count(). This holds for Histogram::bucket_counts(),
-// Registry::Sample::bucket_counts, the JSON "buckets" array and the CSV
-// `le_*` rows. Only the private accumulation buffer `counts_` stores
-// per-bucket (non-cumulative) increments; it is never exported.
+// Registry::Sample::bucket_counts and the JSON "buckets" array. Only the
+// private accumulation buffer `counts_` stores per-bucket
+// (non-cumulative) increments; it is never exported.
 class Histogram {
  public:
   /// Records `count` observations of `value`.
@@ -155,12 +155,8 @@ class Registry {
   /// `{"metrics": [...]}` — one object per sample.
   std::string to_json() const;
 
-  /// `name,kind,labels,field,value` rows; histograms emit sum/count plus
-  /// one `le_<bound>` row per bucket.
-  std::string to_csv() const;
-
-  /// Writes to_csv() when `path` ends in `.csv`, to_json() otherwise.
-  /// Throws core::CheckError when the file cannot be written.
+  /// Writes to_json(). Throws core::CheckError when the file cannot be
+  /// written.
   void write_file(const std::string& path) const;
 
  private:

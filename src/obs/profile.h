@@ -29,13 +29,29 @@
 // Because every bucket sums the same LaunchCost::total_service_cycles,
 // kernel totals, stage totals and frame totals each sum to the same
 // grand total — the conservation property obs_profile_test asserts and
-// `fdet_report profile show` surfaces as a coverage percentage.
+// `fdet_report show` surfaces as a coverage percentage.
 //
-// Snapshots persist as `PROFILE_<artifact>.json` (schema below, versioned
-// and validated like obs/runrecord.h), and ProfileRecord::to_run_record
-// projects the per-kernel / per-stage totals into a RunRecord so
-// obs/compare.h can gate profile drift with the same direction-aware
-// verdicts the bench records use (`fdet_report profile diff`).
+// A snapshot is an ordinary obs::RunRecord (one repeat, one gauge series
+// per quantity), persisted as `PROFILE_<artifact>.json`: `fdet_report
+// diff` gates it like any bench record and `fdet_report show` renders
+// its breakdown (render_profile_text). The series:
+//
+//   profile.total_cycles, profile.launches
+//   profile.ridge_ops_per_byte   the device's roofline ridge: peak issue
+//       rate (ipc × 32 lanes) over peak global bandwidth (128 bytes per
+//       transaction-issue slot)
+//   profile.kernel.<field>{kernel=K}   cycles, issue_cycles, stall_cycles,
+//       divergence_cycles, bank_conflict_cycles, occupancy_limited_cycles,
+//       bank_conflicts, global_transactions, achieved_occupancy,
+//       branch_efficiency, launches, occupancy_cycles, arithmetic_ops,
+//       global_bytes, warp_branches, divergent_branches,
+//       lane_issue_cycles, warp_issue_cycles
+//   profile.stage.{cycles,launches}{stage=S}
+//   profile.frame.{cycles,launches}{frame=F}
+//
+// Frame ids are trace ids, which the serving loop and the bench harness
+// derive from their seed and frame index, so the frame series are as
+// deterministic as the cycles.
 #pragma once
 
 #include <cstdint>
@@ -43,15 +59,11 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/json.h"
 #include "obs/runrecord.h"
 #include "vgpu/device.h"
 #include "vgpu/kernel.h"
 
 namespace fdet::obs {
-
-/// Bump when the on-disk layout changes; from_json rejects mismatches.
-inline constexpr int kProfileSchemaVersion = 1;
 
 /// Stage bucket for launches issued outside any ProfileStageScope.
 inline constexpr const char* kUnattributedStage = "(unattributed)";
@@ -81,9 +93,11 @@ class ProfileStageScope {
 };
 
 /// Aggregated profile of one kernel (by base name) across all launches.
+/// Counts are held as doubles (exact up to 2^53) because each field is
+/// one series of the snapshot record.
 struct KernelProfile {
   std::string name;
-  std::uint64_t launches = 0;
+  double launches = 0.0;
   double total_cycles = 0.0;  ///< Σ LaunchCost::total_service_cycles
 
   // Stall taxonomy (service-cycle domain, see vgpu/counters.h):
@@ -100,12 +114,12 @@ struct KernelProfile {
   /// cycle-weighted achieved occupancy.
   double occupancy_cycles = 0.0;
 
-  std::uint64_t bank_conflicts = 0;
-  std::uint64_t global_transactions = 0;
-  std::uint64_t arithmetic_ops = 0;
-  std::uint64_t global_bytes = 0;
-  std::uint64_t warp_branches = 0;
-  std::uint64_t divergent_branches = 0;
+  double bank_conflicts = 0.0;
+  double global_transactions = 0.0;
+  double arithmetic_ops = 0.0;
+  double global_bytes = 0.0;
+  double warp_branches = 0.0;
+  double divergent_branches = 0.0;
   double lane_issue_cycles = 0.0;
   double warp_issue_cycles = 0.0;
 
@@ -118,8 +132,7 @@ struct KernelProfile {
   /// Average fraction of lanes doing useful work (1.0 when degenerate).
   double simd_efficiency() const;
   /// Roofline arithmetic intensity in ops per global byte. A kernel with
-  /// no global traffic is unboundedly compute-heavy (+inf); serialized
-  /// records store ops and bytes instead of the ratio.
+  /// no global traffic is unboundedly compute-heavy (+inf).
   double arithmetic_intensity() const;
   /// "memory" when arithmetic intensity sits below `ridge`, else
   /// "compute" (a kernel with no global traffic is compute-bound).
@@ -129,52 +142,8 @@ struct KernelProfile {
 /// Cycles attributed to one pipeline stage / one frame.
 struct AttributionBucket {
   std::string name;
-  std::uint64_t launches = 0;
+  double launches = 0.0;
   double cycles = 0.0;
-};
-
-/// One persisted profiler snapshot: `PROFILE_<artifact>.json`.
-struct ProfileRecord {
-  int schema_version = kProfileSchemaVersion;
-  std::string artifact;             ///< bench artifact id ("fig5", ...)
-  std::string variant = "default";  ///< configuration variant
-  Labels labels;                    ///< run-level label set
-
-  /// Device roofline ridge in ops per global byte: peak issue rate
-  /// (ipc × 32 lanes) over peak global bandwidth (128 bytes per
-  /// transaction-issue slot), both in cycles of the profiled device.
-  double ridge_ops_per_byte = 0.0;
-
-  std::uint64_t launches = 0;  ///< total launches observed
-  double total_cycles = 0.0;   ///< Σ over all launches
-
-  std::vector<KernelProfile> kernels;     ///< sorted by cycles, descending
-  std::vector<AttributionBucket> stages;  ///< sorted by cycles, descending
-  std::vector<AttributionBucket> frames;  ///< sorted by name (frame id)
-
-  /// Kernel lookup by base name; nullptr when absent.
-  const KernelProfile* find_kernel(std::string_view name) const;
-  /// Stage lookup; nullptr when absent.
-  const AttributionBucket* find_stage(std::string_view name) const;
-
-  json::Value to_json() const;
-  std::string dump() const;  ///< to_json().dump()
-  /// Writes dump(); throws core::CheckError when the file cannot be
-  /// written.
-  void write_file(const std::string& path) const;
-
-  /// Validating deserialization; throws core::CheckError on a missing or
-  /// mistyped field or a schema_version mismatch.
-  static ProfileRecord from_json(const json::Value& doc);
-  static ProfileRecord parse(std::string_view text);
-  static ProfileRecord load_file(const std::string& path);
-
-  /// Projects the profile into a RunRecord (one single-sample series per
-  /// quantity: profile.total_cycles, profile.kernel.* labeled kernel=N,
-  /// profile.stage.cycles labeled stage=N) so obs::compare_runs can gate
-  /// profile drift. Per-frame buckets are not projected — frame ids are
-  /// seed-dependent and would churn the comparison identity.
-  RunRecord to_run_record() const;
 };
 
 /// Collects launches into per-kernel / per-stage / per-frame aggregates.
@@ -190,11 +159,11 @@ class KernelProfiler : public vgpu::LaunchObserver {
   std::uint64_t launches() const { return launches_; }
   double total_cycles() const { return total_cycles_; }
 
-  /// Aggregates collected launches into a persistable record (sorted as
-  /// documented on ProfileRecord). Callable repeatedly; collection
-  /// continues afterwards.
-  ProfileRecord snapshot(std::string artifact, std::string variant = "default",
-                         Labels labels = {}) const;
+  /// Aggregates collected launches into a one-repeat run record of the
+  /// series listed above, sorted by (name, labels). Callable repeatedly;
+  /// collection continues afterwards.
+  RunRecord snapshot(std::string artifact, std::string variant = "default",
+                     Labels labels = {}) const;
 
   /// Discards everything collected so far.
   void reset();
@@ -220,12 +189,10 @@ class ScopedProfileCollection {
   vgpu::LaunchObserverScope scope_;
 };
 
-/// Canonical on-disk name: `PROFILE_<artifact>.json`.
-std::string profile_record_path(const std::string& artifact);
-
-/// Paper-style text rendering of a profile (the detection-time breakdown
-/// of `fdet_report profile show`): per-kernel cycle shares with the stall
+/// Paper-style text rendering of a snapshot record (the detection-time
+/// breakdown `fdet_report show` prints for a record holding
+/// profile.total_cycles): per-kernel cycle shares with the stall
 /// taxonomy, per-stage shares, and the attribution-coverage line.
-std::string render_profile_text(const ProfileRecord& record);
+std::string render_profile_text(const RunRecord& record);
 
 }  // namespace fdet::obs

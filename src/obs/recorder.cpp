@@ -100,6 +100,8 @@ void FlightRecorder::record(const FlightEvent& event) {
 }
 
 std::vector<FlightEvent> FlightRecorder::snapshot() const {
+  const std::uint64_t first =
+      first_visible_.load(std::memory_order_acquire);
   std::vector<std::pair<std::uint64_t, FlightEvent>> ordered;
   ordered.reserve(mask_ + 1);
   for (std::size_t i = 0; i <= mask_; ++i) {
@@ -116,9 +118,13 @@ std::vector<FlightEvent> FlightRecorder::snapshot() const {
     if (slot.seq.load(std::memory_order_relaxed) != seq1) {
       continue;  // torn: overwritten while reading
     }
+    const std::uint64_t ticket = (seq1 - 2) / 2;
+    if (ticket < first) {
+      continue;  // recorded before the last clear()
+    }
     FlightEvent event;
     std::memcpy(&event, buffer, sizeof(FlightEvent));
-    ordered.emplace_back((seq1 - 2) / 2, event);
+    ordered.emplace_back(ticket, event);
   }
   std::sort(ordered.begin(), ordered.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -149,6 +155,11 @@ std::vector<FlightEvent> FlightRecorder::snapshot_window(
     }
   }
   return recent;
+}
+
+void FlightRecorder::clear() {
+  first_visible_.store(head_.load(std::memory_order_acquire),
+                       std::memory_order_release);
 }
 
 std::uint64_t FlightRecorder::recorded() const {

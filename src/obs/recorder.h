@@ -103,6 +103,11 @@ class FlightRecorder {
   /// `window_us` of the newest event end.
   std::vector<FlightEvent> snapshot_window(double window_us) const;
 
+  /// Empties the ring in place: later snapshots hold only events
+  /// recorded after this call. Allocates nothing and overwrites no slot
+  /// (the ring remembers the first ticket still visible).
+  void clear();
+
   std::uint64_t recorded() const;  ///< total events ever recorded
   std::size_t capacity() const { return mask_ + 1; }
 
@@ -128,6 +133,7 @@ class FlightRecorder {
   std::unique_ptr<Slot[]> slots_;
   std::size_t mask_;
   std::atomic<std::uint64_t> head_{0};
+  std::atomic<std::uint64_t> first_visible_{0};  ///< clear() moves it
 };
 
 /// Anomaly header attached to a dump at the document root.

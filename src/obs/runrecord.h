@@ -5,9 +5,12 @@
 // it reproduces (fig5, table2, ...), the cascade/configuration variant,
 // and, per metric series, the raw sample from every measurement repeat
 // plus robust location/scale statistics (median and MAD). Records
-// serialize through obs::json as `BENCH_<artifact>.json`; committed
-// records at the repo root form the bench trajectory that
-// obs::compare_runs and the `fdet_report` CLI gate new runs against.
+// serialize through obs::json as `BENCH_<artifact>.json`. It is the one
+// persisted record schema: kernel profiles (`PROFILE_<artifact>.json`,
+// obs/profile.h) and the fleet record (`BENCH_fleet_chaos.json`) are run
+// records too. Committed records at the repo root form the trajectory
+// that `fdet_report diff` (obs::compare_runs) gates new runs against,
+// and `fdet_report show` renders.
 //
 // Schema (version 1):
 //

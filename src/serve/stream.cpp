@@ -107,6 +107,9 @@ void FrameExecutor::begin_run(double deadline_ms) {
   slo_.emplace(options);
   decoded_.clear();
   detected_.clear();
+  if (recorder_) {
+    recorder_->clear();
+  }
 }
 
 void FrameExecutor::count(const char* name, const obs::Labels& labels,

@@ -106,8 +106,9 @@ class FrameExecutor {
   /// The pipeline of ladder rung `level`, built on first use.
   const detect::Pipeline& pipeline(int level);
 
-  /// Starts a run: forgets the memo and opens a fresh SLO engine judging
-  /// frames against `deadline_ms`. Its recovery hysteresis (3 frames
+  /// Starts a run: forgets the memo, empties the flight recorder (a
+  /// run's dumps hold only its own events; virtual time restarts at 0)
+  /// and opens a fresh SLO engine judging frames against `deadline_ms`. Its recovery hysteresis (3 frames
   /// under 0.75 x deadline) is the ladder's; a tripped breaker resets it.
   void begin_run(double deadline_ms);
   obs::SloEngine& slo() { return *slo_; }

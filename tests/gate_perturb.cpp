@@ -1,22 +1,19 @@
-// gate_perturb — writes a copy of a record with one modeled series
-// scaled, so a ctest target can prove that the gate reading the record
-// fails (exit 2) on a small drift:
+// gate_perturb — writes a copy of a run record with one series scaled,
+// so a ctest target can prove that the gate reading the record fails
+// (exit 2) on a small drift:
 //
 //   gate_perturb <in.json> <out.json> <series> <factor>
 //
-// In a run record (BENCH_*.json) <series> is the identity the gate prints,
-// `name` or `name{key=value,...}`, and every sample and the median of that
-// one series are scaled; in a kernel profile (PROFILE_*.json) it names a
-// kernel, whose total cycles are scaled (the achieved occupancy the diff
-// derives from them moves too). Exits 1 when nothing matched, so a
-// renamed series cannot turn the gate test vacuous.
+// <series> is the identity the gate prints, `name` or
+// `name{key=value,...}`; every sample and the median of that one series
+// are scaled. Any record works: bench records (BENCH_*.json), kernel
+// profiles (PROFILE_*.json) and the fleet record. Exits 1 when nothing
+// matched, so a renamed series cannot turn the gate test vacuous.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
-#include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/runrecord.h"
 
 int main(int argc, char** argv) {
@@ -33,31 +30,19 @@ int main(int argc, char** argv) {
   const double factor = std::strtod(argv[4], nullptr);
 
   int matched = 0;
-  const obs::json::Value doc = obs::json::parse_file(in);
-  if (doc.find("kernels") != nullptr) {
-    obs::ProfileRecord record = obs::ProfileRecord::from_json(doc);
-    for (obs::KernelProfile& kernel : record.kernels) {
-      if (kernel.name == series) {
-        kernel.total_cycles *= factor;
-        ++matched;
+  obs::RunRecord record = obs::RunRecord::load_file(in);
+  for (obs::MetricSeries& metric : record.metrics) {
+    const std::string labels = obs::format_labels(metric.labels);
+    if ((labels.empty() ? metric.name : metric.name + "{" + labels + "}") ==
+        series) {
+      for (double& sample : metric.samples) {
+        sample *= factor;
       }
+      metric.median *= factor;
+      ++matched;
     }
-    record.write_file(out);
-  } else {
-    obs::RunRecord record = obs::RunRecord::from_json(doc);
-    for (obs::MetricSeries& metric : record.metrics) {
-      const std::string labels = obs::format_labels(metric.labels);
-      if ((labels.empty() ? metric.name
-                          : metric.name + "{" + labels + "}") == series) {
-        for (double& sample : metric.samples) {
-          sample *= factor;
-        }
-        metric.median *= factor;
-        ++matched;
-      }
-    }
-    record.write_file(out);
   }
+  record.write_file(out);
   if (matched == 0) {
     std::fprintf(stderr, "gate_perturb: no series '%s' in %s\n",
                  series.c_str(), in.c_str());

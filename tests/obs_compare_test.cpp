@@ -1,7 +1,6 @@
 // Statistical baseline comparison: direction inference, noise bands
 // (3×MAD vs float-printing dust), all five verdicts, exact series failing
-// on drift either way, and the text report used by bench --baseline
-// gating.
+// on drift either way, and the verdict lines `fdet_report diff` prints.
 #include "obs/compare.h"
 
 #include <gtest/gtest.h>
@@ -126,7 +125,7 @@ TEST(CompareRuns, ExactSeriesFailOnOnePercentDriftEitherWay) {
   EXPECT_EQ(down.drifted, 1);
   EXPECT_FALSE(down.ok());
   EXPECT_TRUE(v.fails());
-  EXPECT_NE(render_text_report(down).find("re-pin"), std::string::npos);
+  EXPECT_NE(describe(v).find("re-pin"), std::string::npos);
 }
 
 TEST(CompareRuns, FloatPrintingDustIsUnchanged) {
@@ -230,7 +229,7 @@ TEST(CompareRuns, NonFiniteMediansAreHandledDeterministically) {
   EXPECT_EQ(compare_runs(finite, both_nan).regressed, 1);
 }
 
-TEST(CompareReportText, NamesRegressedMetricAndSummarizes) {
+TEST(Describe, NamesRegressedMetricSortedFirst) {
   const RunRecord baseline =
       record({series("vgpu.makespan_ms", {4.0}, {{"mode", "concurrent"}}),
               series("vgpu.sm_utilization", {0.9})});
@@ -238,16 +237,16 @@ TEST(CompareReportText, NamesRegressedMetricAndSummarizes) {
       record({series("vgpu.makespan_ms", {4.8}, {{"mode", "concurrent"}}),
               series("vgpu.sm_utilization", {0.9})});
   const CompareReport report = compare_runs(baseline, current);
-  const std::string text = render_text_report(report);
-  EXPECT_NE(text.find("regressed"), std::string::npos);
-  EXPECT_NE(text.find("vgpu.makespan_ms{mode=concurrent}"), std::string::npos);
-  EXPECT_NE(text.find("GATE FAILED"), std::string::npos);
-  // Unchanged metrics stay out of the default report body.
-  EXPECT_EQ(text.find("vgpu.sm_utilization"), std::string::npos);
 
   // Regressions sort to the top regardless of name order.
-  ASSERT_FALSE(report.verdicts.empty());
+  ASSERT_EQ(report.verdicts.size(), 2u);
   EXPECT_EQ(report.verdicts.front().verdict, Verdict::kRegressed);
+  const std::string line = describe(report.verdicts.front());
+  EXPECT_EQ(line.rfind("regressed", 0), 0u);
+  EXPECT_NE(line.find("vgpu.makespan_ms{mode=concurrent}"), std::string::npos);
+  EXPECT_NE(line.find("+20.000%"), std::string::npos);
+  // A regression is not a drift to re-pin.
+  EXPECT_EQ(line.find("re-pin"), std::string::npos);
 }
 
 }  // namespace

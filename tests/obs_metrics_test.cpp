@@ -1,5 +1,5 @@
 // Metrics registry: metric kinds, label identity, histogram bucketing,
-// and the JSON/CSV exporters (validated by re-parsing through obs::json).
+// and the JSON exporter (validated by re-parsing through obs::json).
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
@@ -108,14 +108,15 @@ TEST(MetricsRegistry, JsonExportRoundTripsThroughParser) {
   EXPECT_EQ(metrics[1].at("labels").at("mode").as_string(), "serial");
 }
 
-TEST(MetricsRegistry, CsvExportHasHeaderAndOneRowPerField) {
+TEST(MetricsRegistry, JsonExportKeepsCommasInLabelValues) {
   Registry registry;
   registry.counter("n", {{"a", "x,y"}}).add(2.0);
-  const std::string csv = registry.to_csv();
-  EXPECT_EQ(csv.rfind("name,kind,labels,field,value\n", 0), 0u);
-  // The comma inside the label value must be quoted.
-  EXPECT_NE(csv.find("\"a=x,y\""), std::string::npos);
-  EXPECT_NE(csv.find("n,counter,"), std::string::npos);
+  const json::Value doc = json::parse(registry.to_json());
+  const json::Value& metric = doc.at("metrics").as_array()[0];
+  EXPECT_EQ(metric.at("name").as_string(), "n");
+  EXPECT_EQ(metric.at("kind").as_string(), "counter");
+  EXPECT_EQ(metric.at("labels").at("a").as_string(), "x,y");
+  EXPECT_DOUBLE_EQ(metric.at("value").as_number(), 2.0);
 }
 
 TEST(MetricsHistogram, ExportersEmitCumulativeBuckets) {
@@ -147,11 +148,6 @@ TEST(MetricsHistogram, ExportersEmitCumulativeBuckets) {
   // The +inf bucket equals the total count in a cumulative scheme.
   EXPECT_DOUBLE_EQ(buckets[2].at("count").as_number(),
                    doc.at("metrics").as_array()[0].at("count").as_number());
-
-  const std::string csv = registry.to_csv();
-  EXPECT_NE(csv.find("le_1,1\n"), std::string::npos);
-  EXPECT_NE(csv.find("le_5,3\n"), std::string::npos);
-  EXPECT_NE(csv.find("le_inf,4\n"), std::string::npos);
 }
 
 TEST(MetricsRegistry, CardinalityCapThrowsTypedError) {
@@ -259,10 +255,6 @@ TEST(ObsJson, RegistryWithNonFiniteValuesStaysParseable) {
   EXPECT_DOUBLE_EQ(metrics[0].at("value").as_number(), 1.5);   // "ok"
   EXPECT_TRUE(metrics[1].at("value").is_null());               // "rate"
   EXPECT_TRUE(metrics[2].at("value").is_null());               // "ratio"
-
-  // CSV rows carry the literal `null` cell rather than a fake 0.
-  EXPECT_NE(registry.to_csv().find("ratio,gauge,\"\",value,null"),
-            std::string::npos);
 }
 
 }  // namespace

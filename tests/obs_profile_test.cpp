@@ -1,8 +1,9 @@
 // Kernel profiler & performance attribution (obs/profile.h): base-name
 // rollup, stage/frame attribution with conservation across all three
-// axes, fallback buckets, the validating JSON round-trip, the RunRecord
-// projection feeding `fdet_report profile diff`, and end-to-end stage
-// attribution through detect::Pipeline.
+// axes on a snapshot record that went through write_file/load_file,
+// fallback buckets, `fdet_report diff` gating those records directly,
+// the text breakdown, and end-to-end stage attribution through
+// detect::Pipeline.
 #include "obs/profile.h"
 
 #include <gtest/gtest.h>
@@ -10,8 +11,8 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 
-#include "core/check.h"
 #include "core/rng.h"
 #include "detect/pipeline.h"
 #include "haar/profile.h"
@@ -59,20 +60,35 @@ vgpu::LaunchCost run_named(const std::string& name, int alu_per_lane) {
                         vgpu::SharedMem&) { ctx.alu(alu_per_lane); });
 }
 
-double sum_kernel_cycles(const ProfileRecord& record) {
-  double sum = 0.0;
-  for (const KernelProfile& k : record.kernels) {
-    sum += k.total_cycles;
-  }
-  return sum;
+/// The snapshot as a reader sees it: written to disk and loaded back.
+RunRecord round_trip(const KernelProfiler& profiler) {
+  const std::string path = "profile_roundtrip_tmp.json";
+  profiler.snapshot("test").write_file(path);
+  RunRecord record = RunRecord::load_file(path);
+  std::remove(path.c_str());
+  return record;
 }
 
-double sum_bucket_cycles(const std::vector<AttributionBucket>& buckets) {
-  double sum = 0.0;
-  for (const AttributionBucket& b : buckets) {
-    sum += b.cycles;
+/// Median of series `name{key=value}` (`name` alone with an empty key);
+/// NaN when absent.
+double value(const RunRecord& record, const std::string& name,
+             const std::string& key = "", const std::string& label = "") {
+  const MetricSeries* series =
+      record.find(name, key.empty() ? Labels{} : Labels{{key, label}});
+  return series == nullptr ? std::nan("") : series->median;
+}
+
+/// Σ and count of every series named `name`, whatever its labels.
+std::pair<double, int> sum_of(const RunRecord& record,
+                              const std::string& name) {
+  std::pair<double, int> total{0.0, 0};
+  for (const MetricSeries& series : record.metrics) {
+    if (series.name == name) {
+      total.first += series.median;
+      ++total.second;
+    }
   }
-  return sum;
+  return total;
 }
 
 TEST(KernelProfiler, ConservesCyclesAcrossAllThreeAxes) {
@@ -99,41 +115,37 @@ TEST(KernelProfiler, ConservesCyclesAcrossAllThreeAxes) {
   }
 
   EXPECT_EQ(profiler.launches(), 5u);
-  const ProfileRecord record = profiler.snapshot("test");
-  EXPECT_EQ(record.launches, 5u);
-  ASSERT_GT(record.total_cycles, 0.0);
+  const RunRecord record = round_trip(profiler);
+  EXPECT_EQ(record.repeats, 1);
+  EXPECT_EQ(value(record, "profile.launches"), 5.0);
+  const double total = value(record, "profile.total_cycles");
+  ASSERT_GT(total, 0.0);
 
   // Every bucket sums the same per-launch service cycles, so kernel,
   // stage, and frame totals all equal the grand total.
-  const double tol = record.total_cycles * 1e-9;
-  EXPECT_NEAR(sum_kernel_cycles(record), record.total_cycles, tol);
-  EXPECT_NEAR(sum_bucket_cycles(record.stages), record.total_cycles, tol);
-  EXPECT_NEAR(sum_bucket_cycles(record.frames), record.total_cycles, tol);
+  const double tol = total * 1e-9;
+  EXPECT_NEAR(sum_of(record, "profile.kernel.cycles").first, total, tol);
+  EXPECT_NEAR(sum_of(record, "profile.stage.cycles").first, total, tol);
+  EXPECT_NEAR(sum_of(record, "profile.frame.cycles").first, total, tol);
+  EXPECT_EQ(sum_of(record, "profile.frame.launches").first, 5.0);
 
   // The per-scale cascade launches rolled up under one base name.
-  const KernelProfile* cascade = record.find_kernel("cascade");
-  ASSERT_NE(cascade, nullptr);
-  EXPECT_EQ(cascade->launches, 3u);
-  EXPECT_EQ(record.find_kernel("cascade_s0"), nullptr);
+  EXPECT_EQ(value(record, "profile.kernel.launches", "kernel", "cascade"),
+            3.0);
+  EXPECT_EQ(record.find("profile.kernel.cycles", {{"kernel", "cascade_s0"}}),
+            nullptr);
 
   // Two stages, two frames, keyed as installed.
-  ASSERT_EQ(record.stages.size(), 2u);
-  const AttributionBucket* integral = record.find_stage("integral");
-  ASSERT_NE(integral, nullptr);
-  EXPECT_EQ(integral->launches, 2u);
-  ASSERT_EQ(record.frames.size(), 2u);
-  // Frames sort by name (hex trace id); both installed contexts appear.
-  const auto has_frame = [&](std::uint64_t trace_id) {
-    const std::string id = hex_id(trace_id);
-    for (const AttributionBucket& f : record.frames) {
-      if (f.name == id) {
-        return true;
-      }
-    }
-    return false;
-  };
-  EXPECT_TRUE(has_frame(make_frame_context(42, 0).trace_id));
-  EXPECT_TRUE(has_frame(make_frame_context(42, 1).trace_id));
+  EXPECT_EQ(sum_of(record, "profile.stage.cycles").second, 2);
+  EXPECT_EQ(value(record, "profile.stage.launches", "stage", "integral"),
+            2.0);
+  EXPECT_EQ(sum_of(record, "profile.frame.cycles").second, 2);
+  for (const int frame : {0, 1}) {
+    EXPECT_NE(record.find("profile.frame.cycles",
+                          {{"frame",
+                            hex_id(make_frame_context(42, frame).trace_id)}}),
+              nullptr);
+  }
 }
 
 TEST(KernelProfiler, FallbackBucketsCatchUnscopedLaunches) {
@@ -142,13 +154,15 @@ TEST(KernelProfiler, FallbackBucketsCatchUnscopedLaunches) {
     const ScopedProfileCollection collection(profiler);
     run_named("orphan", 4);  // no stage scope, no trace context
   }
-  const ProfileRecord record = profiler.snapshot("test");
-  ASSERT_EQ(record.stages.size(), 1u);
-  EXPECT_EQ(record.stages[0].name, kUnattributedStage);
-  ASSERT_EQ(record.frames.size(), 1u);
-  EXPECT_EQ(record.frames[0].name, kNoFrame);
+  const RunRecord record = round_trip(profiler);
+  EXPECT_EQ(sum_of(record, "profile.stage.cycles").second, 1);
+  EXPECT_EQ(sum_of(record, "profile.frame.cycles").second, 1);
   // Fallback launches still count toward the conserved total.
-  EXPECT_NEAR(record.stages[0].cycles, record.total_cycles, 1e-9);
+  EXPECT_NEAR(value(record, "profile.stage.cycles", "stage",
+                    kUnattributedStage),
+              value(record, "profile.total_cycles"), 1e-9);
+  EXPECT_NEAR(value(record, "profile.frame.cycles", "frame", kNoFrame),
+              value(record, "profile.total_cycles"), 1e-9);
 }
 
 TEST(KernelProfiler, NestedCollectionsBothObserve) {
@@ -165,10 +179,9 @@ TEST(KernelProfiler, NestedCollectionsBothObserve) {
   }
   run_named("seen", 4);
   EXPECT_EQ(outer.launches(), 3u);
-  const ProfileRecord record = outer.snapshot("test");
-  ASSERT_NE(record.find_kernel("nested"), nullptr);
-  ASSERT_NE(record.find_kernel("seen"), nullptr);
-  EXPECT_EQ(record.find_kernel("seen")->launches, 2u);
+  const RunRecord record = outer.snapshot("test");
+  EXPECT_EQ(value(record, "profile.kernel.launches", "kernel", "nested"), 1.0);
+  EXPECT_EQ(value(record, "profile.kernel.launches", "kernel", "seen"), 2.0);
 }
 
 TEST(KernelProfiler, ResetDiscardsCollectedLaunches) {
@@ -181,80 +194,8 @@ TEST(KernelProfiler, ResetDiscardsCollectedLaunches) {
   profiler.reset();
   EXPECT_EQ(profiler.launches(), 0u);
   EXPECT_DOUBLE_EQ(profiler.total_cycles(), 0.0);
-  EXPECT_TRUE(profiler.snapshot("test").kernels.empty());
-}
-
-ProfileRecord sample_record() {
-  KernelProfiler profiler;
-  {
-    const ScopedProfileCollection collection(profiler);
-    const ScopedTraceContext frame(make_frame_context(7, 0));
-    const ProfileStageScope stage("integral");
-    run_named("scan_s0", 8);
-    run_named("scan_s1", 6);
-    run_named("transpose", 3);
-  }
-  return profiler.snapshot("roundtrip", "ours", {{"host", "test"}});
-}
-
-TEST(ProfileRecordJson, DumpParsesBackIdentically) {
-  const ProfileRecord record = sample_record();
-  const ProfileRecord reparsed = ProfileRecord::parse(record.dump());
-
-  EXPECT_EQ(reparsed.schema_version, kProfileSchemaVersion);
-  EXPECT_EQ(reparsed.artifact, "roundtrip");
-  EXPECT_EQ(reparsed.variant, "ours");
-  EXPECT_EQ(format_labels(reparsed.labels), "host=test");
-  EXPECT_EQ(reparsed.launches, record.launches);
-  EXPECT_DOUBLE_EQ(reparsed.total_cycles, record.total_cycles);
-  EXPECT_DOUBLE_EQ(reparsed.ridge_ops_per_byte, record.ridge_ops_per_byte);
-
-  ASSERT_EQ(reparsed.kernels.size(), record.kernels.size());
-  for (std::size_t i = 0; i < record.kernels.size(); ++i) {
-    const KernelProfile& a = record.kernels[i];
-    const KernelProfile& b = reparsed.kernels[i];
-    EXPECT_EQ(a.name, b.name);
-    EXPECT_EQ(a.launches, b.launches);
-    EXPECT_DOUBLE_EQ(a.total_cycles, b.total_cycles);
-    EXPECT_DOUBLE_EQ(a.issue_cycles, b.issue_cycles);
-    EXPECT_DOUBLE_EQ(a.stall_cycles, b.stall_cycles);
-    EXPECT_DOUBLE_EQ(a.divergence_cycles, b.divergence_cycles);
-    EXPECT_DOUBLE_EQ(a.bank_conflict_cycles, b.bank_conflict_cycles);
-    EXPECT_DOUBLE_EQ(a.occupancy_limited_cycles, b.occupancy_limited_cycles);
-    EXPECT_DOUBLE_EQ(a.occupancy_cycles, b.occupancy_cycles);
-    EXPECT_EQ(a.arithmetic_ops, b.arithmetic_ops);
-    EXPECT_EQ(a.global_bytes, b.global_bytes);
-  }
-  ASSERT_EQ(reparsed.stages.size(), record.stages.size());
-  ASSERT_EQ(reparsed.frames.size(), record.frames.size());
-  EXPECT_EQ(reparsed.frames[0].name, record.frames[0].name);
-}
-
-TEST(ProfileRecordJson, FileRoundTripThroughWriteAndLoad) {
-  const ProfileRecord record = sample_record();
-  const std::string path = "profile_roundtrip_tmp.json";
-  record.write_file(path);
-  const ProfileRecord loaded = ProfileRecord::load_file(path);
-  EXPECT_EQ(loaded.artifact, "roundtrip");
-  EXPECT_DOUBLE_EQ(loaded.total_cycles, record.total_cycles);
-  std::remove(path.c_str());
-}
-
-TEST(ProfileRecordJson, RejectsSchemaMismatchAndMissingFields) {
-  const ProfileRecord record = sample_record();
-  json::Value::Object members = record.to_json().as_object();
-  for (auto& [key, value] : members) {
-    if (key == "schema_version") {
-      value = json::Value::make_number(kProfileSchemaVersion + 1);
-    }
-  }
-  const json::Value wrong_schema = json::Value::make_object(members);
-  EXPECT_THROW(ProfileRecord::from_json(wrong_schema), core::CheckError);
-
-  EXPECT_THROW(ProfileRecord::parse("{}"), core::CheckError);
-  EXPECT_THROW(ProfileRecord::parse("not json"), core::CheckError);
-  EXPECT_THROW(ProfileRecord::load_file("no_such_profile.json"),
-               core::CheckError);
+  EXPECT_EQ(sum_of(profiler.snapshot("test"), "profile.kernel.cycles").second,
+            0);
 }
 
 TEST(KernelProfileDerived, RatiosAndRooflineClassification) {
@@ -278,48 +219,48 @@ TEST(KernelProfileDerived, RatiosAndRooflineClassification) {
   EXPECT_STREQ(k.roofline_bound(1.0), "compute");
 }
 
-/// Hand-built single-kernel record for direction-sensitive diff tests.
-ProfileRecord synthetic_record(double cascade_cycles, double occ_limited,
-                               std::uint64_t conflicts, double occupancy) {
-  ProfileRecord r;
-  r.artifact = "synthetic";
-  r.ridge_ops_per_byte = 4.0;
-  KernelProfile k;
-  k.name = "cascade";
-  k.launches = 10;
-  k.total_cycles = cascade_cycles;
-  k.issue_cycles = cascade_cycles * 0.8;
-  k.stall_cycles = cascade_cycles * 0.2;
-  k.occupancy_limited_cycles = occ_limited;
-  k.occupancy_cycles = cascade_cycles * occupancy;
-  k.bank_conflicts = conflicts;
-  k.global_transactions = 1000;
-  k.warp_branches = 100;
-  r.kernels.push_back(k);
-  AttributionBucket stage;
-  stage.name = "cascade";
-  stage.launches = 10;
-  stage.cycles = cascade_cycles;
-  r.stages.push_back(stage);
-  r.launches = 10;
-  r.total_cycles = cascade_cycles;
-  return r;
+/// A written-and-reloaded profile of one `cascade` stage with a few
+/// launches, plus per-kernel derived ratios, for the diff tests.
+RunRecord cascade_record() {
+  KernelProfiler profiler;
+  {
+    const ScopedProfileCollection collection(profiler);
+    const ScopedTraceContext frame(make_frame_context(7, 0));
+    const ProfileStageScope stage("cascade");
+    run_named("cascade_s0", 16);
+    run_named("cascade_s1", 8);
+  }
+  return round_trip(profiler);
 }
 
-TEST(ProfileDiff, CycleGrowthRegressesThroughRunRecordProjection) {
-  const ProfileRecord baseline = synthetic_record(1000.0, 50.0, 10, 0.6);
-  const ProfileRecord slower = synthetic_record(1500.0, 50.0, 10, 0.6);
-  const CompareReport report =
-      compare_runs(baseline.to_run_record(), slower.to_run_record());
+/// `record` with series `name{kernel=cascade}` set to `v`.
+RunRecord with_cascade(RunRecord record, const std::string& name, double v) {
+  for (MetricSeries& series : record.metrics) {
+    if (series.name == name && format_labels(series.labels) == "kernel=cascade") {
+      series.samples = {v};
+      series.median = v;
+      return record;
+    }
+  }
+  ADD_FAILURE() << "no series " << name << "{kernel=cascade}";
+  return record;
+}
+
+TEST(ProfileDiff, CycleGrowthRegresses) {
+  const RunRecord baseline = cascade_record();
+  const double cycles =
+      value(baseline, "profile.kernel.cycles", "kernel", "cascade");
+  const RunRecord slower =
+      with_cascade(baseline, "profile.kernel.cycles", cycles * 1.5);
+  const CompareReport report = compare_runs(baseline, slower);
   EXPECT_FALSE(report.ok());
-  EXPECT_GT(report.regressed, 0);
+  EXPECT_EQ(report.regressed, 1);
   // The reverse direction reads "improved" rather than "regressed" — yet
   // a profile series is deterministic, so the gate still fails until the
   // committed profile is re-pinned.
-  const CompareReport reverse =
-      compare_runs(slower.to_run_record(), baseline.to_run_record());
+  const CompareReport reverse = compare_runs(slower, baseline);
   EXPECT_EQ(reverse.regressed, 0);
-  EXPECT_GT(reverse.improved, 0);
+  EXPECT_EQ(reverse.improved, 1);
   EXPECT_EQ(reverse.drifted, reverse.improved);
   EXPECT_FALSE(reverse.ok());
 }
@@ -328,46 +269,58 @@ TEST(ProfileDiff, OccupancyLimitedCyclesGateAsLowerIsBetter) {
   // "occupancy_limited_cycles" contains both "occupancy" (higher is
   // better) and "cycles" (lower is better); the cycles rule must win,
   // so growth regresses.
-  const ProfileRecord baseline = synthetic_record(1000.0, 50.0, 10, 0.6);
-  const ProfileRecord worse = synthetic_record(1000.0, 400.0, 10, 0.6);
-  const CompareReport report =
-      compare_runs(baseline.to_run_record(), worse.to_run_record());
+  const RunRecord baseline = cascade_record();
+  const double limited = value(baseline, "profile.kernel.occupancy_limited_cycles",
+                               "kernel", "cascade");
+  const CompareReport report = compare_runs(
+      baseline, with_cascade(baseline, "profile.kernel.occupancy_limited_cycles",
+                             limited * 8.0 + 1.0));
+  EXPECT_EQ(report.regressed, 1);
   EXPECT_FALSE(report.ok());
 }
 
 TEST(ProfileDiff, ConflictGrowthAndOccupancyDropRegress) {
-  const ProfileRecord baseline = synthetic_record(1000.0, 50.0, 10, 0.6);
-  const ProfileRecord conflicted = synthetic_record(1000.0, 50.0, 500, 0.6);
-  EXPECT_FALSE(
-      compare_runs(baseline.to_run_record(), conflicted.to_run_record()).ok());
+  const RunRecord baseline = cascade_record();
+  const CompareReport conflicted = compare_runs(
+      baseline, with_cascade(baseline, "profile.kernel.bank_conflicts", 500.0));
+  EXPECT_EQ(conflicted.regressed, 1);
+  EXPECT_FALSE(conflicted.ok());
 
-  const ProfileRecord less_occupied = synthetic_record(1000.0, 50.0, 10, 0.3);
-  EXPECT_FALSE(compare_runs(baseline.to_run_record(),
-                            less_occupied.to_run_record())
-                   .ok());
+  const double occupancy =
+      value(baseline, "profile.kernel.achieved_occupancy", "kernel", "cascade");
+  const CompareReport less_occupied = compare_runs(
+      baseline, with_cascade(baseline, "profile.kernel.achieved_occupancy",
+                             occupancy * 0.5));
+  EXPECT_EQ(less_occupied.regressed, 1);
+  EXPECT_FALSE(less_occupied.ok());
 }
 
 TEST(ProfileDiff, IdenticalRecordsPass) {
-  const ProfileRecord record = synthetic_record(1000.0, 50.0, 10, 0.6);
-  const CompareReport report =
-      compare_runs(record.to_run_record(), record.to_run_record());
+  const RunRecord record = cascade_record();
+  const CompareReport report = compare_runs(record, record);
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.regressed, 0);
+  EXPECT_EQ(report.unchanged, static_cast<int>(record.metrics.size()));
 }
 
 TEST(ProfileRender, TextNamesKernelsStagesAndCoverage) {
-  const ProfileRecord record = sample_record();
-  const std::string text = render_profile_text(record);
-  EXPECT_NE(text.find("PROFILE roundtrip"), std::string::npos);
-  EXPECT_NE(text.find("scan"), std::string::npos);
+  KernelProfiler profiler;
+  {
+    const ScopedProfileCollection collection(profiler);
+    const ScopedTraceContext frame(make_frame_context(7, 0));
+    const ProfileStageScope stage("integral");
+    run_named("scan_s0", 8);
+    run_named("scan_s1", 6);
+    run_named("transpose", 3);
+  }
+  const std::string text = render_profile_text(round_trip(profiler));
+  EXPECT_NE(text.find("PROFILE test"), std::string::npos);
+  EXPECT_NE(text.find("scan                2"), std::string::npos);
   EXPECT_NE(text.find("stage breakdown"), std::string::npos);
   EXPECT_NE(text.find("integral"), std::string::npos);
   EXPECT_NE(text.find("attribution:"), std::string::npos);
   EXPECT_NE(text.find("100.0%"), std::string::npos);
-}
-
-TEST(ProfilePath, CanonicalArtifactName) {
-  EXPECT_EQ(profile_record_path("fig5"), "PROFILE_fig5.json");
+  EXPECT_NE(text.find("in 1 frames"), std::string::npos);
 }
 
 // --- pipeline integration ----------------------------------------------
@@ -396,30 +349,34 @@ TEST(PipelineAttribution, StagesCoverTimelineBusyCycles) {
     result = pipeline.process(frame);
   }
   ASSERT_GT(profiler.launches(), 0u);
-  const ProfileRecord record = profiler.snapshot("pipeline");
+  const RunRecord record = round_trip(profiler);
 
   // Stage scopes installed by the pipeline cover every launch: nothing
   // lands in the fallback bucket, and the expected stages are present.
-  EXPECT_EQ(record.find_stage(kUnattributedStage), nullptr);
-  ASSERT_NE(record.find_stage("scale"), nullptr);
-  ASSERT_NE(record.find_stage("integral"), nullptr);
-  ASSERT_NE(record.find_stage("cascade"), nullptr);
+  EXPECT_EQ(record.find("profile.stage.cycles", {{"stage", kUnattributedStage}}),
+            nullptr);
+  for (const char* stage : {"scale", "integral", "cascade"}) {
+    EXPECT_NE(record.find("profile.stage.cycles", {{"stage", stage}}), nullptr)
+        << stage;
+  }
 
   // All cycles land in the frame's trace bucket.
-  ASSERT_EQ(record.frames.size(), 1u);
-  EXPECT_EQ(record.frames[0].name,
-            hex_id(make_frame_context(2012, 0).trace_id));
+  const double total = value(record, "profile.total_cycles");
+  EXPECT_EQ(sum_of(record, "profile.frame.cycles").second, 1);
+  EXPECT_DOUBLE_EQ(
+      value(record, "profile.frame.cycles", "frame",
+            hex_id(make_frame_context(2012, 0).trace_id)),
+      total);
 
   // Conservation against the scheduler: the profiler's grand total is
   // exactly the busy SM time the timeline accounts for this frame.
-  EXPECT_NEAR(spec.cycles_to_seconds(record.total_cycles),
-              result.timeline.sm_busy_s,
+  EXPECT_NEAR(spec.cycles_to_seconds(total), result.timeline.sm_busy_s,
               result.timeline.sm_busy_s * 1e-9);
 
   // The paper's headline attribution is expressible from the record: the
   // integral stage is a meaningful but minority share of detection time.
-  const AttributionBucket* integral = record.find_stage("integral");
-  const double integral_share = integral->cycles / record.total_cycles;
+  const double integral_share =
+      value(record, "profile.stage.cycles", "stage", "integral") / total;
   EXPECT_GT(integral_share, 0.0);
   EXPECT_LT(integral_share, 0.9);
 }

@@ -102,6 +102,29 @@ TEST(FlightRecorder, SnapshotWindowKeepsOnlyRecentHistory) {
   EXPECT_EQ(recorder.snapshot_window(1e12).size(), 10u);
 }
 
+TEST(FlightRecorder, ClearHidesEarlierEventsWithoutReallocating) {
+  // A run that restarts virtual time at 0 must not see the previous
+  // run's later timestamps: after clear() the window is cut from the new
+  // events alone, in the same ring.
+  FlightRecorder recorder(16);
+  for (int i = 0; i < 12; ++i) {
+    recorder.record(make_event(i, 1000.0 * i, FlightEventKind::kFrame, "old"));
+  }
+  const std::size_t capacity = recorder.capacity();
+  recorder.clear();
+  EXPECT_TRUE(recorder.snapshot().empty());
+  for (int i = 0; i < 3; ++i) {
+    recorder.record(make_event(i, 10.0 * i, FlightEventKind::kFrame, "new"));
+  }
+  EXPECT_EQ(recorder.capacity(), capacity);
+  EXPECT_EQ(recorder.recorded(), 15u);  // every event ever recorded
+  const auto events = recorder.snapshot_window(15.0);  // newest end = 20
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events.front().frame, 1);
+  EXPECT_STREQ(events.back().name, "new");
+  EXPECT_EQ(recorder.snapshot().size(), 3u);
+}
+
 TEST(FlightRecorder, ConcurrentWritersLoseNothingWhenRingIsLargeEnough) {
   constexpr int kThreads = 4;
   constexpr int kPerThread = 2000;

@@ -368,6 +368,9 @@ TEST(StreamingService, AnomalyDumpsNameFrameStageAndCause) {
   options.obs.dump_dir = dir.string();
   StreamingService service(vgpu::DeviceSpec{}, service_cascade(), {},
                            options);
+  // A fault-free run first, on the same service: the faulted run's dumps
+  // must hold none of its events (virtual time restarts at 0 each run).
+  EXPECT_TRUE(service.run(source, 6).dumps.empty());
   const FaultPlan plan = FaultPlan::parse("const@3", 1);
   const ServiceReport report = service.run(source, 6, &plan);
 
@@ -381,7 +384,20 @@ TEST(StreamingService, AnomalyDumpsNameFrameStageAndCause) {
     EXPECT_DOUBLE_EQ(anomaly.at("frame").as_number(), 3.0);
     EXPECT_NE(anomaly.at("cause").as_string().find("fault:const"),
               std::string::npos);
-    EXPECT_FALSE(doc.at("traceEvents").as_array().empty());
+    // The dump holds its own frame's span and nothing of a later frame.
+    bool own_frame_span = false;
+    for (const obs::json::Value& event : doc.at("traceEvents").as_array()) {
+      const obs::json::Value* args = event.find("args");
+      const obs::json::Value* frame =
+          args == nullptr ? nullptr : args->find("frame");
+      if (frame == nullptr) {
+        continue;
+      }
+      EXPECT_LE(frame->as_number(), 3.0) << dump.path;
+      own_frame_span |= frame->as_number() == 3.0 &&
+                        args->at("kind").as_string() == "frame";
+    }
+    EXPECT_TRUE(own_frame_span) << dump.path;
     saw_quarantine |= anomaly.at("kind").as_string() == "quarantine";
     // The causal chain in the header matches the frame record.
     EXPECT_EQ(anomaly.at("cause").as_string(), report.frames[3].cause);

@@ -16,7 +16,8 @@
 //   7. with --dump-dir set (default), every injected deterministic fault's
 //      frame yields a flight-recorder dump whose causal chain names the
 //      fault kind, every provoked anomaly class is covered, and each dump
-//      on disk is a parseable Perfetto document.
+//      on disk is a parseable Perfetto document holding its own frame's
+//      `frame` span and no event of a later frame.
 //
 // Exit codes: 0 all invariants hold, 1 usage error, 2 invariant violated
 // (or the harness itself crashed, which is invariant 1 failing).
@@ -141,7 +142,7 @@ int run_chaos(int argc, char** argv) {
   cli.flag("seed", seed, "fault-plan + jitter seed");
   cli.flag("max-unserved", max_unserved,
            "invariant: longest tolerated failed/dropped streak");
-  cli.flag("metrics-out", metrics_out, "write serve.* metrics JSON/CSV here");
+  cli.flag("metrics-out", metrics_out, "write serve.* metrics JSON here");
   cli.flag("trace-out", trace_out, "write the chaos-run Chrome trace here");
   cli.flag("dump-dir", dump_dir,
            "flight-recorder anomaly dump directory (\"\" disables dumps "
@@ -311,7 +312,8 @@ int run_chaos(int argc, char** argv) {
   //    injected deterministic fault's frame produces a dump whose causal
   //    chain names the fault kind; every anomaly class the default plan
   //    provokes is covered; and each dump file on disk is a parseable
-  //    Perfetto document whose anomaly header matches the served frame.
+  //    Perfetto document whose anomaly header matches the served frame
+  //    and whose events are the frame's own window of this run.
   if (!dump_dir.empty()) {
     expect(clean.dumps.empty(),
            "fault-free run wrote " + std::to_string(clean.dumps.size()) +
@@ -347,8 +349,30 @@ int run_chaos(int argc, char** argv) {
         expect(anomaly.at("kind").as_string() ==
                    obs::anomaly_name(dump.kind),
                dump.path + ": anomaly header kind mismatch");
-        expect(!doc.at("traceEvents").as_array().empty(),
-               dump.path + ": empty traceEvents");
+        // The window is the dumped frame's own: its `frame` span is in
+        // it, and no event of a later frame (or of an earlier run).
+        bool own_frame_span = false;
+        int later_events = 0;
+        for (const obs::json::Value& event :
+             doc.at("traceEvents").as_array()) {
+          const obs::json::Value* args = event.find("args");
+          const obs::json::Value* frame =
+              args == nullptr ? nullptr : args->find("frame");
+          if (frame == nullptr) {
+            continue;
+          }
+          const int index = static_cast<int>(frame->as_number());
+          later_events += index > dump.frame ? 1 : 0;
+          own_frame_span = own_frame_span ||
+                           (index == dump.frame &&
+                            args->at("kind").as_string() == "frame");
+        }
+        expect(own_frame_span,
+               dump.path + ": no frame span of frame " +
+                   std::to_string(dump.frame));
+        expect(later_events == 0,
+               dump.path + ": " + std::to_string(later_events) +
+                   " event(s) of later frames");
       } catch (const std::exception& error) {
         expect(false, dump.path + " is not a valid flight dump: " +
                           error.what());

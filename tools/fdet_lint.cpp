@@ -24,9 +24,9 @@
 //   --suppress=k@n,...          lint only: extra suppressions (kind@kernel
 //                               or kind@*) on top of registry ones
 //   --metrics-out=f             export vgpu.check.* (check) or
-//                               analyze.lint.* (lint) metrics, which
-//                               `fdet_report show` / `fdet_report lint`
-//                               render as tables
+//                               analyze.lint.* (lint) metrics as JSON,
+//                               which `fdet_report show` renders as
+//                               tables
 //
 // Exit codes, both modes: 0 the gate passes (every kernel clean; with
 // --seeded, every planted defect detected), 1 usage error, 2 the gate
@@ -486,7 +486,7 @@ int main(int argc, char** argv) {
   cli.flag("suppress", suppress,
            "lint: comma-separated suppressions (kind@kernel or kind@*)");
   cli.flag("metrics-out", metrics_out,
-           "export vgpu.check.* / analyze.lint.* metrics (.json or .csv)");
+           "export vgpu.check.* / analyze.lint.* metrics (JSON)");
   // Shift out the mode so the flag parser sees only flags.
   std::vector<char*> args = {argv[0]};
   args.insert(args.end(), argv + 2, argv + argc);
