@@ -6,7 +6,6 @@
 
 #include <cstdio>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,49 +41,45 @@ inline void print_header(const char* artifact, const char* description) {
   std::printf("==============================================================\n\n");
 }
 
-/// Machine-readable run record shared by every bench binary: a metrics
-/// registry per measurement repeat plus an ambient trace session.
-/// Construct before parsing, register flags via add_flags, and return
-/// finish()'s exit code after the printed tables:
+/// Machine-readable run record shared by every bench binary: one metrics
+/// registry plus an ambient trace session. Construct before parsing,
+/// register flags via add_flags, and return finish()'s exit code after
+/// the printed tables:
 ///
 ///   bench::RunRecorder run("fig6");
 ///   core::Cli cli("bench_fig6_kernel_trace");
 ///   run.add_flags(cli);
 ///   ...
-///   for (int rep = 0; rep < run.repeats(); ++rep) {
-///     run.begin_repeat(rep);
-///     obs::publish_timeline(run.metrics(), tl, {{"mode", "concurrent"}});
-///     if (rep == 0) run.add_timeline("concurrent", tl);
-///   }
+///   obs::publish_timeline(run.metrics(), tl, {{"mode", "concurrent"}});
+///   run.add_timeline("concurrent", tl);
 ///   return run.finish();
 ///
 /// Artifacts:
 ///   --trace-out         Chrome/Perfetto trace (ambient TraceSession; the
 ///                       binary's lifetime, so library-internal spans land
 ///                       automatically)
-///   --metrics-out       metrics registry of the *last* repeat (JSON)
-///   --profile-out       kernel profile (a one-repeat obs::RunRecord of
-///                       profile.* series, obs/profile.h) aggregated over
-///                       every launch of the binary's lifetime — the
-///                       collector is installed from construction, so all
-///                       repeats fold into one record
-///   --record-out        obs::RunRecord aggregating all repeats (median +
-///                       MAD per series); defaults to BENCH_<artifact>.json
-///                       in the working directory, empty disables
-///   --repeat            measurement repetitions folded into the record
+///   --metrics-out       the metrics registry (JSON)
+///   --profile-out       kernel profile (an obs::RunRecord of profile.*
+///                       series, obs/profile.h) aggregated over every
+///                       launch of the binary's lifetime — the collector
+///                       is installed from construction
+///   --record-out        obs::RunRecord of the registry, one value per
+///                       series; defaults to BENCH_<artifact>.json in the
+///                       working directory, empty disables
 ///   --variant           configuration variant stamped into both records
 ///
-/// Gating is `fdet_report diff <baseline> <record>`, on the files these
-/// flags write. finish() re-parses whatever it wrote — an invalid
-/// artifact fails loudly, which is what the ctest smoke targets rely on.
+/// Every recorded series is on the deterministic modeled clock, so one
+/// run is the measurement. Gating is `fdet_report diff <baseline>
+/// <record>`, on the files these flags write. finish() re-parses
+/// whatever it wrote — an invalid artifact fails loudly, which is what
+/// the ctest smoke targets rely on.
 class RunRecorder {
  public:
   explicit RunRecorder(std::string artifact)
       : artifact_(std::move(artifact)),
         record_out_(obs::run_record_path(artifact_)) {
     session_.install();
-    repeats_.push_back(std::make_unique<obs::Registry>());
-    metrics().gauge("bench.schema_version").set(1.0);
+    metrics_.gauge("bench.schema_version").set(1.0);
   }
 
   ~RunRecorder() { session_.uninstall(); }
@@ -97,38 +92,15 @@ class RunRecorder {
              "run-record path (empty disables writing)");
     cli.flag("profile-out", profile_out_,
              "kernel-profile record path (empty disables writing)");
-    cli.flag("repeat", repeat_,
-             "measurement repetitions aggregated into the run record");
     cli.flag("variant", variant_,
              "configuration variant stamped into the run record");
   }
 
-  /// Effective repetition count (>= 1 regardless of the flag value).
-  int repeats() const { return repeat_ < 1 ? 1 : repeat_; }
-
-  /// Registry of the current repeat. Call sites that don't loop keep
-  /// publishing into repeat 0, exactly the pre-repeat behavior.
-  obs::Registry& metrics() { return *repeats_.back(); }
+  obs::Registry& metrics() { return metrics_; }
   obs::TraceSession& trace() { return session_; }
   /// Kernel profiler collecting every launch on this thread (the
   /// collection scope lives as long as the recorder).
   obs::KernelProfiler& profiler() { return profiler_; }
-
-  /// Starts measurement repetition `rep` (0-based): rep 0 reuses the
-  /// registry that exists from construction, later reps get a fresh one
-  /// so counters/gauges are per-repeat samples. Benches typically print
-  /// their tables only when rep == 0.
-  void begin_repeat(int rep) {
-    FDET_CHECK(rep == static_cast<int>(repeats_.size()) - 1 || rep == static_cast<int>(repeats_.size()))
-        << "begin_repeat(" << rep << ") out of order";
-    if (rep == 0) {
-      return;
-    }
-    if (rep == static_cast<int>(repeats_.size())) {
-      repeats_.push_back(std::make_unique<obs::Registry>());
-      metrics().gauge("bench.schema_version").set(1.0);
-    }
-  }
 
   /// True when --trace-out was given; use to skip building large device
   /// tracks no one will read.
@@ -143,13 +115,6 @@ class RunRecorder {
   /// Writes the requested artifacts, validating each by re-parsing.
   /// Returns the process exit code, 0.
   int finish() {
-    // A bench that accepts --repeat but never runs the begin_repeat()
-    // loop would silently write a 1-repeat record claiming fewer
-    // samples than the user asked for; refuse instead.
-    FDET_CHECK(static_cast<int>(repeats_.size()) == repeats())
-        << "--repeat=" << repeat_ << " requested but " << artifact_
-        << " recorded " << repeats_.size()
-        << " repeat(s); this bench does not implement the repeat loop";
     // Host wall time is printed, not recorded: the records hold the
     // deterministic modeled clock, and perfbench owns the host clock.
     std::printf("\n[%s] bench.wall_seconds %.3f\n", artifact_.c_str(),
@@ -164,12 +129,12 @@ class RunRecorder {
                   trace.at("traceEvents").as_array().size());
     }
     if (!metrics_out_.empty()) {
-      metrics().write_file(metrics_out_);
+      metrics_.write_file(metrics_out_);
       const obs::json::Value doc = obs::json::parse_file(metrics_out_);
       FDET_CHECK(!doc.at("metrics").as_array().empty())
           << "metrics '" << metrics_out_ << "' is empty";
       std::printf("[%s] metrics written to %s (%zu series)\n",
-                  artifact_.c_str(), metrics_out_.c_str(), metrics().size());
+                  artifact_.c_str(), metrics_out_.c_str(), metrics_.size());
     }
 
     if (!profile_out_.empty()) {
@@ -181,19 +146,14 @@ class RunRecorder {
     }
 
     if (!record_out_.empty()) {
-      std::vector<const obs::Registry*> registries;
-      for (const auto& registry : repeats_) {
-        registries.push_back(registry.get());
-      }
-      obs::build_run_record(artifact_, variant_, {}, registries)
+      obs::build_run_record(artifact_, variant_, {}, metrics_)
           .write_file(record_out_);
       const obs::RunRecord reparsed = obs::RunRecord::load_file(record_out_);
       FDET_CHECK(!reparsed.metrics.empty())
           << "run record '" << record_out_ << "' has no series";
-      std::printf("[%s] run record written to %s (%zu series, %d repeat%s)\n",
+      std::printf("[%s] run record written to %s (%zu series)\n",
                   artifact_.c_str(), record_out_.c_str(),
-                  reparsed.metrics.size(), reparsed.repeats,
-                  reparsed.repeats == 1 ? "" : "s");
+                  reparsed.metrics.size());
     }
     return 0;
   }
@@ -205,8 +165,7 @@ class RunRecorder {
   std::string metrics_out_;
   std::string record_out_;
   std::string profile_out_;
-  int repeat_ = 1;
-  std::vector<std::unique_ptr<obs::Registry>> repeats_;
+  obs::Registry metrics_;
   obs::TraceSession session_;
   obs::KernelProfiler profiler_;
   obs::ScopedProfileCollection profile_scope_{profiler_};

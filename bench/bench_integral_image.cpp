@@ -25,64 +25,54 @@ int main(int argc, char** argv) {
   const std::pair<int, int> sizes[] = {{160, 120}, {320, 240},  {640, 480},
                                        {960, 540}, {1280, 720}, {1920, 1080},
                                        {2560, 1440}};
-  // Each --repeat repetition re-runs the full resolution sweep into a
-  // fresh registry; the table prints once, the run record gets one
-  // sample per metric per repeat.
-  for (int rep = 0; rep < run.repeats(); ++rep) {
-    run.begin_repeat(rep);
-    core::Table table({"resolution", "GPU virtual (ms)", "CPU model (ms)",
-                       "GPU/CPU", "host wall CPU (ms)"});
-    double hd_ratio = 0.0;
-    for (const auto& [w, h] : sizes) {
-      img::ImageU8 image(w, h);
-      for (auto& p : image.pixels()) {
-        p = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-      }
-      // GPU pipeline: schedule the row and column passes on an
-      // otherwise idle device.
-      const integral::GpuIntegralResult gpu =
-          integral::integral_gpu(spec, image);
-      std::vector<vgpu::Launch> launches;
-      for (const auto& cost : gpu.launches) {
-        launches.push_back({cost, 0});
-      }
-      const vgpu::Timeline tl =
-          vgpu::schedule(spec, launches, vgpu::ExecMode::kConcurrent);
-      const double gpu_ms = tl.makespan_s * 1e3;
-      const double cpu_ms = cpu_model.integral_ms(w, h);
-
-      char res_label[32];
-      std::snprintf(res_label, sizeof(res_label), "%dx%d", w, h);
-      obs::publish_timeline(run.metrics(), tl, {{"resolution", res_label}});
-      run.metrics()
-          .gauge("integral.cpu_model_ms", {{"resolution", res_label}})
-          .set(cpu_ms);
-      if (rep == 0) {
-        run.add_timeline(res_label, tl);
-      }
-
-      // Host wall time is printed only; the run record keeps the
-      // deterministic modeled series.
-      core::Stopwatch watch;
-      const auto host = integral::integral_cpu(image);
-      const double host_ms = watch.elapsed_ms();
-      (void)host;
-
-      if (w == 1920) {
-        hd_ratio = cpu_ms / gpu_ms;
-      }
-      table.add_row({res_label, core::Table::num(gpu_ms, 3),
-                     core::Table::num(cpu_ms, 3),
-                     core::Table::num(gpu_ms / cpu_ms, 2),
-                     core::Table::num(host_ms, 3)});
+  core::Table table({"resolution", "GPU virtual (ms)", "CPU model (ms)",
+                     "GPU/CPU", "host wall CPU (ms)"});
+  double hd_ratio = 0.0;
+  for (const auto& [w, h] : sizes) {
+    img::ImageU8 image(w, h);
+    for (auto& p : image.pixels()) {
+      p = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
     }
-    if (rep == 0) {
-      table.print(std::cout);
-      std::printf("\nGPU advantage at 1080p: %.2fx (paper ~2.5x); the "
-                  "modeled\nCPU wins below the cache-residency crossover.\n",
-                  hd_ratio);
+    // GPU pipeline: schedule the row and column passes on an
+    // otherwise idle device.
+    const integral::GpuIntegralResult gpu =
+        integral::integral_gpu(spec, image);
+    std::vector<vgpu::Launch> launches;
+    for (const auto& cost : gpu.launches) {
+      launches.push_back({cost, 0});
     }
-    run.metrics().gauge("integral.gpu_advantage_1080p").set(hd_ratio);
+    const vgpu::Timeline tl =
+        vgpu::schedule(spec, launches, vgpu::ExecMode::kConcurrent);
+    const double gpu_ms = tl.makespan_s * 1e3;
+    const double cpu_ms = cpu_model.integral_ms(w, h);
+
+    char res_label[32];
+    std::snprintf(res_label, sizeof(res_label), "%dx%d", w, h);
+    obs::publish_timeline(run.metrics(), tl, {{"resolution", res_label}});
+    run.metrics()
+        .gauge("integral.cpu_model_ms", {{"resolution", res_label}})
+        .set(cpu_ms);
+    run.add_timeline(res_label, tl);
+
+    // Host wall time is printed only; the run record keeps the
+    // deterministic modeled series.
+    core::Stopwatch watch;
+    const auto host = integral::integral_cpu(image);
+    const double host_ms = watch.elapsed_ms();
+    (void)host;
+
+    if (w == 1920) {
+      hd_ratio = cpu_ms / gpu_ms;
+    }
+    table.add_row({res_label, core::Table::num(gpu_ms, 3),
+                   core::Table::num(cpu_ms, 3),
+                   core::Table::num(gpu_ms / cpu_ms, 2),
+                   core::Table::num(host_ms, 3)});
   }
+  table.print(std::cout);
+  std::printf("\nGPU advantage at 1080p: %.2fx (paper ~2.5x); the "
+              "modeled\nCPU wins below the cache-residency crossover.\n",
+              hd_ratio);
+  run.metrics().gauge("integral.gpu_advantage_1080p").set(hd_ratio);
   return run.finish();
 }

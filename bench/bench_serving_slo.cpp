@@ -89,41 +89,36 @@ int main(int argc, char** argv) {
   std::printf("fault plan: %s\ndeadline: %.3f ms (virtual)\n\n",
               plan.describe().c_str(), deadline_ms);
 
-  for (int rep = 0; rep < run.repeats(); ++rep) {
-    run.begin_repeat(rep);
-    serve::StreamingService service(spec, pair.ours, {}, options,
-                                    &run.metrics());
-    const serve::ServiceReport report = service.run(source, frames, &plan);
-    const obs::SloSnapshot& slo = report.slo;
+  serve::StreamingService service(spec, pair.ours, {}, options,
+                                  &run.metrics());
+  const serve::ServiceReport report = service.run(source, frames, &plan);
+  const obs::SloSnapshot& slo = report.slo;
 
-    if (rep == 0) {
-      core::Table table({"quantity", "value"});
-      table.add_row({"frames served", std::to_string(slo.frames)});
-      table.add_row({"deadline misses", std::to_string(slo.misses)});
-      table.add_row({"latency p50 (ms)", core::Table::num(slo.p50_ms)});
-      table.add_row({"latency p95 (ms)", core::Table::num(slo.p95_ms)});
-      table.add_row({"latency p99 (ms)", core::Table::num(slo.p99_ms)});
-      table.add_row({"latency p99.9 (ms)", core::Table::num(slo.p999_ms)});
-      table.add_row({"miss ratio (lifetime)",
-                     core::Table::num(slo.miss_ratio)});
-      table.add_row({"miss ratio (window)",
-                     core::Table::num(slo.window_miss_ratio)});
-      table.add_row({"burn rate (fast)", core::Table::num(slo.fast_burn)});
-      table.add_row({"burn rate (slow)", core::Table::num(slo.slow_burn)});
-      table.add_row({"sketch error bound",
-                     core::Table::num(slo.max_relative_error)});
-      table.print(std::cout);
-      std::printf("\nrun: ok=%d degraded=%d dropped=%d failed=%d "
-                  "retries=%d trips=%d shifts=%d dumps=%zu\n",
-                  report.ok, report.degraded, report.dropped, report.failed,
-                  report.retries, report.breaker_trips,
-                  report.degradation_shifts, report.dumps.size());
-    }
-    // A record without misses would leave the burn-rate series degenerate
-    // and the artifact would silently stop covering the SLO engine.
-    FDET_CHECK(slo.misses > 0)
-        << "fault plan produced no deadline misses; the SLO artifact "
-           "needs a nonzero miss ratio";
-  }
+  core::Table table({"quantity", "value"});
+  table.add_row({"frames served", std::to_string(slo.frames)});
+  table.add_row({"deadline misses", std::to_string(slo.misses)});
+  table.add_row({"latency p50 (ms)", core::Table::num(slo.p50_ms)});
+  table.add_row({"latency p95 (ms)", core::Table::num(slo.p95_ms)});
+  table.add_row({"latency p99 (ms)", core::Table::num(slo.p99_ms)});
+  table.add_row({"latency p99.9 (ms)", core::Table::num(slo.p999_ms)});
+  table.add_row({"miss ratio (lifetime)",
+                 core::Table::num(slo.miss_ratio)});
+  table.add_row({"miss ratio (window)",
+                 core::Table::num(slo.window_miss_ratio)});
+  table.add_row({"burn rate (fast)", core::Table::num(slo.fast_burn)});
+  table.add_row({"burn rate (slow)", core::Table::num(slo.slow_burn)});
+  table.add_row({"sketch error bound",
+                 core::Table::num(slo.max_relative_error)});
+  table.print(std::cout);
+  std::printf("\nrun: ok=%d degraded=%d dropped=%d failed=%d "
+              "retries=%d trips=%d shifts=%d dumps=%zu\n",
+              report.ok, report.degraded, report.dropped, report.failed,
+              report.retries, report.breaker_trips,
+              report.degradation_shifts, report.dumps.size());
+  // A record without misses would leave the burn-rate series degenerate
+  // and the artifact would silently stop covering the SLO engine.
+  FDET_CHECK(slo.misses > 0)
+      << "fault plan produced no deadline misses; the SLO artifact "
+         "needs a nonzero miss ratio";
   return run.finish();
 }

@@ -1,9 +1,9 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
+#include "core/artifact.h"
 #include "core/check.h"
 #include "obs/json.h"
 
@@ -230,10 +230,7 @@ std::string Registry::to_json() const {
 }
 
 void Registry::write_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  FDET_CHECK(out.good()) << "cannot write metrics file '" << path << "'";
-  out << to_json();
-  FDET_CHECK(out.good()) << "error writing metrics file '" << path << "'";
+  core::atomic_write_file(path, to_json());
 }
 
 }  // namespace fdet::obs

@@ -155,8 +155,9 @@ class Registry {
   /// `{"metrics": [...]}` — one object per sample.
   std::string to_json() const;
 
-  /// Writes to_json(). Throws core::CheckError when the file cannot be
-  /// written.
+  /// Writes to_json() through core::atomic_write_file (a failed write
+  /// leaves the previous file intact). Throws core::CheckError when the
+  /// file cannot be written.
   void write_file(const std::string& path) const;
 
  private:

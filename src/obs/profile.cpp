@@ -204,12 +204,10 @@ RunRecord KernelProfiler::snapshot(std::string artifact, std::string variant,
   record.artifact = std::move(artifact);
   record.variant = std::move(variant);
   record.labels = std::move(labels);
-  record.repeats = 1;
   const auto add = [&record](std::string name, double value,
                              Labels series_labels = {}) {
     record.metrics.push_back(MetricSeries{std::move(name), "gauge",
-                                          std::move(series_labels),
-                                          {value}, value, 0.0});
+                                          std::move(series_labels), value});
   };
   const auto add_buckets = [&add](const std::string& family, const char* key,
                                   const std::vector<AttributionBucket>& all) {
@@ -233,13 +231,7 @@ RunRecord KernelProfiler::snapshot(std::string artifact, std::string variant,
   add_buckets("profile.stage", "stage", stages_);
   add_buckets("profile.frame", "frame", frames_);
 
-  std::sort(record.metrics.begin(), record.metrics.end(),
-            [](const MetricSeries& a, const MetricSeries& b) {
-              if (a.name != b.name) {
-                return a.name < b.name;
-              }
-              return format_labels(a.labels) < format_labels(b.labels);
-            });
+  std::sort(record.metrics.begin(), record.metrics.end(), series_less);
   return record;
 }
 
@@ -263,7 +255,7 @@ std::string render_profile_text(const RunRecord& record) {
   for (const MetricSeries& series : record.metrics) {
     const std::string label =
         series.labels.empty() ? std::string() : series.labels[0].second;
-    const double value = series.median;
+    const double value = series.value;
     if (series.name == "profile.total_cycles") {
       total_cycles = value;
     } else if (series.name == "profile.launches") {

@@ -31,7 +31,7 @@
 // grand total — the conservation property obs_profile_test asserts and
 // `fdet_report show` surfaces as a coverage percentage.
 //
-// A snapshot is an ordinary obs::RunRecord (one repeat, one gauge series
+// A snapshot is an ordinary obs::RunRecord (one gauge series
 // per quantity), persisted as `PROFILE_<artifact>.json`: `fdet_report
 // diff` gates it like any bench record and `fdet_report show` renders
 // its breakdown (render_profile_text). The series:
@@ -159,8 +159,8 @@ class KernelProfiler : public vgpu::LaunchObserver {
   std::uint64_t launches() const { return launches_; }
   double total_cycles() const { return total_cycles_; }
 
-  /// Aggregates collected launches into a one-repeat run record of the
-  /// series listed above, sorted by (name, labels). Callable repeatedly;
+  /// Aggregates collected launches into a run record of the series
+  /// listed above, in series_less order. Callable repeatedly;
   /// collection continues afterwards.
   RunRecord snapshot(std::string artifact, std::string variant = "default",
                      Labels labels = {}) const;

@@ -2,49 +2,25 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <map>
 #include <utility>
 
+#include "core/artifact.h"
 #include "core/check.h"
 
 namespace fdet::obs {
 
-double median_of(std::vector<double> values) {
-  FDET_CHECK(!values.empty()) << "median of empty sample set";
-  const std::size_t mid = values.size() / 2;
-  std::nth_element(values.begin(), values.begin() + mid, values.end());
-  const double upper = values[mid];
-  if (values.size() % 2 == 1) {
-    return upper;
-  }
-  const double lower =
-      *std::max_element(values.begin(), values.begin() + mid);
-  return (lower + upper) / 2.0;
-}
-
-double mad_of(const std::vector<double>& values, double center) {
-  FDET_CHECK(!values.empty()) << "MAD of empty sample set";
-  std::vector<double> deviations;
-  deviations.reserve(values.size());
-  for (const double v : values) {
-    deviations.push_back(std::fabs(v - center));
-  }
-  return median_of(std::move(deviations));
-}
-
-const MetricSeries* RunRecord::find(std::string_view name,
-                                    const Labels& match_labels) const {
-  const std::string label_key = format_labels(match_labels);
-  for (const MetricSeries& series : metrics) {
-    if (series.name == name && format_labels(series.labels) == label_key) {
-      return &series;
-    }
-  }
-  return nullptr;
-}
-
 namespace {
+
+/// Three-way order of `series` against the identity (name, label_key),
+/// label_key being format_labels of the identity's labels.
+int compare_identity(const MetricSeries& series, std::string_view name,
+                     std::string_view label_key) {
+  if (const int by_name = std::string_view(series.name).compare(name);
+      by_name != 0) {
+    return by_name;
+  }
+  return std::string_view(format_labels(series.labels)).compare(label_key);
+}
 
 json::Value labels_to_json(const Labels& labels) {
   json::Value::Object members;
@@ -70,6 +46,27 @@ double number_or_nan(const json::Value& value) {
 
 }  // namespace
 
+std::string series_identity(const std::string& name, const Labels& labels) {
+  const std::string formatted = format_labels(labels);
+  return formatted.empty() ? name : name + "{" + formatted + "}";
+}
+
+bool series_less(const MetricSeries& a, const MetricSeries& b) {
+  return compare_identity(a, b.name, format_labels(b.labels)) < 0;
+}
+
+const MetricSeries* RunRecord::find(std::string_view name,
+                                    const Labels& match_labels) const {
+  const std::string label_key = format_labels(match_labels);
+  const auto it = std::partition_point(
+      metrics.begin(), metrics.end(), [&](const MetricSeries& series) {
+        return compare_identity(series, name, label_key) < 0;
+      });
+  return it != metrics.end() && compare_identity(*it, name, label_key) == 0
+             ? &*it
+             : nullptr;
+}
+
 json::Value RunRecord::to_json() const {
   json::Value::Array series_array;
   for (const MetricSeries& series : metrics) {
@@ -77,13 +74,7 @@ json::Value RunRecord::to_json() const {
     m.emplace_back("name", json::Value::make_string(series.name));
     m.emplace_back("kind", json::Value::make_string(series.kind));
     m.emplace_back("labels", labels_to_json(series.labels));
-    json::Value::Array samples;
-    for (const double sample : series.samples) {
-      samples.push_back(json::Value::make_number(sample));
-    }
-    m.emplace_back("samples", json::Value::make_array(std::move(samples)));
-    m.emplace_back("median", json::Value::make_number(series.median));
-    m.emplace_back("mad", json::Value::make_number(series.mad));
+    m.emplace_back("value", json::Value::make_number(series.value));
     series_array.push_back(json::Value::make_object(std::move(m)));
   }
   json::Value::Object doc;
@@ -91,7 +82,6 @@ json::Value RunRecord::to_json() const {
                    json::Value::make_number(schema_version));
   doc.emplace_back("artifact", json::Value::make_string(artifact));
   doc.emplace_back("variant", json::Value::make_string(variant));
-  doc.emplace_back("repeats", json::Value::make_number(repeats));
   doc.emplace_back("labels", labels_to_json(labels));
   doc.emplace_back("metrics", json::Value::make_array(std::move(series_array)));
   return json::Value::make_object(std::move(doc));
@@ -100,10 +90,7 @@ json::Value RunRecord::to_json() const {
 std::string RunRecord::dump() const { return to_json().dump(); }
 
 void RunRecord::write_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  FDET_CHECK(out.good()) << "cannot write run record '" << path << "'";
-  out << dump() << "\n";
-  FDET_CHECK(out.good()) << "error writing run record '" << path << "'";
+  core::atomic_write_file(path, dump() + "\n");
 }
 
 RunRecord RunRecord::from_json(const json::Value& doc) {
@@ -115,9 +102,6 @@ RunRecord RunRecord::from_json(const json::Value& doc) {
   record.artifact = doc.at("artifact").as_string();
   FDET_CHECK(!record.artifact.empty()) << "run record has an empty artifact";
   record.variant = doc.at("variant").as_string();
-  record.repeats = static_cast<int>(doc.at("repeats").as_number());
-  FDET_CHECK(record.repeats >= 1)
-      << "run record claims " << record.repeats << " repeats";
   record.labels = labels_from_json(doc.at("labels"));
   for (const json::Value& entry : doc.at("metrics").as_array()) {
     MetricSeries series;
@@ -125,13 +109,16 @@ RunRecord RunRecord::from_json(const json::Value& doc) {
     FDET_CHECK(!series.name.empty()) << "run record series without a name";
     series.kind = entry.at("kind").as_string();
     series.labels = labels_from_json(entry.at("labels"));
-    for (const json::Value& sample : entry.at("samples").as_array()) {
-      series.samples.push_back(number_or_nan(sample));
+    series.value = number_or_nan(entry.at("value"));
+    if (!record.metrics.empty()) {
+      const int order =
+          compare_identity(record.metrics.back(), series.name,
+                           format_labels(series.labels));
+      FDET_CHECK(order < 0)
+          << "series '" << series_identity(series.name, series.labels)
+          << (order == 0 ? "' appears twice"
+                         : "' is out of (name, labels) order");
     }
-    FDET_CHECK(!series.samples.empty())
-        << "series '" << series.name << "' has no samples";
-    series.median = number_or_nan(entry.at("median"));
-    series.mad = number_or_nan(entry.at("mad"));
     record.metrics.push_back(std::move(series));
   }
   return record;
@@ -156,61 +143,24 @@ RunRecord RunRecord::load_file(const std::string& path) {
 }
 
 RunRecord build_run_record(std::string artifact, std::string variant,
-                           Labels labels,
-                           const std::vector<const Registry*>& repeats) {
-  FDET_CHECK(!repeats.empty()) << "run record needs at least one repeat";
+                           Labels labels, const Registry& registry) {
   RunRecord record;
   record.artifact = std::move(artifact);
   record.variant = std::move(variant);
   record.labels = std::move(labels);
-  record.repeats = static_cast<int>(repeats.size());
-
-  // (name, formatted labels) -> series, accumulated in repeat order. The
-  // map keeps the record sorted the same way Registry::samples() is.
-  std::map<std::pair<std::string, std::string>, MetricSeries> series_map;
-  const auto append = [&](const std::string& name, const std::string& kind,
-                          const Labels& sample_labels, double value) {
-    const auto key = std::make_pair(name, format_labels(sample_labels));
-    MetricSeries& series = series_map[key];
-    if (series.name.empty()) {
-      series.name = name;
-      series.kind = kind;
-      series.labels = sample_labels;
-    }
-    FDET_CHECK(series.kind == kind)
-        << "series '" << name << "' changed kind across repeats";
-    series.samples.push_back(value);
-  };
-  for (const Registry* registry : repeats) {
-    FDET_CHECK(registry != nullptr);
-    for (const Registry::Sample& sample : registry->samples()) {
-      if (sample.kind == "histogram") {
-        append(sample.name + ".sum", "histogram_sum", sample.labels,
-               sample.value);
-        append(sample.name + ".count", "histogram_count", sample.labels,
-               sample.count);
-      } else {
-        append(sample.name, sample.kind, sample.labels, sample.value);
-      }
-    }
-  }
-
-  for (auto& [key, series] : series_map) {
-    std::vector<double> finite;
-    for (const double v : series.samples) {
-      if (std::isfinite(v)) {
-        finite.push_back(v);
-      }
-    }
-    if (finite.empty()) {
-      series.median = std::nan("");
-      series.mad = std::nan("");
+  for (const Registry::Sample& sample : registry.samples()) {
+    if (sample.kind == "histogram") {
+      record.metrics.push_back(
+          {sample.name + ".sum", "histogram_sum", sample.labels, sample.value});
+      record.metrics.push_back({sample.name + ".count", "histogram_count",
+                                sample.labels, sample.count});
     } else {
-      series.median = median_of(finite);
-      series.mad = mad_of(finite, series.median);
+      record.metrics.push_back(
+          {sample.name, sample.kind, sample.labels, sample.value});
     }
-    record.metrics.push_back(std::move(series));
   }
+  // Flattening puts `x.sum` before `x.count`; restore the record order.
+  std::sort(record.metrics.begin(), record.metrics.end(), series_less);
   return record;
 }
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <fstream>
 #include <functional>
 #include <sstream>
 
+#include "core/artifact.h"
 #include "core/check.h"
 #include "core/rng.h"
 #include "obs/json.h"
@@ -356,10 +356,7 @@ std::vector<TraceEvent> TraceSession::events() const {
 std::string TraceSession::to_json() const { return chrome_trace_json(events()); }
 
 void TraceSession::write_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  FDET_CHECK(out.good()) << "cannot write trace file '" << path << "'";
-  out << to_json();
-  FDET_CHECK(out.good()) << "error writing trace file '" << path << "'";
+  core::atomic_write_file(path, to_json());
 }
 
 void TraceSession::install() { g_current.store(this); }

@@ -162,8 +162,9 @@ class TraceSession {
   /// valid Perfetto document (process metadata only).
   std::vector<TraceEvent> events() const;
   std::string to_json() const;
-  /// Writes to_json(); throws core::CheckError when the file cannot be
-  /// written.
+  /// Writes to_json() through core::atomic_write_file (a failed write
+  /// leaves the previous file intact); throws core::CheckError when the
+  /// file cannot be written.
   void write_file(const std::string& path) const;
 
   /// Ambient session used by library-internal instrumentation

@@ -4,9 +4,9 @@
 //
 //   gate_perturb <in.json> <out.json> <series> <factor>
 //
-// <series> is the identity the gate prints, `name` or
-// `name{key=value,...}`; every sample and the median of that one series
-// are scaled. Any record works: bench records (BENCH_*.json), kernel
+// <series> is the identity the gate prints (obs::series_identity),
+// `name` or `name{key=value,...}`; that one series' value is scaled.
+// Any record works: bench records (BENCH_*.json), kernel
 // profiles (PROFILE_*.json) and the fleet record. Exits 1 when nothing
 // matched, so a renamed series cannot turn the gate test vacuous.
 #include <cstdio>
@@ -32,13 +32,8 @@ int main(int argc, char** argv) {
   int matched = 0;
   obs::RunRecord record = obs::RunRecord::load_file(in);
   for (obs::MetricSeries& metric : record.metrics) {
-    const std::string labels = obs::format_labels(metric.labels);
-    if ((labels.empty() ? metric.name : metric.name + "{" + labels + "}") ==
-        series) {
-      for (double& sample : metric.samples) {
-        sample *= factor;
-      }
-      metric.median *= factor;
+    if (obs::series_identity(metric.name, metric.labels) == series) {
+      metric.value *= factor;
       ++matched;
     }
   }

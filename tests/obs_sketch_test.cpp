@@ -1,6 +1,6 @@
 // Quantile sketches: bucket layout, the documented relative-error bound,
 // merge associativity, sliding-window rotation boundaries, and agreement
-// with exact percentiles on the committed BENCH_fig5.json samples.
+// with exact percentiles on the committed BENCH_fig5.json values.
 #include "obs/sketch.h"
 
 #include <gtest/gtest.h>
@@ -176,8 +176,8 @@ TEST(SlidingWindowSketch, SingleSlotWindowClearsOnEveryRotation) {
 }
 
 // The accuracy claim the SLO engine relies on, validated against real
-// repo data: every sample of the committed fig5 run record must be
-// reproduced by the sketch within max_relative_error().
+// repo data: the sketch over every value of the committed fig5 run
+// record must reproduce its exact percentiles within max_relative_error().
 TEST(QuantileSketch, AgreesWithExactPercentilesOnCommittedFig5Samples) {
   const std::string path = std::string(FDET_SOURCE_DIR) + "/BENCH_fig5.json";
   const RunRecord record = RunRecord::load_file(path);
@@ -191,14 +191,13 @@ TEST(QuantileSketch, AgreesWithExactPercentilesOnCommittedFig5Samples) {
   QuantileSketch sketch(options);
   std::vector<double> values;
   for (const MetricSeries& series : record.metrics) {
-    for (const double sample : series.samples) {
-      // The relative-error guarantee applies above the zero bucket;
-      // non-positive and sub-min_value samples (violation counts of 0,
-      // MAD-free repeats) are out of scope by documentation.
-      if (std::isfinite(sample) && sample > sketch.options().min_value) {
-        values.push_back(sample);
-        sketch.observe(sample);
-      }
+    // The relative-error guarantee applies above the zero bucket;
+    // non-positive and sub-min_value values (violation counts of 0) are
+    // out of scope by documentation.
+    if (std::isfinite(series.value) &&
+        series.value > sketch.options().min_value) {
+      values.push_back(series.value);
+      sketch.observe(series.value);
     }
   }
   ASSERT_GT(values.size(), 100u) << "fig5 record unexpectedly small";

@@ -818,7 +818,7 @@ int run_fleet_chaos(int argc, char** argv) {
     registry.gauge("serve.fleet.streams").set(total_streams);
     registry.gauge("serve.fleet.devices").set(devices);
     obs::RunRecord record = obs::build_run_record(
-        "fleet_chaos", "default", {{"plan", plan.describe()}}, {&registry});
+        "fleet_chaos", "default", {{"plan", plan.describe()}}, registry);
     record.write_file(record_out);
     std::printf("run record -> %s\n", record_out.c_str());
   }

@@ -19,17 +19,15 @@
 //   fdet_report diff <baseline> <current>  the one record gate
 //                                          (obs::compare_runs) for every
 //                                          record kind; exit 2 when a
-//                                          metric regressed, went missing,
-//                                          or an exact (deterministic)
-//                                          series drifted either way
-//   fdet_report selftest                   gate logic self-check used by
-//                                          the bench_regression_gate
-//                                          ctest target
+//                                          series drifted beyond float
+//                                          dust, either way, or went
+//                                          missing
 //
-// Exit codes: 0 success/gate-clean, 1 usage error, 2 regression gate
-// failed, 3 an input is missing, corrupt or not a known artifact
-// (distinct from 2 so CI can tell "perf regressed" from "baseline file
-// is broken").
+// Exit codes: 0 success/gate-clean, 1 usage error, 2 the gate failed,
+// 3 an input is missing, corrupt, of another schema version, has series
+// out of (name, labels) order or repeated, or is not a known artifact
+// (distinct from 2 so CI can tell "behaviour changed" from "baseline
+// file is broken").
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -108,39 +106,34 @@ std::string format_number(double value) {
 }
 
 void show_run_record(const obs::RunRecord& record) {
-  std::printf("### Run record `%s` (variant `%s`, schema v%d, %d repeat%s",
+  std::printf("### Run record `%s` (variant `%s`, schema v%d",
               record.artifact.c_str(), record.variant.c_str(),
-              record.schema_version, record.repeats,
-              record.repeats == 1 ? "" : "s");
+              record.schema_version);
   const std::string labels = obs::format_labels(record.labels);
   if (!labels.empty()) {
     std::printf(", %s", labels.c_str());
   }
   std::printf(")\n\n");
-  core::Table table({"metric", "labels", "median", "MAD", "n", "paper artifact"});
+  core::Table table({"metric", "labels", "value", "paper artifact"});
   for (const obs::MetricSeries& series : record.metrics) {
     table.add_row({series.name, obs::format_labels(series.labels),
-                   format_number(series.median), format_number(series.mad),
-                   std::to_string(series.samples.size()),
-                   paper_artifact(series.name)});
+                   format_number(series.value), paper_artifact(series.name)});
   }
   table.print_markdown(std::cout);
   std::printf("\n");
 }
 
 /// Prints the generic table of a metrics export and returns its entries
-/// as a one-repeat record (histograms flatten into `.sum`/`.count`, as
-/// in run records), so the sections below read both kinds of file alike.
+/// as a record (histograms flatten into `.sum`/`.count`, as in run
+/// records), so the sections below read both kinds of file alike.
 obs::RunRecord show_metrics_export(const obs::json::Value& doc,
                                    std::string artifact) {
   obs::RunRecord record;
   record.artifact = std::move(artifact);
-  record.repeats = 1;
   const auto add = [&record](std::string name, const obs::Labels& labels,
                              const obs::json::Value& value) {
     const double number = value.is_null() ? std::nan("") : value.as_number();
-    record.metrics.push_back(
-        {std::move(name), "gauge", labels, {number}, number, 0.0});
+    record.metrics.push_back({std::move(name), "gauge", labels, number});
   };
   std::printf("### Metrics registry export\n\n");
   core::Table table({"metric", "kind", "labels", "value", "paper artifact"});
@@ -166,6 +159,8 @@ obs::RunRecord show_metrics_export(const obs::json::Value& doc,
   }
   table.print_markdown(std::cout);
   std::printf("\n");
+  // RunRecord::find binary-searches; flattening broke the export order.
+  std::sort(record.metrics.begin(), record.metrics.end(), obs::series_less);
   return record;
 }
 
@@ -181,7 +176,7 @@ std::string label_of(const obs::MetricSeries& series, const char* key) {
 
 /// What the roll-up tables count: a null (non-finite) value counts 0.
 double count_of(const obs::MetricSeries& series) {
-  return std::isnan(series.median) ? 0.0 : series.median;
+  return std::isnan(series.value) ? 0.0 : series.value;
 }
 
 /// Appends `item` to a ", "-separated list.
@@ -307,16 +302,15 @@ void show_slo(const obs::RunRecord& record) {
   if (frames == nullptr) {
     return;
   }
-  std::printf("### Serving SLO — `%s` (variant `%s`, %d repeat%s)\n\n",
-              record.artifact.c_str(), record.variant.c_str(),
-              record.repeats, record.repeats == 1 ? "" : "s");
+  std::printf("### Serving SLO — `%s` (variant `%s`)\n\n",
+              record.artifact.c_str(), record.variant.c_str());
   if (const obs::MetricSeries* deadline = record.find("slo.deadline_ms", {})) {
     std::printf("deadline budget: %s ms, %s frames observed\n\n",
-                format_number(deadline->median).c_str(),
-                format_number(frames->median).c_str());
+                format_number(deadline->value).c_str(),
+                format_number(frames->value).c_str());
   }
 
-  core::Table table({"quantity", "labels", "median", "MAD"});
+  core::Table table({"quantity", "labels", "value"});
   // Stable presentation order: percentiles, then ratios/burn, then
   // stage and queue series, then anything else slo.*.
   static constexpr const char* kFirst[] = {
@@ -325,7 +319,7 @@ void show_slo(const obs::RunRecord& record) {
       "slo.window_miss_ratio", "slo.burn_rate"};
   const auto add_series = [&table](const obs::MetricSeries& series) {
     table.add_row({series.name, obs::format_labels(series.labels),
-                   format_number(series.median), format_number(series.mad)});
+                   format_number(series.value)});
   };
   for (const char* name : kFirst) {
     for (const obs::MetricSeries& series : record.metrics) {
@@ -376,25 +370,25 @@ void show_fleet(const obs::RunRecord& record) {
       FleetTenantRollup& t = tenants[tenant];
       t.cls = label_of(series, "class");
       if (series.name == "serve.fleet.frames") {
-        t.frames = series.median;
+        t.frames = series.value;
       } else if (series.name == "serve.fleet.admission_rejects") {
-        t.rejects = series.median;
+        t.rejects = series.value;
       } else if (series.name == "serve.fleet.deadline_misses") {
-        t.misses = series.median;
+        t.misses = series.value;
       } else if (series.name == "serve.fleet.failovers") {
-        t.failovers = series.median;
+        t.failovers = series.value;
       } else if (series.name == "serve.fleet.latency_p50_ms") {
-        t.p50_ms = series.median;
+        t.p50_ms = series.value;
       } else if (series.name == "serve.fleet.latency_p99_ms") {
-        t.p99_ms = series.median;
+        t.p99_ms = series.value;
       } else if (series.name == "serve.fleet.max_shed_level") {
-        t.max_shed = series.median;
+        t.max_shed = series.value;
       }
     } else if (series.name == "serve.fleet.device.state") {
-      device_state[label_of(series, "device")] = series.median;
+      device_state[label_of(series, "device")] = series.value;
     } else {
       fleet_wide[series.name.substr(std::string("serve.fleet.").size())] =
-          series.median;
+          series.value;
     }
   }
   if (tenants.empty()) {
@@ -588,15 +582,14 @@ void show_file(const std::string& path) {
   show_lint(record);
 }
 
-/// Markdown verdict table plus explicit REGRESSED/MISSING lines (so CI
-/// logs name the offending metric without markdown rendering), then the
-/// gate exit code. Shared by `diff` and `selftest`.
+/// Markdown verdict table plus one describe() line per failing series
+/// (so CI logs name the offending metric without markdown rendering),
+/// then the gate exit code.
 int run_diff(const obs::RunRecord& baseline, const obs::RunRecord& current) {
   const obs::CompareReport report = obs::compare_runs(baseline, current);
 
-  std::printf("### `%s` (%s) vs baseline (%d vs %d repeats)\n\n",
-              current.artifact.c_str(), current.variant.c_str(),
-              current.repeats, baseline.repeats);
+  std::printf("### `%s` (%s) vs baseline\n\n", current.artifact.c_str(),
+              current.variant.c_str());
   core::Table table(
       {"verdict", "metric", "labels", "baseline", "current", "Δ%"});
   for (const obs::MetricVerdict& v : report.verdicts) {
@@ -604,9 +597,8 @@ int run_diff(const obs::RunRecord& baseline, const obs::RunRecord& current) {
       continue;
     }
     table.add_row({obs::verdict_name(v.verdict), v.name,
-                   obs::format_labels(v.labels),
-                   format_number(v.baseline_median),
-                   format_number(v.current_median),
+                   obs::format_labels(v.labels), format_number(v.baseline),
+                   format_number(v.current),
                    format_number(v.relative_change * 100.0)});
   }
   table.print_markdown(std::cout);
@@ -616,85 +608,16 @@ int run_diff(const obs::RunRecord& baseline, const obs::RunRecord& current) {
       std::printf("%s\n", obs::describe(v).c_str());
     }
   }
-  std::printf("verdicts: %d regressed, %d missing, %d improved (%d exact), "
-              "%d new, %d unchanged — %s\n",
-              report.regressed, report.missing, report.improved,
-              report.drifted, report.added, report.unchanged,
+  std::printf("verdicts: %d drifted, %d missing, %d new, %d unchanged — %s\n",
+              report.drifted, report.missing, report.added, report.unchanged,
               report.ok() ? "OK" : "GATE FAILED");
   return report.ok() ? 0 : 2;
-}
-
-/// Synthetic fig5-shaped record for the gate self-check.
-obs::RunRecord synthetic_record() {
-  obs::RunRecord record;
-  record.artifact = "selftest";
-  record.repeats = 3;
-  const auto series = [](std::string name, std::string kind,
-                         obs::Labels labels, std::vector<double> samples) {
-    obs::MetricSeries s;
-    s.name = std::move(name);
-    s.kind = std::move(kind);
-    s.labels = std::move(labels);
-    s.samples = std::move(samples);
-    s.median = obs::median_of(s.samples);
-    s.mad = obs::mad_of(s.samples, s.median);
-    return s;
-  };
-  record.metrics = {
-      series("detect.frames", "counter", {{"mode", "concurrent"}}, {36, 36, 36}),
-      series("vgpu.branch_efficiency", "gauge", {{"mode", "concurrent"}},
-             {0.982, 0.982, 0.981}),
-      series("vgpu.makespan_ms", "gauge", {{"mode", "concurrent"}},
-             {4.00, 4.01, 3.99}),
-  };
-  return record;
-}
-
-int run_selftest() {
-  const obs::RunRecord baseline = synthetic_record();
-
-  // Round-trip through the serializer: the gate must behave identically
-  // on a record that went to disk and back.
-  const obs::RunRecord reparsed = obs::RunRecord::parse(baseline.dump());
-
-  obs::RunRecord regressed = synthetic_record();
-  for (obs::MetricSeries& series : regressed.metrics) {
-    if (series.name == "vgpu.makespan_ms") {
-      for (double& sample : series.samples) {
-        sample *= 1.20;  // the injected 20% makespan regression
-      }
-      series.median = obs::median_of(series.samples);
-      series.mad = obs::mad_of(series.samples, series.median);
-    }
-  }
-
-  std::printf("--- selftest: identical records ---\n");
-  const int clean = run_diff(baseline, reparsed);
-  std::printf("\n--- selftest: injected +20%% vgpu.makespan_ms ---\n");
-  const int gated = run_diff(baseline, regressed);
-
-  const obs::CompareReport report = obs::compare_runs(baseline, regressed);
-  const bool names_metric =
-      !report.verdicts.empty() &&
-      report.verdicts.front().verdict == obs::Verdict::kRegressed &&
-      report.verdicts.front().name == "vgpu.makespan_ms";
-  if (clean != 0 || gated == 0 || !names_metric) {
-    std::fprintf(stderr,
-                 "selftest FAILED: clean=%d gated=%d names_metric=%d\n",
-                 clean, gated, names_metric);
-    return 1;
-  }
-  std::printf("\nselftest ok: identical -> exit 0, regression -> exit %d "
-              "naming vgpu.makespan_ms\n",
-              gated);
-  return 0;
 }
 
 int usage() {
   std::fprintf(stderr,
                "usage: fdet_report show <file.json>...\n"
-               "       fdet_report diff <baseline.json> <current.json>\n"
-               "       fdet_report selftest\n");
+               "       fdet_report diff <baseline.json> <current.json>\n");
   return 1;
 }
 
@@ -709,9 +632,6 @@ int main(int argc, char** argv) {
   }
   const std::string& command = args[0];
   const std::vector<std::string> operands(args.begin() + 1, args.end());
-  if (command == "selftest" && operands.empty()) {
-    return run_selftest();
-  }
   if (command == "show" && !operands.empty()) {
     for (const std::string& path : operands) {
       try {
