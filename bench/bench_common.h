@@ -64,9 +64,12 @@ inline void print_header(const char* artifact, const char* description) {
 ///                       launch of the binary's lifetime — the collector
 ///                       is installed from construction
 ///   --record-out        obs::RunRecord of the registry, one value per
-///                       series; defaults to BENCH_<artifact>.json in the
-///                       working directory, empty disables
+///                       series (the committed baselines are
+///                       BENCH_<artifact>.json at the repo root)
 ///   --variant           configuration variant stamped into both records
+///
+/// Each artifact is written only when its flag names a path, so a bench
+/// run never overwrites a committed record unless asked to.
 ///
 /// Every recorded series is on the deterministic modeled clock, so one
 /// run is the measurement. Gating is `fdet_report diff <baseline>
@@ -76,8 +79,7 @@ inline void print_header(const char* artifact, const char* description) {
 class RunRecorder {
  public:
   explicit RunRecorder(std::string artifact)
-      : artifact_(std::move(artifact)),
-        record_out_(obs::run_record_path(artifact_)) {
+      : artifact_(std::move(artifact)) {
     session_.install();
     metrics_.gauge("bench.schema_version").set(1.0);
   }
@@ -88,10 +90,9 @@ class RunRecorder {
     cli.flag("trace-out", trace_out_,
              "write a Chrome/Perfetto trace-event JSON file");
     cli.flag("metrics-out", metrics_out_, "write run metrics (JSON)");
-    cli.flag("record-out", record_out_,
-             "run-record path (empty disables writing)");
+    cli.flag("record-out", record_out_, "write the run record (JSON)");
     cli.flag("profile-out", profile_out_,
-             "kernel-profile record path (empty disables writing)");
+             "write the kernel-profile record (JSON)");
     cli.flag("variant", variant_,
              "configuration variant stamped into the run record");
   }

@@ -5,6 +5,7 @@
 // miniature of the paper's core systems idea.
 #include <cstdio>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "core/cli.h"
@@ -56,28 +57,28 @@ int main(int argc, char** argv) {
     auto& input = inputs.back();
     auto& partial = partials.back();
 
+    vgpu::SharedLayout layout;
+    const auto tile = layout.add<int>(kThreads);
     vgpu::KernelConfig config{
         .name = "reduce_s" + std::to_string(s),
         .grid = {blocks_per_kernel, 1, 1},
         .block = {kThreads, 1, 1},
-        .shared_bytes = kThreads * static_cast<int>(sizeof(int)),
+        .shared = std::move(layout),
     };
     // Phase 1: load to shared. Phase 2: tree reduction (lane 0 finishes).
     vgpu::LaunchCost cost = execute_kernel(
         device, config,
-        [&input](const vgpu::ThreadCoord& t, vgpu::LaneCtx& ctx,
-                 vgpu::SharedMem& shared) {
-          auto tile = shared.array<int>(kThreads);
+        [&input, tile](const vgpu::ThreadCoord& t, vgpu::LaneCtx& ctx,
+                       vgpu::SharedMem& shared) {
           const int idx = static_cast<int>(t.flat_block()) * kThreads +
                           t.thread.x;
-          int& slot = tile[static_cast<std::size_t>(t.thread.x)];
+          int& slot = shared[tile][static_cast<std::size_t>(t.thread.x)];
           slot = input[static_cast<std::size_t>(idx)];
           ctx.global_load(static_cast<std::uint64_t>(idx) * 4, 4);
           ctx.shared_store_at(shared, slot);
         },
-        [&partial](const vgpu::ThreadCoord& t, vgpu::LaneCtx& ctx,
-                   vgpu::SharedMem& shared) {
-          auto tile = shared.array<int>(kThreads);
+        [&partial, tile](const vgpu::ThreadCoord& t, vgpu::LaneCtx& ctx,
+                         vgpu::SharedMem& shared) {
           // Lane 0 walks the tile (divergent on purpose: see the SIMD
           // efficiency it reports).
           ctx.branch(t.thread.x == 0);
@@ -85,9 +86,9 @@ int main(int argc, char** argv) {
             return;
           }
           int acc = 0;
-          for (int i = 0; i < kThreads; ++i) {
-            acc += tile[static_cast<std::size_t>(i)];
-            ctx.shared_load_at(shared, tile[static_cast<std::size_t>(i)]);
+          for (const int& cell : shared[tile]) {
+            acc += cell;
+            ctx.shared_load_at(shared, cell);
             ctx.alu();
           }
           partial[static_cast<std::size_t>(t.flat_block())] = acc;

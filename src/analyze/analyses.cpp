@@ -5,7 +5,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "core/check.h"
 #include "vgpu/device.h"
 #include "vgpu/warp.h"
 
@@ -14,6 +13,16 @@ namespace {
 
 using vgpu::kSegmentBytes;
 using vgpu::kWarpSize;
+
+/// Warn when a predicted per-issue conflict degree reaches this many
+/// serialized passes. Production scan legitimately runs degree-4 chunk
+/// scans; 8 is one power of two above anything the shipped kernels do.
+constexpr int kBankConflictWarnDegree = 8;
+/// Warn when predicted transactions exceed the packed minimum by this
+/// factor on some slot (32 on a fully strided column-major read).
+constexpr double kUncoalescedWarnRatio = 8.0;
+/// Warn (not just inform) when occupancy drops below this ratio.
+constexpr double kOccupancyWarnRatio = 0.25;
 
 int severity_rank(Severity s) {
   switch (s) {
@@ -156,30 +165,8 @@ void add_finding(std::vector<Finding>& out, FindingKind kind, Severity severity,
 
 // --- individual analyses --------------------------------------------------
 
-void check_shared_footprint(const KernelIR& ir, std::vector<Finding>& out) {
-  if (ir.carve_divergence) {
-    add_finding(out, FindingKind::kCarveDivergence, Severity::kError, ir, -1,
-                -1,
-                "lanes carved different shared-memory layouts; all lanes must "
-                "issue identical SharedMem::array sequences");
-  }
-  std::uint64_t footprint = 0;
-  for (const CarveRegion& c : ir.carves) {
-    footprint = std::max(footprint, c.offset + c.bytes);
-  }
-  const auto declared = static_cast<std::uint64_t>(ir.config.shared_bytes);
-  if (footprint > declared) {
-    std::ostringstream msg;
-    msg << "carve layout needs " << footprint << " bytes but KernelConfig "
-        << "declares " << declared
-        << " (occupancy and hardware allocation use the declared figure)";
-    add_finding(out, FindingKind::kSharedFootprint, Severity::kError, ir, -1,
-                -1, msg.str());
-  }
-}
-
 void check_shared_oob(const KernelIR& ir, std::vector<Finding>& out) {
-  const auto declared = static_cast<std::int64_t>(ir.config.shared_bytes);
+  const auto declared = static_cast<std::int64_t>(ir.config.shared.bytes());
   for (const PhaseIR& phase : ir.phases) {
     for (const AccessPattern& p : phase.shared_slots) {
       std::int64_t lo = 0;
@@ -197,7 +184,7 @@ void check_shared_oob(const KernelIR& ir, std::vector<Finding>& out) {
       if (lo < 0 || hi > declared) {
         std::ostringstream msg;
         msg << (p.store ? "store" : "load") << " range [" << lo << ", " << hi
-            << ") escapes the " << declared << "-byte shared footprint ("
+            << ") escapes the " << declared << "-byte shared layout ("
             << how << "); index = " << p.form.to_string() << " at "
             << geometry_string(ir.config);
         add_finding(out, FindingKind::kSharedOutOfBounds, Severity::kError, ir,
@@ -317,8 +304,7 @@ void check_barrier_divergence(const KernelIR& ir, std::vector<Finding>& out) {
   }
 }
 
-void check_traffic(const KernelIR& ir, const AnalysisOptions& options,
-                   std::vector<Finding>& out) {
+void check_traffic(const KernelIR& ir, std::vector<Finding>& out) {
   std::uint64_t total_conflicts = 0;
   for (const PhaseIR& phase : ir.phases) {
     for (const AccessPattern& p : phase.shared_slots) {
@@ -327,11 +313,11 @@ void check_traffic(const KernelIR& ir, const AnalysisOptions& options,
       }
       const SharedSlotPrediction pred = predict_shared_slot(ir.config, p);
       total_conflicts += pred.extra_passes;
-      if (pred.max_degree >= options.bank_conflict_warn_degree) {
+      if (pred.max_degree >= kBankConflictWarnDegree) {
         std::ostringstream msg;
         msg << "predicted " << pred.max_degree
-            << "-way bank conflict (threshold "
-            << options.bank_conflict_warn_degree << "): every issue of index "
+            << "-way bank conflict (threshold " << kBankConflictWarnDegree
+            << "): every issue of index "
             << p.form.to_string() << " serializes into " << pred.max_degree
             << " passes at " << geometry_string(ir.config);
         add_finding(out, FindingKind::kBankConflict, Severity::kWarning, ir,
@@ -348,7 +334,7 @@ void check_traffic(const KernelIR& ir, const AnalysisOptions& options,
               ? 1.0
               : static_cast<double>(pred.transactions) /
                     static_cast<double>(pred.min_transactions);
-      if (ratio >= options.uncoalesced_warn_ratio) {
+      if (ratio >= kUncoalescedWarnRatio) {
         std::ostringstream msg;
         msg << "uncoalesced " << (p.store ? "store" : "load") << ": predicted "
             << pred.transactions << " transactions where packed access needs "
@@ -364,7 +350,7 @@ void check_traffic(const KernelIR& ir, const AnalysisOptions& options,
     std::ostringstream msg;
     msg << "predicted " << total_conflicts
         << " serialized shared-memory passes across the launch (below the "
-        << options.bank_conflict_warn_degree << "-way warning threshold)";
+        << kBankConflictWarnDegree << "-way warning threshold)";
     add_finding(out, FindingKind::kBankConflict, Severity::kInfo, ir, -1, -1,
                 msg.str());
   }
@@ -374,41 +360,42 @@ void check_dead_shared_writes(const KernelIR& ir, std::vector<Finding>& out) {
   const auto word_flag = [](const std::vector<bool>& words, std::size_t w) {
     return w < words.size() && words[w];
   };
-  for (std::size_t ci = 0; ci < ir.carves.size(); ++ci) {
-    const CarveRegion& c = ir.carves[ci];
+  const auto& arrays = ir.config.shared.arrays();
+  for (std::size_t i = 0; i < arrays.size(); ++i) {
+    const vgpu::SharedLayout::Region& a = arrays[i];
     bool written = false;
     bool read = false;
-    const std::size_t first = c.offset / 4;
-    const std::size_t last = c.bytes == 0 ? first : (c.offset + c.bytes - 1) / 4;
+    const std::size_t first = a.offset / 4;
+    const std::size_t last = a.bytes == 0 ? first : (a.offset + a.bytes - 1) / 4;
     for (std::size_t w = first; w <= last; ++w) {
       written = written || word_flag(ir.shared_words_written, w);
       read = read || word_flag(ir.shared_words_read, w);
     }
     if (written && !read) {
       std::ostringstream msg;
-      msg << "carve #" << ci << " [" << c.offset << ", " << c.offset + c.bytes
+      msg << "shared array #" << i << " [" << a.offset << ", "
+          << a.offset + a.bytes
           << ") is written but never read in any phase of any sampled block "
           << "— the stores (and the shared footprint) are dead";
       add_finding(out, FindingKind::kDeadSharedWrite, Severity::kWarning, ir,
-                  -1, static_cast<int>(ci), msg.str());
+                  -1, static_cast<int>(i), msg.str());
     }
   }
 }
 
-void check_occupancy(const KernelIR& ir, const AnalysisOptions& options,
-                     std::vector<Finding>& out) {
+void check_occupancy(const KernelIR& ir, std::vector<Finding>& out) {
   const vgpu::DeviceSpec& spec = ir.device;
   const auto threads = static_cast<int>(ir.config.block.count());
+  const int shared = static_cast<int>(ir.config.shared.bytes());
   const vgpu::Occupancy occ = vgpu::compute_occupancy(
-      spec, threads, ir.config.shared_bytes, ir.config.regs_per_thread);
+      spec, threads, shared, ir.config.regs_per_thread);
   // Re-derive each limiter the way the occupancy calculation combines
   // them, to name the binding one.
   const int warps_per_block = (threads + kWarpSize - 1) / kWarpSize;
   const int by_warps = spec.max_warps_per_sm / warps_per_block;
   const int by_blocks = spec.max_blocks_per_sm;
-  const int by_shared = ir.config.shared_bytes > 0
-                            ? spec.shared_mem_per_sm / ir.config.shared_bytes
-                            : by_blocks;
+  const int by_shared =
+      shared > 0 ? spec.shared_mem_per_sm / shared : by_blocks;
   const int regs_per_block = ir.config.regs_per_thread * threads;
   const int by_regs =
       regs_per_block > 0 ? spec.registers_per_sm / regs_per_block : by_blocks;
@@ -430,9 +417,9 @@ void check_occupancy(const KernelIR& ir, const AnalysisOptions& options,
   msg << "occupancy " << occ.ratio * 100 << "% (" << occ.resident_warps << "/"
       << spec.max_warps_per_sm << " warps, " << occ.blocks_per_sm
       << " blocks/SM), limited by " << limiter;
-  if (occ.ratio < options.occupancy_warn_ratio) {
-    msg << "; below the " << options.occupancy_warn_ratio * 100
-        << "% warning floor — raise occupancy or suppress if latency-bound";
+  if (occ.ratio < kOccupancyWarnRatio) {
+    msg << "; below the " << kOccupancyWarnRatio * 100
+        << "% warning floor — raise occupancy";
     add_finding(out, FindingKind::kOccupancy, Severity::kWarning, ir, -1, -1,
                 msg.str());
   } else {
@@ -492,8 +479,6 @@ const char* finding_kind_name(FindingKind k) {
   switch (k) {
     case FindingKind::kSharedOutOfBounds: return "shared-oob";
     case FindingKind::kGlobalOutOfBounds: return "global-oob";
-    case FindingKind::kSharedFootprint: return "shared-footprint";
-    case FindingKind::kCarveDivergence: return "carve-divergence";
     case FindingKind::kBarrierDivergence: return "barrier-divergence";
     case FindingKind::kBankConflict: return "bank-conflict";
     case FindingKind::kUncoalesced: return "uncoalesced";
@@ -533,13 +518,12 @@ PredictedTraffic predict_traffic(const KernelIR& ir) {
 std::vector<Finding> analyze_kernel(const KernelIR& ir,
                                     const AnalysisOptions& options) {
   std::vector<Finding> out;
-  check_shared_footprint(ir, out);
   check_shared_oob(ir, out);
   check_global_oob(ir, options, out);
   check_barrier_divergence(ir, out);
-  check_traffic(ir, options, out);
+  check_traffic(ir, out);
   check_dead_shared_writes(ir, out);
-  check_occupancy(ir, options, out);
+  check_occupancy(ir, out);
   summarize_unpredictable(ir, out);
   std::stable_sort(out.begin(), out.end(),
                    [](const Finding& a, const Finding& b) {
@@ -548,45 +532,10 @@ std::vector<Finding> analyze_kernel(const KernelIR& ir,
   return out;
 }
 
-void apply_suppressions(std::vector<Finding>& findings,
-                        const std::vector<std::string>& specs) {
-  struct Parsed {
-    FindingKind kind;
-    std::string kernel;
-  };
-  std::vector<Parsed> parsed;
-  for (const std::string& spec : specs) {
-    const auto at = spec.find('@');
-    FDET_CHECK(at != std::string::npos && at > 0 && at + 1 < spec.size())
-        << "suppression '" << spec << "' must look like kind@kernel";
-    const std::string kind_slug = spec.substr(0, at);
-    bool found = false;
-    Parsed p{FindingKind::kNonAffine, spec.substr(at + 1)};
-    for (int k = 0; k <= static_cast<int>(FindingKind::kDataDependent); ++k) {
-      if (kind_slug == finding_kind_name(static_cast<FindingKind>(k))) {
-        p.kind = static_cast<FindingKind>(k);
-        found = true;
-        break;
-      }
-    }
-    FDET_CHECK(found) << "suppression '" << spec << "' names unknown kind '"
-                      << kind_slug << "'";
-    parsed.push_back(std::move(p));
-  }
-  for (Finding& f : findings) {
-    for (const Parsed& p : parsed) {
-      if (p.kind == f.kind && (p.kernel == "*" || p.kernel == f.kernel)) {
-        f.suppressed = true;
-        break;
-      }
-    }
-  }
-}
-
 int active_findings(const std::vector<Finding>& findings) {
   int n = 0;
   for (const Finding& f : findings) {
-    if (!f.suppressed && f.severity != Severity::kInfo) {
+    if (f.severity != Severity::kInfo) {
       ++n;
     }
   }

@@ -23,14 +23,12 @@ enum class Severity { kInfo, kWarning, kError };
 const char* severity_name(Severity s);
 
 enum class FindingKind {
-  kSharedOutOfBounds,   ///< proven shared access beyond the declared footprint
+  kSharedOutOfBounds,   ///< proven shared access outside the shared layout
   kGlobalOutOfBounds,   ///< proven global access escaping its allocation
-  kSharedFootprint,     ///< carve layout exceeds KernelConfig::shared_bytes
-  kCarveDivergence,     ///< lanes disagreed on the shared carve layout
   kBarrierDivergence,   ///< data-dependent producer divergence before a barrier
   kBankConflict,        ///< predicted conflict degree at/above threshold
   kUncoalesced,         ///< predicted transactions far above the packed minimum
-  kDeadSharedWrite,     ///< carve region written but never read
+  kDeadSharedWrite,     ///< layout array written but never read
   kOccupancy,           ///< occupancy-limiter advisory
   kNonAffine,           ///< slots the affine fit could not explain (summary)
   kDataDependent,       ///< data-dependent slots (summary, informational)
@@ -44,19 +42,9 @@ struct Finding {
   int phase = -1;  ///< -1 when the finding is kernel-scoped
   int slot = -1;
   std::string message;
-  bool suppressed = false;
 };
 
 struct AnalysisOptions {
-  /// Warn when a predicted per-issue conflict degree reaches this many
-  /// serialized passes. Production scan legitimately runs degree-4 chunk
-  /// scans; 8 is one power of two above anything the shipped kernels do.
-  int bank_conflict_warn_degree = 8;
-  /// Warn when predicted transactions exceed the packed minimum by this
-  /// factor on some slot (32 on a fully strided column-major read).
-  double uncoalesced_warn_ratio = 8.0;
-  /// Warn (not just inform) when occupancy drops below this ratio.
-  double occupancy_warn_ratio = 0.25;
   /// Registered global allocations the kernel may address — the same
   /// ranges the dynamic checker bounds-checks (vgpu/checker.h). Global OOB
   /// proofs require a slot's whole evaluated range to stay inside the
@@ -84,18 +72,12 @@ struct PredictedTraffic {
 PredictedTraffic predict_traffic(const KernelIR& ir);
 
 /// Runs every analysis; findings come back ordered most severe first.
+/// Warnings: a predicted bank conflict of degree 8 or more, a global slot
+/// needing 8x its packed transactions or more, occupancy below 25%.
 std::vector<Finding> analyze_kernel(const KernelIR& ir,
                                     const AnalysisOptions& options = {});
 
-/// Suppression spec: "kind@kernel" or "kind@*" (kind as kebab-case slug,
-/// kernel matched against KernelConfig::name). Unparseable specs throw
-/// core::CheckError. Matching findings are flagged `suppressed` and no
-/// longer count toward the lint exit code; they still render (dimmed) in
-/// reports so a stale suppression stays visible.
-void apply_suppressions(std::vector<Finding>& findings,
-                        const std::vector<std::string>& specs);
-
-/// Findings that still gate (unsuppressed, warning or worse).
+/// Findings that gate (warning or worse).
 int active_findings(const std::vector<Finding>& findings);
 
 }  // namespace fdet::analyze

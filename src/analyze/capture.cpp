@@ -11,6 +11,17 @@
 namespace fdet::analyze {
 namespace {
 
+/// Blocks sampled per grid axis: the first kBlocksPerAxis - 1 and the
+/// last block of each axis (all blocks when the axis is small). Two
+/// adjacent blocks pin the axis' affine coefficient; the last block
+/// exercises ragged guards.
+constexpr int kBlocksPerAxis = 3;
+/// Warps sampled per block: first two, middle, last (all when few).
+constexpr int kWarpsPerBlock = 4;
+/// Per-slot cap on stored observations (fit/verify set); beyond it the
+/// slot still tracks range/participation but new samples are not kept.
+constexpr std::size_t kMaxObservations = 8192;
+
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -67,9 +78,7 @@ struct BranchAccum {
 // ---------------------------------------------------------------------------
 
 struct CaptureEngine::Impl {
-  vgpu::DeviceSpec spec;
   RawKernelCapture raw;
-  bool in_kernel = false;
 
   // Sampling decisions for the current launch.
   std::vector<int> sample_bx, sample_by, sample_bz;
@@ -84,12 +93,6 @@ struct CaptureEngine::Impl {
   int phase = -1;
   int lane_shared_slot = 0;
   std::int64_t lane_warp_key = -1;
-
-  // Carve tracking: per-phase reference sequence (first sampled lane of the
-  // phase) compared against every later lane.
-  std::vector<CarveRegion> lane_carves;
-  std::vector<std::vector<CarveRegion>> phase_carve_ref;
-  std::vector<bool> phase_carve_ref_set;
 
   // Per-phase branch accumulators (parallel to raw.phases[i].branches).
   std::vector<std::vector<BranchAccum>> branch_accums;
@@ -106,7 +109,7 @@ struct CaptureEngine::Impl {
   }
 
   void observe(RawSlot& slot, std::int64_t value, std::uint32_t bytes,
-               bool store, const CaptureOptions& options) {
+               bool store) {
     slot.store = slot.store || store;
     slot.load = slot.load || !store;
     slot.bytes = std::max(slot.bytes, bytes);
@@ -121,7 +124,7 @@ struct CaptureEngine::Impl {
     const std::uint64_t lane = pack_lane(thread, block_id);
     slot.participant_fingerprint ^= splitmix64(lane);
     slot.value_fingerprint ^= splitmix64(lane ^ splitmix64(uvalue));
-    if (slot.observations.size() < options.max_observations) {
+    if (slot.observations.size() < kMaxObservations) {
       slot.observations.push_back(SlotObservation{
           static_cast<std::int16_t>(thread.x),
           static_cast<std::int16_t>(thread.y),
@@ -133,8 +136,7 @@ struct CaptureEngine::Impl {
   }
 };
 
-CaptureEngine::CaptureEngine(CaptureOptions options)
-    : options_(options), impl_(new Impl) {}
+CaptureEngine::CaptureEngine() : impl_(new Impl) {}
 
 CaptureEngine::~CaptureEngine() { delete impl_; }
 
@@ -142,19 +144,17 @@ void CaptureEngine::begin_kernel(const vgpu::DeviceSpec& spec,
                                  const vgpu::KernelConfig& config) {
   Impl& s = *impl_;
   s = Impl{};
-  s.spec = spec;
-  s.in_kernel = true;
   s.raw.config = config;
   s.raw.device = spec;
   s.raw.blocks_total = config.grid.count();
   s.raw.branch_tracking_forced = !config.track_branches;
-  s.sample_bx = axis_samples(config.grid.x, options_.blocks_per_axis);
-  s.sample_by = axis_samples(config.grid.y, options_.blocks_per_axis);
-  s.sample_bz = axis_samples(config.grid.z, options_.blocks_per_axis);
+  s.sample_bx = axis_samples(config.grid.x, kBlocksPerAxis);
+  s.sample_by = axis_samples(config.grid.y, kBlocksPerAxis);
+  s.sample_bz = axis_samples(config.grid.z, kBlocksPerAxis);
   s.warps_per_block =
       (config.block.count() + vgpu::kWarpSize - 1) / vgpu::kWarpSize;
   s.sample_warps = axis_samples(static_cast<int>(s.warps_per_block),
-                                options_.warps_per_block - 1);
+                                kWarpsPerBlock - 1);
   const int mid = static_cast<int>(s.warps_per_block) / 2;
   if (!contains(s.sample_warps, mid)) {
     s.sample_warps.push_back(mid);
@@ -179,8 +179,6 @@ void CaptureEngine::begin_phase(int phase) {
   if (phase >= static_cast<int>(s.raw.phases.size())) {
     s.raw.phases.resize(static_cast<std::size_t>(phase) + 1);
     s.branch_accums.resize(static_cast<std::size_t>(phase) + 1);
-    s.phase_carve_ref.resize(static_cast<std::size_t>(phase) + 1);
-    s.phase_carve_ref_set.resize(static_cast<std::size_t>(phase) + 1, false);
   }
 }
 
@@ -188,7 +186,6 @@ void CaptureEngine::begin_lane(const vgpu::Dim3& thread) {
   Impl& s = *impl_;
   s.thread = thread;
   s.lane_shared_slot = 0;
-  s.lane_carves.clear();
   if (!s.block_active) {
     s.lane_active = false;
     return;
@@ -208,21 +205,13 @@ void CaptureEngine::begin_lane(const vgpu::Dim3& thread) {
   }
 }
 
-void CaptureEngine::on_carve(std::size_t offset, std::size_t bytes,
-                             std::size_t alignment) {
-  Impl& s = *impl_;
-  if (!s.lane_active) return;
-  s.lane_carves.push_back(
-      CarveRegion{offset, bytes, alignment});
-}
-
 void CaptureEngine::on_shared(std::size_t offset, std::uint32_t bytes,
                               bool store) {
   Impl& s = *impl_;
   if (!s.lane_active) return;
   RawPhase& phase = s.cur_phase();
   RawSlot& slot = s.slot_at(phase.shared_slots, s.lane_shared_slot++);
-  s.observe(slot, static_cast<std::int64_t>(offset), bytes, store, options_);
+  s.observe(slot, static_cast<std::int64_t>(offset), bytes, store);
   if (store) {
     mark_words(s.raw.shared_words_written, offset, bytes);
   } else {
@@ -241,7 +230,7 @@ void CaptureEngine::end_lane(const vgpu::LaneCtx& lane) {
   for (std::size_t i = 0; i < ops.size(); ++i) {
     RawSlot& slot = s.slot_at(phase.global_slots, static_cast<int>(i));
     s.observe(slot, static_cast<std::int64_t>(ops[i].addr), ops[i].bytes,
-              ops[i].store, options_);
+              ops[i].store);
   }
 
   // Tracked branch outcomes, slot-aligned across the warp. Lanes stream
@@ -268,21 +257,6 @@ void CaptureEngine::end_lane(const vgpu::LaneCtx& lane) {
       acc.raw.divergent = true;
     }
   }
-
-  // Carve layout: first sampled lane of the phase defines the reference;
-  // any later lane disagreeing (different order, offset, or count) is a
-  // layout divergence the analyses must know about.
-  auto& ref = s.phase_carve_ref[static_cast<std::size_t>(s.phase)];
-  if (!s.phase_carve_ref_set[static_cast<std::size_t>(s.phase)]) {
-    ref = s.lane_carves;
-    s.phase_carve_ref_set[static_cast<std::size_t>(s.phase)] = true;
-  } else if (ref.size() != s.lane_carves.size() ||
-             !std::equal(ref.begin(), ref.end(), s.lane_carves.begin(),
-                         [](const CarveRegion& a, const CarveRegion& b) {
-                           return a.offset == b.offset && a.bytes == b.bytes;
-                         })) {
-    s.raw.carve_divergence = true;
-  }
   s.lane_active = false;
 }
 
@@ -290,24 +264,6 @@ void CaptureEngine::end_phase() {}
 
 void CaptureEngine::end_kernel() {
   Impl& s = *impl_;
-  // Union of carve regions across phases, keyed by offset (phases re-carve
-  // the same static layout; distinct offsets are distinct arrays).
-  for (const auto& phase_ref : s.phase_carve_ref) {
-    for (const CarveRegion& c : phase_ref) {
-      auto it = std::find_if(
-          s.raw.carves.begin(), s.raw.carves.end(),
-          [&c](const CarveRegion& r) { return r.offset == c.offset; });
-      if (it == s.raw.carves.end()) {
-        s.raw.carves.push_back(c);
-      } else {
-        it->bytes = std::max(it->bytes, c.bytes);
-      }
-    }
-  }
-  std::sort(s.raw.carves.begin(), s.raw.carves.end(),
-            [](const CarveRegion& a, const CarveRegion& b) {
-              return a.offset < b.offset;
-            });
   // Copy branch accumulators into the raw phases.
   for (std::size_t p = 0; p < s.raw.phases.size(); ++p) {
     auto& branches = s.raw.phases[p].branches;
@@ -315,7 +271,6 @@ void CaptureEngine::end_kernel() {
       branches.push_back(acc.raw);
     }
   }
-  s.in_kernel = false;
   captures_.push_back(std::move(s.raw));
   s.raw = RawKernelCapture{};
 }
@@ -324,21 +279,11 @@ void CaptureEngine::on_shadowed_launch(const vgpu::KernelConfig& /*config*/) {
   ++shadowed_launches_;
 }
 
-std::size_t CaptureEngine::shared_capacity_override() const {
-  // Mirror the checker: give carves the whole SM so footprint escapes are
-  // observable instead of fatal. Before the first launch the default spec
-  // capacity applies.
-  return impl_->in_kernel
-             ? static_cast<std::size_t>(impl_->spec.shared_mem_per_sm)
-             : static_cast<std::size_t>(vgpu::DeviceSpec{}.shared_mem_per_sm);
-}
-
 std::vector<RawKernelCapture> CaptureEngine::take_captures() {
   return std::exchange(captures_, {});
 }
 
-CaptureScope::CaptureScope(CaptureOptions options)
-    : engine_(options), installer_(engine_) {}
+CaptureScope::CaptureScope() : installer_(engine_) {}
 
 // ---------------------------------------------------------------------------
 // Affine fitting
@@ -481,8 +426,6 @@ BranchPattern condense_branch(const RawBranch& b, int phase, int slot) {
 void copy_launch_shape(const RawKernelCapture& raw, KernelIR& ir) {
   ir.config = raw.config;
   ir.device = raw.device;
-  ir.carves = raw.carves;
-  ir.carve_divergence = raw.carve_divergence;
   ir.shared_words_written = raw.shared_words_written;
   ir.shared_words_read = raw.shared_words_read;
   ir.blocks_sampled = raw.blocks_sampled;
@@ -535,7 +478,6 @@ KernelIR merge_captures(const RawKernelCapture& seed_a,
   KernelIR ir;
   copy_launch_shape(seed_a, ir);
   ir.data_seeds = 2;
-  ir.carve_divergence = seed_a.carve_divergence || seed_b.carve_divergence;
   // Dead-write inputs: a word counts as read/written if EITHER seed saw it.
   const auto merge_words = [](std::vector<bool>& into,
                               const std::vector<bool>& from) {
@@ -625,17 +567,17 @@ KernelIR merge_captures(const RawKernelCapture& seed_a,
 
 std::vector<KernelIR> capture_kernels(
     const std::function<void(std::uint64_t seed)>& driver, std::uint64_t seed_a,
-    std::uint64_t seed_b, const CaptureOptions& options, int* shadowed) {
+    std::uint64_t seed_b, int* shadowed) {
   int shadow_count = 0;
   std::vector<RawKernelCapture> run_a, run_b;
   {
-    CaptureScope scope(options);
+    CaptureScope scope;
     driver(seed_a);
     shadow_count += scope.shadowed_launches();
     run_a = scope.take_captures();
   }
   {
-    CaptureScope scope(options);
+    CaptureScope scope;
     driver(seed_b);
     shadow_count += scope.shadowed_launches();
     run_b = scope.take_captures();

@@ -5,11 +5,13 @@
 // closes is recorded — lane by lane, slot by slot — into a
 // RawKernelCapture. Production kernels need no rewrites: the engine taps
 // the exact instrumentation the checker already uses (LaneCtx
-// attribution, SharedMem carves, the PhaseFn barrier structure).
+// attribution and the PhaseFn barrier structure); the shared layout
+// travels with the captured KernelConfig.
 //
 // Capture runs the kernel's real code, but the *analysis* contract is
-// static: the engine samples a handful of blocks and warps (corners of
-// each grid/block axis — enough to pin every affine coefficient), fits an
+// static: the engine samples a handful of blocks and warps (the first two
+// and the last block of each grid axis; the first two, middle and last
+// warp of each block — enough to pin every affine coefficient), fits an
 // AffineForm per access slot, and verifies the fit against every
 // observation. merge_captures() then combines two captures of the same
 // driver under different data seeds: any slot whose addresses, branch
@@ -33,19 +35,6 @@
 #include "vgpu/observer.h"
 
 namespace fdet::analyze {
-
-struct CaptureOptions {
-  /// Blocks sampled per grid axis: the first `blocks_per_axis - 1` and the
-  /// last block of each axis (all blocks when the axis is small). Two
-  /// adjacent blocks pin the axis' affine coefficient; the last block
-  /// exercises ragged guards.
-  int blocks_per_axis = 3;
-  /// Warps sampled per block: first two, middle, last (all when few).
-  int warps_per_block = 4;
-  /// Per-slot cap on stored observations (fit/verify set); beyond it the
-  /// slot still tracks range/participation but new samples are not kept.
-  std::size_t max_observations = 8192;
-};
 
 /// One observation of an access slot: which lane produced which value.
 struct SlotObservation {
@@ -88,8 +77,6 @@ struct RawKernelCapture {
   vgpu::KernelConfig config;
   vgpu::DeviceSpec device;
   std::vector<RawPhase> phases;
-  std::vector<CarveRegion> carves;
-  bool carve_divergence = false;
   std::vector<bool> shared_words_written;
   std::vector<bool> shared_words_read;
   int blocks_sampled = 0;
@@ -101,7 +88,7 @@ struct RawKernelCapture {
 /// the precedence regression test can observe it directly.
 class CaptureEngine : public vgpu::LaunchObserver {
  public:
-  explicit CaptureEngine(CaptureOptions options = {});
+  CaptureEngine();
   ~CaptureEngine() override;
 
   // vgpu::LaunchObserver lane events
@@ -111,15 +98,11 @@ class CaptureEngine : public vgpu::LaunchObserver {
   void begin_block(const vgpu::Dim3& block_id) override;
   void begin_phase(int phase) override;
   void begin_lane(const vgpu::Dim3& thread) override;
-  void on_carve(std::size_t offset, std::size_t bytes,
-                std::size_t alignment) override;
   void on_shared(std::size_t offset, std::uint32_t bytes, bool store) override;
   void end_lane(const vgpu::LaneCtx& lane) override;
   void end_phase() override;
   void end_kernel() override;
   void on_shadowed_launch(const vgpu::KernelConfig& config) override;
-  std::size_t shared_capacity_override() const override;
-  bool absorbs_resource_faults() const override { return true; }
   bool wants_branch_tracking() const override { return true; }
 
   const std::vector<RawKernelCapture>& captures() const { return captures_; }
@@ -130,7 +113,6 @@ class CaptureEngine : public vgpu::LaunchObserver {
 
  private:
   struct Impl;
-  CaptureOptions options_;
   std::vector<RawKernelCapture> captures_;
   int shadowed_launches_ = 0;
   Impl* impl_;  ///< in-flight launch state
@@ -140,7 +122,7 @@ class CaptureEngine : public vgpu::LaunchObserver {
 /// chain.
 class CaptureScope {
  public:
-  explicit CaptureScope(CaptureOptions options = {});
+  CaptureScope();
 
   CaptureEngine& engine() { return engine_; }
   std::vector<RawKernelCapture> take_captures() {
@@ -173,6 +155,6 @@ KernelIR merge_captures(const RawKernelCapture& seed_a,
 std::vector<KernelIR> capture_kernels(
     const std::function<void(std::uint64_t seed)>& driver,
     std::uint64_t seed_a = 0x5eed0001, std::uint64_t seed_b = 0x5eed0002,
-    const CaptureOptions& options = {}, int* shadowed = nullptr);
+    int* shadowed = nullptr);
 
 }  // namespace fdet::analyze

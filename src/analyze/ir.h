@@ -4,10 +4,10 @@
 // as a vgpu::LaunchObserver and condenses the observed lane programs into
 // this IR: per phase, one AccessPattern per *slot* (the k-th shared or
 // global access a lane issues inside the phase — the same slot alignment
-// the executor uses for bank-conflict and coalescing modelling), one
-// BranchPattern per tracked branch slot, plus the block's SharedMem carve
-// layout. Each pattern carries a symbolic index expression — an affine
-// form over the thread/block coordinates
+// the executor uses for bank-conflict and coalescing modelling) and one
+// BranchPattern per tracked branch slot; the block's shared layout is the
+// captured config's SharedLayout. Each pattern carries a symbolic index
+// expression — an affine form over the thread/block coordinates
 //
 //   value(tid, bid) = c0 + tx·tid.x + ty·tid.y + tz·tid.z
 //                        + bx·bid.x + by·bid.y + bz·bid.z
@@ -107,13 +107,6 @@ struct BranchPattern {
   std::int64_t observations = 0;
 };
 
-/// A SharedMem::array carve of the block's static layout.
-struct CarveRegion {
-  std::uint64_t offset = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t alignment = 0;
-};
-
 struct PhaseIR {
   int index = 0;
   std::vector<AccessPattern> shared_slots;
@@ -123,11 +116,9 @@ struct PhaseIR {
 
 /// Captured symbolic program of one kernel launch.
 struct KernelIR {
-  vgpu::KernelConfig config;   ///< geometry the IR was captured at
+  vgpu::KernelConfig config;   ///< geometry and shared layout captured at
   vgpu::DeviceSpec device;     ///< spec the capture ran against
   std::vector<PhaseIR> phases;
-  std::vector<CarveRegion> carves;  ///< reference carve layout (lane 0)
-  bool carve_divergence = false;    ///< lanes disagreed on the layout
 
   /// 4-byte shared words observed written / read anywhere in the launch
   /// (union over phases, lanes and sampled blocks) — the dead-write

@@ -50,7 +50,6 @@ std::vector<LintTarget> production_targets(int width, int height) {
   targets.push_back(LintTarget{
       .name = "integral-rows",
       .allocations = {{"source/table", 0, i32_bytes}},
-      .suppressions = {},
       .driver =
           [width, height](std::uint64_t seed) {
             const vgpu::DeviceSpec spec;
@@ -65,7 +64,6 @@ std::vector<LintTarget> production_targets(int width, int height) {
   targets.push_back(LintTarget{
       .name = "integral-cols",
       .allocations = {{"table", 0, i32_bytes}},
-      .suppressions = {},
       .driver =
           [width, height](std::uint64_t seed) {
             const vgpu::DeviceSpec spec;
@@ -79,7 +77,6 @@ std::vector<LintTarget> production_targets(int width, int height) {
   targets.push_back(LintTarget{
       .name = "pyramid-scale",
       .allocations = {{"scaled plane", 0, level_bytes}},
-      .suppressions = {},
       .driver =
           [width, height, lw, lh](std::uint64_t seed) {
             const vgpu::DeviceSpec spec;
@@ -93,7 +90,6 @@ std::vector<LintTarget> production_targets(int width, int height) {
   targets.push_back(LintTarget{
       .name = "pyramid-filter",
       .allocations = {{"level plane", 0, level_bytes}},
-      .suppressions = {},
       .driver =
           [lw, lh](std::uint64_t seed) {
             const vgpu::DeviceSpec spec;
@@ -114,7 +110,6 @@ std::vector<LintTarget> production_targets(int width, int height) {
   targets.push_back(LintTarget{
       .name = "cascade",
       .allocations = {{"integral/depth/score", 0, i32_bytes}},
-      .suppressions = {},
       .driver =
           [width, height](std::uint64_t seed) {
             const vgpu::DeviceSpec spec;
@@ -136,7 +131,6 @@ std::vector<LintTarget> production_targets(int width, int height) {
       .allocations = {{"depth map", 0, i32_bytes},
                       {"overlay", 0, static_cast<std::uint64_t>(width) *
                                          static_cast<std::uint64_t>(height)}},
-      .suppressions = {},
       .driver =
           [width, height](std::uint64_t seed) {
             const vgpu::DeviceSpec spec;

@@ -20,9 +20,6 @@ struct LintTarget {
   /// Global allocations the kernels address (virtual byte-offset ranges):
   /// the checker's memcheck ranges and the static global-OOB proof's.
   std::vector<vgpu::GlobalAllocation> allocations;
-  /// Suppressions registered with the target ("kind@kernel"); merged with
-  /// any the CLI passes. Empty for the shipped kernels — they lint clean.
-  std::vector<std::string> suppressions;
   /// Launches the target's kernels. The seed must ONLY change input data,
   /// never geometry: capture runs the driver twice and diffs the runs to
   /// classify data dependence.

@@ -18,7 +18,7 @@ std::string geometry_string(const vgpu::KernelConfig& config) {
 int count_findings(const KernelLintResult& r, Severity severity) {
   int n = 0;
   for (const Finding& f : r.findings) {
-    if (f.severity == severity && !f.suppressed) {
+    if (f.severity == severity) {
       ++n;
     }
   }
@@ -77,9 +77,6 @@ void print_findings(std::ostream& out,
                     const std::vector<KernelLintResult>& results) {
   for (const KernelLintResult& r : results) {
     for (const Finding& f : r.findings) {
-      if (f.severity == Severity::kInfo && f.suppressed) {
-        continue;
-      }
       out << severity_name(f.severity) << " [" << finding_kind_name(f.kind)
           << "@" << f.kernel << "]";
       if (f.phase >= 0) {
@@ -88,11 +85,7 @@ void print_findings(std::ostream& out,
       if (f.slot >= 0) {
         out << " slot " << f.slot;
       }
-      out << ": " << f.message;
-      if (f.suppressed) {
-        out << " [suppressed]";
-      }
-      out << "\n";
+      out << ": " << f.message << "\n";
     }
   }
 }
@@ -115,8 +108,7 @@ void publish_lint_results(obs::Registry& registry,
     for (const Finding& f : r.findings) {
       obs::Labels finding_labels = labels;
       finding_labels.emplace_back("kind", finding_kind_name(f.kind));
-      finding_labels.emplace_back(
-          "severity", f.suppressed ? "suppressed" : severity_name(f.severity));
+      finding_labels.emplace_back("severity", severity_name(f.severity));
       registry.counter("analyze.lint.findings", finding_labels).increment();
     }
   }

@@ -14,7 +14,7 @@
 namespace fdet::analyze {
 
 /// One analyzed kernel launch: its IR summary, traffic prediction and
-/// (possibly suppressed) findings.
+/// findings.
 struct KernelLintResult {
   std::string target;  ///< registry target the launch came from
   std::string kernel;  ///< KernelConfig::name
@@ -36,8 +36,7 @@ KernelLintResult summarize(const std::string& target, const KernelIR& ir,
 void print_lint_table(std::ostream& out,
                       const std::vector<KernelLintResult>& results);
 
-/// One line per finding, errors first; suppressed findings render dimmed
-/// with a [suppressed] tag so stale suppressions stay visible.
+/// One line per finding, errors first.
 void print_findings(std::ostream& out,
                     const std::vector<KernelLintResult>& results);
 

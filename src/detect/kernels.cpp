@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <utility>
 
 #include "core/check.h"
 #include "img/texture.h"
@@ -214,14 +216,15 @@ vgpu::LaunchCost cascade_kernel(const vgpu::DeviceSpec& spec,
   const img::ImageI32& table = ii.table();
 
   const int tile_dim = 2 * n;
-  const std::size_t tile_elems =
-      static_cast<std::size_t>(tile_dim) * static_cast<std::size_t>(tile_dim);
+  vgpu::SharedLayout layout;
+  const auto tile = layout.add<std::int32_t>(
+      static_cast<std::size_t>(tile_dim) * static_cast<std::size_t>(tile_dim));
 
   vgpu::KernelConfig config{
       .name = name,
       .grid = {(w + n - 1) / n, (h + n - 1) / n, 1},
       .block = {n, n, 1},
-      .shared_bytes = static_cast<int>(tile_elems * sizeof(std::int32_t)),
+      .shared = std::move(layout),
       .regs_per_thread = 32,
       .track_branches = true,
       // The re-encoded cascade must fit the device's constant memory
@@ -237,7 +240,7 @@ vgpu::LaunchCost cascade_kernel(const vgpu::DeviceSpec& spec,
   const auto load_phase = [&, n, tile_dim, w, h](const vgpu::ThreadCoord& t,
                                                  vgpu::LaneCtx& ctx,
                                                  vgpu::SharedMem& shared) {
-    auto tile = shared.array<std::int32_t>(tile_elems);
+    const std::span<std::int32_t> cells = shared[tile];
     const int gx0 = t.block_id.x * n - 1;
     const int gy0 = t.block_id.y * n - 1;
     for (int dy = 0; dy < 2; ++dy) {
@@ -252,7 +255,7 @@ vgpu::LaunchCost cascade_kernel(const vgpu::DeviceSpec& spec,
           value = table(gx, gy);
           ctx.global_load(addr_of_i32(w, gx, gy), 4);
         }
-        auto& cell = tile[static_cast<std::size_t>(ly) * tile_dim + lx];
+        auto& cell = cells[static_cast<std::size_t>(ly) * tile_dim + lx];
         cell = value;
         ctx.shared_store_at(shared, cell);
       }
@@ -263,7 +266,7 @@ vgpu::LaunchCost cascade_kernel(const vgpu::DeviceSpec& spec,
   const auto eval_phase = [&, n, tile_dim, w, h, stage_count](
                               const vgpu::ThreadCoord& t, vgpu::LaneCtx& ctx,
                               vgpu::SharedMem& shared) {
-    auto tile = shared.array<std::int32_t>(tile_elems);
+    const std::span<const std::int32_t> cells = shared[tile];
     const int x = t.thread.x;
     const int y = t.thread.y;
     const int gx = t.block_id.x * n + x;
@@ -280,8 +283,8 @@ vgpu::LaunchCost cascade_kernel(const vgpu::DeviceSpec& spec,
 
     // Every tile read is an addressed shared access (one per corner), so
     // checked execution can verify the staging protocol of eqs. (1)-(4).
-    const auto tile_at = [&tile, &ctx, &shared, tile_dim](int lx, int ly) {
-      const auto& cell = tile[static_cast<std::size_t>(ly) * tile_dim + lx];
+    const auto tile_at = [&cells, &ctx, &shared, tile_dim](int lx, int ly) {
+      const auto& cell = cells[static_cast<std::size_t>(ly) * tile_dim + lx];
       ctx.shared_load_at(shared, cell);
       return cell;
     };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 
 #include "core/check.h"
 
@@ -38,26 +39,20 @@ vgpu::LaunchCost scan_rows_gpu(const vgpu::DeviceSpec& spec,
       << "scan output must match input dimensions";
   const int tiles = (w + kTileDim - 1) / kTileDim;
 
+  // Shared layout: two tile buffers — tile t lives in buffer t % 2 — then
+  // one running-sum carry per strip row.
+  vgpu::SharedLayout layout;
+  const vgpu::SharedArray<std::int32_t> buffers[2] = {
+      layout.add<std::int32_t>(kTileWords),
+      layout.add<std::int32_t>(kTileWords)};
+  const auto carries = layout.add<std::int32_t>(kTileDim);
+
   vgpu::KernelConfig config{
       .name = "scan_rows",
       .grid = {1, (h + kTileDim - 1) / kTileDim, 1},
       .block = {kTileDim, kTileRows, 1},
-      .shared_bytes = static_cast<int>((2 * kTileWords + kTileDim) *
-                                       sizeof(std::int32_t)),
+      .shared = std::move(layout),
       .regs_per_thread = 20,
-  };
-
-  // Shared layout (identical carve order in every phase): two tile
-  // buffers — tile t lives in buffer t % 2 — then one running-sum carry
-  // per strip row.
-  const auto carve = [](vgpu::SharedMem& shared) {
-    struct Views {
-      std::span<std::int32_t> tiles[2];
-      std::span<std::int32_t> carry;
-    };
-    return Views{{shared.array<std::int32_t>(kTileWords),
-                  shared.array<std::int32_t>(kTileWords)},
-                 shared.array<std::int32_t>(kTileDim)};
   };
 
   // Coalesced tile moves: thread (x, y) moves tile rows y, y+8, y+16 and
@@ -101,10 +96,9 @@ vgpu::LaunchCost scan_rows_gpu(const vgpu::DeviceSpec& spec,
   // Phase 0: stage tile 0 and zero the carries.
   phases.push_back([&](const vgpu::ThreadCoord& t, vgpu::LaneCtx& ctx,
                        vgpu::SharedMem& shared) {
-    const auto views = carve(shared);
-    load_tile(t, ctx, shared, views.tiles[0], 0);
+    load_tile(t, ctx, shared, shared[buffers[0]], 0);
     if (t.thread.y == 0) {
-      auto& carry = views.carry[static_cast<std::size_t>(t.thread.x)];
+      auto& carry = shared[carries][static_cast<std::size_t>(t.thread.x)];
       carry = 0;
       ctx.shared_store_at(shared, carry);
     }
@@ -117,15 +111,14 @@ vgpu::LaunchCost scan_rows_gpu(const vgpu::DeviceSpec& spec,
     phases.push_back([&, tile, cols](const vgpu::ThreadCoord& t,
                                      vgpu::LaneCtx& ctx,
                                      vgpu::SharedMem& shared) {
-      const auto views = carve(shared);
       const int row = t.thread.x;
       if (t.thread.y != 0 || t.block_id.y * kTileDim + row >= h) {
         return;
       }
-      auto& carry = views.carry[static_cast<std::size_t>(row)];
+      auto& carry = shared[carries][static_cast<std::size_t>(row)];
       std::int32_t acc = carry;
       ctx.shared_load_at(shared, carry);
-      for (auto& cell : views.tiles[tile % 2].subspan(
+      for (auto& cell : shared[buffers[tile % 2]].subspan(
                static_cast<std::size_t>(row * kTileStride),
                static_cast<std::size_t>(cols))) {
         acc += cell;
@@ -144,10 +137,9 @@ vgpu::LaunchCost scan_rows_gpu(const vgpu::DeviceSpec& spec,
     // aligned (interleaving them would misalign slots into conflicts).
     phases.push_back([&, tile](const vgpu::ThreadCoord& t, vgpu::LaneCtx& ctx,
                                vgpu::SharedMem& shared) {
-      const auto views = carve(shared);
-      store_tile(t, ctx, shared, views.tiles[tile % 2], tile);
+      store_tile(t, ctx, shared, shared[buffers[tile % 2]], tile);
       if (tile + 1 < tiles) {
-        load_tile(t, ctx, shared, views.tiles[(tile + 1) % 2], tile + 1);
+        load_tile(t, ctx, shared, shared[buffers[(tile + 1) % 2]], tile + 1);
       }
     });
   }
@@ -164,7 +156,6 @@ vgpu::LaunchCost scan_cols_gpu(const vgpu::DeviceSpec& spec,
       .name = "scan_cols",
       .grid = {(w + kColThreads - 1) / kColThreads, 1, 1},
       .block = {kColThreads, 1, 1},
-      .shared_bytes = 0,
       .regs_per_thread = 16,
   };
 

@@ -164,8 +164,4 @@ RunRecord build_run_record(std::string artifact, std::string variant,
   return record;
 }
 
-std::string run_record_path(const std::string& artifact) {
-  return "BENCH_" + artifact + ".json";
-}
-
 }  // namespace fdet::obs

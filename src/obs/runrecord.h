@@ -96,7 +96,4 @@ struct RunRecord {
 RunRecord build_run_record(std::string artifact, std::string variant,
                            Labels labels, const Registry& registry);
 
-/// Canonical on-disk name for a bench artifact: `BENCH_<artifact>.json`.
-std::string run_record_path(const std::string& artifact);
-
 }  // namespace fdet::obs

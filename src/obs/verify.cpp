@@ -17,8 +17,6 @@ void publish_check_report(Registry& registry, const vgpu::CheckReport& report,
   registry.gauge("vgpu.check.clean", labels).set(report.clean() ? 1.0 : 0.0);
   registry.counter("vgpu.check.shared_accesses", labels)
       .add(static_cast<double>(report.shared_accesses_checked));
-  registry.counter("vgpu.check.carves", labels)
-      .add(static_cast<double>(report.carves_checked));
   registry.counter("vgpu.check.global_ops", labels)
       .add(static_cast<double>(report.global_ops_checked));
   for (const vgpu::Hazard& hazard : report.hazards) {

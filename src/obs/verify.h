@@ -9,7 +9,6 @@
 //   vgpu.check.hazards{kernel=K,kind=}  counter per hazard kind (includes
 //                                       kind=suppressed beyond the cap)
 //   vgpu.check.shared_accesses{kernel=K}    shared accesses checked
-//   vgpu.check.carves{kernel=K}         SharedMem carves checked
 //   vgpu.check.global_ops{kernel=K}     global ops bounds-checked
 #pragma once
 

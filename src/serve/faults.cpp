@@ -213,7 +213,7 @@ void LaunchFaultInjector::before_launch(const vgpu::DeviceSpec& /*spec*/,
                                 std::to_string(frame_) + ")",
                             /*transient=*/false);
   }
-  if (shared_ && config.shared_bytes > 0) {
+  if (shared_ && config.shared.bytes() > 0) {
     fired_ = true;
     throw vgpu::LaunchError("injected shared-memory overflow on '" +
                                 config.name + "' (frame " +

@@ -14,9 +14,6 @@ const char* hazard_name(HazardKind kind) {
   switch (kind) {
     case HazardKind::kIntraPhaseRace: return "intra-phase-race";
     case HazardKind::kUninitializedSharedRead: return "uninitialized-shared-read";
-    case HazardKind::kCarveDivergence: return "carve-divergence";
-    case HazardKind::kCarveOverflow: return "carve-overflow";
-    case HazardKind::kSharedDeclMismatch: return "shared-decl-mismatch";
     case HazardKind::kSharedOutOfBounds: return "shared-out-of-bounds";
     case HazardKind::kConstantOverflow: return "constant-overflow";
     case HazardKind::kGlobalOutOfBounds: return "global-out-of-bounds";
@@ -33,8 +30,8 @@ std::string CheckReport::summary() const {
     out << hazards.size() + suppressed_hazards << " hazard(s)";
   }
   out << " (" << blocks << " blocks, " << phases << " phases, "
-      << shared_accesses_checked << " shared accesses, " << carves_checked
-      << " carves, " << global_ops_checked << " global ops checked)";
+      << shared_accesses_checked << " shared accesses, "
+      << global_ops_checked << " global ops checked)";
   return out.str();
 }
 
@@ -47,21 +44,16 @@ void Checker::begin_kernel(const DeviceSpec& spec, const KernelConfig& config) {
   kernel_name_ = config.name;
   device_name_ = spec.name;
   block_dim_ = config.block;
-  declared_shared_ = static_cast<std::size_t>(config.shared_bytes);
-  shared_capacity_ = std::max(declared_shared_,
-                              static_cast<std::size_t>(spec.shared_mem_per_sm));
-  max_carve_extent_ = 0;
+  layout_bytes_ = config.shared.bytes();
   phase_ = -1;
-  carve_index_ = 0;
-  reference_carves_.clear();
-  shadow_.assign(shared_capacity_, ByteState{});
+  shadow_.assign(layout_bytes_, ByteState{});
   phase_epoch_ = 0;
   block_epoch_ = 0;
   phase_writes_.clear();
   current_ = CheckReport{};
   current_.kernel = kernel_name_;
 
-  // Resource-limit check (d): the encoded cascade must fit the device's
+  // Resource-limit check: the encoded cascade must fit the device's
   // constant memory. In unchecked runs execute_kernel throws instead.
   if (config.constant_bytes > spec.constant_mem_bytes) {
     std::ostringstream msg;
@@ -93,52 +85,6 @@ void Checker::begin_lane(const Dim3& thread) {
   lane_ = thread;
   lane_flat_ =
       thread.x + block_dim_.x * (thread.y + block_dim_.y * thread.z);
-  carve_index_ = 0;
-}
-
-void Checker::on_carve(std::size_t offset, std::size_t bytes,
-                       std::size_t alignment) {
-  ++current_.carves_checked;
-  const CarveEvent carve{offset, bytes, alignment};
-
-  // Carve-sequence identity (c): CUDA static __shared__ gives every thread
-  // the same layout; each lane's carve sequence must therefore be a prefix
-  // of the block-wide reference sequence (early-exiting lanes may carve
-  // less, never differently). The first lane to reach index k defines it.
-  if (carve_index_ < reference_carves_.size()) {
-    const CarveEvent& expected = reference_carves_[carve_index_];
-    if (!(carve == expected)) {
-      std::ostringstream msg;
-      msg << "shared carve divergence: kernel '" << kernel_name_ << "' phase "
-          << phase_ << ", block (" << block_id_.x << "," << block_id_.y << ","
-          << block_id_.z << "), lane " << lane_str(lane_) << " carve #"
-          << carve_index_ << " requested offset=" << offset << " bytes="
-          << bytes << " align=" << alignment
-          << " but the established layout has offset=" << expected.offset
-          << " bytes=" << expected.bytes << " align=" << expected.alignment
-          << " — all lanes must request identical static __shared__ layouts";
-      add_hazard(HazardKind::kCarveDivergence, offset,
-                 static_cast<std::uint32_t>(bytes), msg.str());
-    }
-  } else {
-    reference_carves_.push_back(carve);
-  }
-  ++carve_index_;
-
-  // Span escape: the carve lands past the declared static footprint. The
-  // checked SharedMem buffer spans the whole SM so execution continues.
-  if (offset + bytes > declared_shared_) {
-    std::ostringstream msg;
-    msg << "shared carve overflow: kernel '" << kernel_name_ << "' phase "
-        << phase_ << ", lane " << lane_str(lane_) << " carve #"
-        << (carve_index_ - 1) << " spans bytes [" << offset << ", "
-        << offset + bytes << ") but the kernel declares shared_bytes="
-        << declared_shared_ << " — raise KernelConfig::shared_bytes or "
-        << "shrink the carve";
-    add_hazard(HazardKind::kCarveOverflow, offset,
-               static_cast<std::uint32_t>(bytes), msg.str());
-  }
-  max_carve_extent_ = std::max(max_carve_extent_, offset + bytes);
 }
 
 void Checker::add_race(std::size_t byte, std::uint32_t bytes,
@@ -167,7 +113,7 @@ void Checker::add_race(std::size_t byte, std::uint32_t bytes,
   hazard.bytes = bytes;
   hazard.message = msg.str();
   if (current_.hazards.size() <
-      static_cast<std::size_t>(options_.max_reports_per_kernel)) {
+      static_cast<std::size_t>(kMaxReportsPerKernel)) {
     current_.hazards.push_back(std::move(hazard));
   } else {
     ++current_.suppressed_hazards;
@@ -176,13 +122,13 @@ void Checker::add_race(std::size_t byte, std::uint32_t bytes,
 
 void Checker::on_shared(std::size_t offset, std::uint32_t bytes, bool store) {
   ++current_.shared_accesses_checked;
-  if (offset + bytes > shared_capacity_) {
+  if (offset + bytes > layout_bytes_) {
     std::ostringstream msg;
     msg << "shared out-of-bounds: kernel '" << kernel_name_ << "' phase "
         << phase_ << ", lane " << lane_str(lane_)
         << (store ? " WRITE" : " READ") << " of bytes [" << offset << ", "
-        << offset + bytes << ") exceeds the SM shared capacity "
-        << shared_capacity_;
+        << offset + bytes << ") falls outside the kernel's "
+        << layout_bytes_ << "-byte shared layout";
     add_hazard(HazardKind::kSharedOutOfBounds, offset, bytes, msg.str());
     return;
   }
@@ -276,26 +222,9 @@ void Checker::end_phase() {
 
 void Checker::end_kernel() {
   FDET_CHECK(in_kernel_) << "checker: end_kernel without begin_kernel";
-  if (options_.check_shared_declaration &&
-      max_carve_extent_ < declared_shared_) {
-    std::ostringstream msg;
-    msg << "shared declaration mismatch: kernel '" << kernel_name_
-        << "' declares shared_bytes=" << declared_shared_
-        << " but carves at most " << max_carve_extent_
-        << " — the excess still counts against occupancy "
-        << "(KernelConfig::shared_bytes feeds compute_occupancy)";
-    add_hazard(HazardKind::kSharedDeclMismatch, max_carve_extent_,
-               static_cast<std::uint32_t>(declared_shared_ -
-                                          max_carve_extent_),
-               msg.str());
-  }
   in_kernel_ = false;
   reports_.push_back(std::move(current_));
   current_ = CheckReport{};
-}
-
-std::size_t Checker::checked_shared_capacity() const {
-  return shared_capacity_;
 }
 
 void Checker::set_global_allocations(
@@ -324,7 +253,7 @@ std::size_t Checker::hazard_count() const {
 void Checker::add_hazard(HazardKind kind, std::uint64_t offset,
                          std::uint32_t bytes, std::string message) {
   if (current_.hazards.size() >=
-      static_cast<std::size_t>(options_.max_reports_per_kernel)) {
+      static_cast<std::size_t>(kMaxReportsPerKernel)) {
     ++current_.suppressed_hazards;
     return;
   }

@@ -8,9 +8,9 @@
 // has every thread write 4 shared-tile pixels, 3 of which are consumed by
 // *other* threads' windows after the barrier.
 //
-// Checked execution shadows every attributed shared-memory access, every
-// SharedMem carve and every recorded global operation with
-// (lane, phase, byte-range, read/write) records and reports:
+// Checked execution shadows every attributed shared-memory access and
+// every recorded global operation with (lane, phase, byte-range,
+// read/write) records and reports:
 //
 //   intra-phase race          two lanes touch overlapping shared bytes in
 //                             one phase, at least one writing — a missing
@@ -19,14 +19,10 @@
 //                             (and no same-lane program-order write) ever
 //                             wrote — __shared__ starts undefined even
 //                             though the simulator zero-fills it
-//   carve divergence          lanes disagree on the SharedMem::array carve
-//                             sequence (offset/size/alignment); CUDA's
-//                             static __shared__ layout is identical for
-//                             every thread by construction
-//   carve overflow            a carve escapes the declared shared_bytes
-//                             (span escape past the static footprint)
-//   declared-bytes mismatch   the kernel declares more shared memory than
-//                             it ever carves (occupancy paid for nothing)
+//   shared out-of-bounds      an access outside the kernel's SharedLayout
+//                             (bytes() is the static footprint; under the
+//                             checker the block buffer spans the whole SM,
+//                             so the stray access lands in real storage)
 //   constant overflow         KernelConfig::constant_bytes exceeds
 //                             DeviceSpec::constant_mem_bytes (the 64 KiB
 //                             Fermi limit the re-encoding of Sec. III-B
@@ -58,9 +54,6 @@ struct KernelConfig;
 enum class HazardKind {
   kIntraPhaseRace,
   kUninitializedSharedRead,
-  kCarveDivergence,
-  kCarveOverflow,
-  kSharedDeclMismatch,
   kSharedOutOfBounds,
   kConstantOverflow,
   kGlobalOutOfBounds,
@@ -91,9 +84,8 @@ struct CheckReport {
   int phases = 0;
   std::int64_t blocks = 0;
   std::vector<Hazard> hazards;
-  std::uint64_t suppressed_hazards = 0;    ///< beyond max_reports_per_kernel
+  std::uint64_t suppressed_hazards = 0;    ///< beyond kMaxReportsPerKernel
   std::uint64_t shared_accesses_checked = 0;
-  std::uint64_t carves_checked = 0;
   std::uint64_t global_ops_checked = 0;
 
   bool clean() const { return hazards.empty() && suppressed_hazards == 0; }
@@ -111,13 +103,12 @@ struct GlobalAllocation {
   std::uint64_t size = 0;
 };
 
+/// Hazards recorded per launch before further ones are only counted.
+inline constexpr int kMaxReportsPerKernel = 8;
+
 struct CheckOptions {
-  /// Hazards recorded per launch before further ones are only counted.
-  int max_reports_per_kernel = 8;
   /// Registered allocations for global bounds checking; empty disables it.
   std::vector<GlobalAllocation> global_allocations;
-  /// Report kernels that declare more shared bytes than they carve.
-  bool check_shared_declaration = true;
 };
 
 /// The verification engine: the lane-capable launch observer that wins
@@ -136,9 +127,6 @@ class Checker : public LaunchObserver {
   void begin_block(const Dim3& block_id) override;
   void begin_phase(int phase) override;
   void begin_lane(const Dim3& thread) override;
-  /// SharedMem::array landed a carve at [offset, offset+bytes).
-  void on_carve(std::size_t offset, std::size_t bytes,
-                std::size_t alignment) override;
   /// Attributed shared access from LaneCtx::shared_load/shared_store.
   void on_shared(std::size_t offset, std::uint32_t bytes,
                  bool store) override;
@@ -146,17 +134,6 @@ class Checker : public LaunchObserver {
   void end_lane(const LaneCtx& lane) override;
   void end_phase() override;
   void end_kernel() override;
-
-  /// Shared buffer size for checked blocks: the full per-SM capacity, so a
-  /// carve escaping the declared footprint still lands in real storage and
-  /// is reported instead of crashing.
-  std::size_t checked_shared_capacity() const;
-  std::size_t shared_capacity_override() const override {
-    return checked_shared_capacity();
-  }
-  /// Resource-limit violations (constant overflow) become hazards, not
-  /// throws.
-  bool absorbs_resource_faults() const override { return true; }
 
   /// Replaces the registered allocations (between launches; `fdet_lint
   /// check` re-registers per target because the offset address spaces
@@ -169,13 +146,6 @@ class Checker : public LaunchObserver {
   std::size_t hazard_count() const;
 
  private:
-  struct CarveEvent {
-    std::size_t offset = 0;
-    std::size_t bytes = 0;
-    std::size_t alignment = 0;
-    bool operator==(const CarveEvent&) const = default;
-  };
-
   /// Byte-granular shadow cell. Epoch tags make per-phase and per-block
   /// resets O(1): a tag only means something when it equals the current
   /// phase/block epoch.
@@ -201,15 +171,11 @@ class Checker : public LaunchObserver {
   std::string kernel_name_;
   const char* device_name_ = "";
   Dim3 block_dim_{1, 1, 1};
-  std::size_t declared_shared_ = 0;
-  std::size_t shared_capacity_ = 0;
-  std::size_t max_carve_extent_ = 0;
+  std::size_t layout_bytes_ = 0;  ///< SharedLayout::bytes() of the launch
   int phase_ = -1;
   Dim3 block_id_{0, 0, 0};
   Dim3 lane_{0, 0, 0};
   std::int32_t lane_flat_ = 0;
-  std::size_t carve_index_ = 0;
-  std::vector<CarveEvent> reference_carves_;
 
   std::vector<ByteState> shadow_;
   std::uint64_t phase_epoch_ = 0;

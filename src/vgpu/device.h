@@ -51,6 +51,6 @@ struct Occupancy {
 /// Computes how many blocks of a kernel fit on one SM given its thread
 /// count, static shared-memory footprint and per-thread register usage.
 Occupancy compute_occupancy(const DeviceSpec& spec, int threads_per_block,
-                            int shared_bytes_per_block, int regs_per_thread);
+                            int shared_per_block, int regs_per_thread);
 
 }  // namespace fdet::vgpu

@@ -215,7 +215,7 @@ LaunchCost execute_kernel(const DeviceSpec& spec, const KernelConfig& config,
   FDET_CHECK(threads_per_block <= spec.max_threads_per_block)
       << "kernel '" << config.name << "': " << threads_per_block
       << " threads per block";
-  if (owner == nullptr || !owner->absorbs_resource_faults()) {
+  if (owner == nullptr) {
     FDET_CHECK(config.constant_bytes <= spec.constant_mem_bytes)
         << "kernel '" << config.name << "' needs " << config.constant_bytes
         << " bytes of constant memory but device '" << spec.name
@@ -230,9 +230,9 @@ LaunchCost execute_kernel(const DeviceSpec& spec, const KernelConfig& config,
 
   LaunchCost result;
   result.config = config;
-  result.occupancy = compute_occupancy(spec, threads_per_block,
-                                       config.shared_bytes,
-                                       config.regs_per_thread);
+  result.occupancy = compute_occupancy(
+      spec, threads_per_block, static_cast<int>(config.shared.bytes()),
+      config.regs_per_thread);
   FDET_CHECK(result.occupancy.blocks_per_sm > 0)
       << "kernel '" << config.name << "' cannot be resident on an SM";
 
@@ -255,6 +255,13 @@ LaunchCost execute_kernel(const DeviceSpec& spec, const KernelConfig& config,
 
   WarpScratch scratch;
   SharedMem shared;
+  // Under a lane-event owner the block buffer spans the SM's shared
+  // capacity (occupancy above guarantees the layout fits it), so an access
+  // outside the layout lands in real storage and is reported instead of
+  // corrupting the host.
+  const std::size_t shared_size =
+      owner == nullptr ? config.shared.bytes()
+                       : static_cast<std::size_t>(spec.shared_mem_per_sm);
 
   ThreadCoord coord;
   coord.grid = config.grid;
@@ -265,13 +272,10 @@ LaunchCost execute_kernel(const DeviceSpec& spec, const KernelConfig& config,
     coord.block_id.y = static_cast<int>((b / config.grid.x) % config.grid.y);
     coord.block_id.z = static_cast<int>(b / (static_cast<std::int64_t>(config.grid.x) * config.grid.y));
 
-    if (owner == nullptr) {
-      shared.reset(static_cast<std::size_t>(config.shared_bytes));
-    } else {
+    if (owner != nullptr) {
       owner->begin_block(coord.block_id);
-      shared.reset_checked(static_cast<std::size_t>(config.shared_bytes),
-                           owner);
     }
+    shared.reset(shared_size);
     double block_issue = 0.0;
     double block_stall = 0.0;
     double block_divergence = 0.0;
@@ -293,7 +297,6 @@ LaunchCost execute_kernel(const DeviceSpec& spec, const KernelConfig& config,
             owner->begin_lane(coord.thread);
             lane.set_owner(owner);
           }
-          shared.rewind();
           phases[phase](coord, lane, shared);
           if (owner != nullptr) {
             owner->end_lane(lane);

@@ -36,20 +36,21 @@ struct KernelConfig {
   std::string name;
   Dim3 grid;
   Dim3 block;
-  int shared_bytes = 0;       ///< static __shared__ footprint per block
+  SharedLayout shared{};      ///< static __shared__ layout per block
   int regs_per_thread = 24;   ///< occupancy input; sm_20-era default
   bool track_branches = false;///< enable per-lane branch traces (divergence)
   bool constant_broadcast = true;  ///< false = serialized constant accesses
   /// Constant-memory footprint the launch depends on (the encoded cascade
   /// bank for the evaluation kernel). Enforced against
-  /// DeviceSpec::constant_mem_bytes at launch: execute_kernel throws, and
-  /// checked execution reports a constant-overflow hazard instead.
+  /// DeviceSpec::constant_mem_bytes at launch: execute_kernel throws
+  /// unless a lane-event owner is installed (vgpu/observer.h); the checker
+  /// then reports a constant-overflow hazard instead.
   int constant_bytes = 0;
 };
 
 /// Per-thread phase body. Runs the thread's real computation and reports
-/// costed operations through LaneCtx. SharedMem::array views are stable
-/// across lanes and phases of one block.
+/// costed operations through LaneCtx. shared[handle] views of the
+/// config's layout are stable across lanes and phases of one block.
 using PhaseFn = std::function<void(const ThreadCoord&, LaneCtx&, SharedMem&)>;
 
 /// Launch-time failure of the virtual device — the analogue of a CUDA

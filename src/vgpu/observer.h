@@ -24,13 +24,18 @@
 //                  launch: the innermost checker if one is installed, else
 //                  the innermost capture observer. Every other
 //                  lane-capable observer gets on_shadowed_launch() instead,
-//                  and only the owner's capability queries
-//                  (shared_capacity_override, absorbs_resource_faults,
-//                  wants_branch_tracking) apply to the launch.
+//                  and only the owner's wants_branch_tracking applies to
+//                  the launch.
 //   after_launch   every observer, in install order, once the launch has
 //                  finished.
 //   on_scheduled   every observer, in install order, for each LaunchRecord
 //                  schedule() finalizes (records in issue order).
+//
+// A launch with an owner runs under two fixed executor rules: each
+// block's shared buffer spans the SM's shared capacity, so an access
+// outside the kernel's SharedLayout lands in real storage and is reported;
+// and a constant footprint over the device limit does not throw (the
+// checker reports it as a hazard).
 //
 // Cost: with an empty chain a launch pays one thread-local load and each
 // lane event one null test.
@@ -55,7 +60,7 @@ struct LaunchRecord;
 /// the owner of one launch:
 ///   begin_kernel
 ///     per block: begin_block, per phase: begin_phase,
-///       per lane: begin_lane, {on_carve | on_shared}*, end_lane,
+///       per lane: begin_lane, on_shared*, end_lane,
 ///     end_phase (the block-wide barrier)
 ///   end_kernel
 class LaunchObserver {
@@ -87,9 +92,6 @@ class LaunchObserver {
   virtual void begin_block(const Dim3& /*block_id*/) {}
   virtual void begin_phase(int /*phase*/) {}
   virtual void begin_lane(const Dim3& /*thread*/) {}
-  /// SharedMem::array landed a carve at [offset, offset+bytes).
-  virtual void on_carve(std::size_t /*offset*/, std::size_t /*bytes*/,
-                        std::size_t /*alignment*/) {}
   /// Addressed shared access from LaneCtx::shared_load/shared_store.
   virtual void on_shared(std::size_t /*offset*/, std::uint32_t /*bytes*/,
                          bool /*store*/) {}
@@ -103,15 +105,6 @@ class LaunchObserver {
   /// none of the launch's lane events.
   virtual void on_shadowed_launch(const KernelConfig& /*config*/) {}
 
-  /// Size (in bytes) the executor should give each block's SharedMem
-  /// buffer instead of the declared footprint; 0 keeps the declared size.
-  /// The checker returns the full per-SM capacity so escaping carves are
-  /// reported rather than fatal; capture does the same so a defective
-  /// kernel can still be recorded.
-  virtual std::size_t shared_capacity_override() const { return 0; }
-  /// True when launch-time resource violations (constant memory overflow)
-  /// become findings instead of letting execute_kernel throw.
-  virtual bool absorbs_resource_faults() const { return false; }
   /// True to force per-lane branch tracking for the launch even when the
   /// kernel config leaves it off — capture needs outcome traces to
   /// classify branches.

@@ -176,10 +176,8 @@ TEST(AnalyzeCapture, DataDependentParticipationIsClassified) {
   // Which lanes issue the access changes with the seed (threshold on
   // seeded data): participation must be kDataDependent, the input the
   // barrier-divergence analysis keys on.
-  const KernelConfig config{.name = "gated",
-                            .grid = {1, 1, 1},
-                            .block = {32, 1, 1},
-                            .shared_bytes = 32 * 4};
+  KernelConfig config{.name = "gated", .grid = {1, 1, 1}, .block = {32, 1, 1}};
+  config.shared.add<std::int32_t>(32);
   const std::vector<KernelIR> irs =
       capture_kernels([&config](std::uint64_t seed) {
         core::Rng rng(seed);
@@ -240,21 +238,18 @@ TEST(AnalyzeCapture, MergeRejectsStructurallyDifferentCaptures) {
       core::CheckError);
 }
 
-TEST(AnalyzeCapture, CarveLayoutIsRecorded) {
-  const KernelConfig config{.name = "carved",
-                            .grid = {1, 1, 1},
-                            .block = {32, 1, 1},
-                            .shared_bytes = 64 * 4};
+TEST(AnalyzeCapture, LayoutAndWrittenWordsAreRecorded) {
+  KernelConfig config{.name = "tiled", .grid = {1, 1, 1}, .block = {32, 1, 1}};
+  const auto tile = config.shared.add<std::int32_t>(64);
   const KernelIR ir = capture_one(
-      config, [](const ThreadCoord& t, LaneCtx& ctx, SharedMem& shared) {
-        auto tile = shared.array<std::int32_t>(64);
-        tile[static_cast<std::size_t>(t.thread.x)] = t.thread.x;
-        ctx.shared_store_at(shared, tile[static_cast<std::size_t>(t.thread.x)]);
+      config, [tile](const ThreadCoord& t, LaneCtx& ctx, SharedMem& shared) {
+        auto& cell = shared[tile][static_cast<std::size_t>(t.thread.x)];
+        cell = t.thread.x;
+        ctx.shared_store_at(shared, cell);
       });
 
-  ASSERT_EQ(ir.carves.size(), 1u);
-  EXPECT_EQ(ir.carves[0].bytes, 64u * 4u);
-  EXPECT_FALSE(ir.carve_divergence);
+  ASSERT_EQ(ir.config.shared.arrays().size(), 1u);
+  EXPECT_EQ(ir.config.shared.arrays()[0].bytes, 64u * 4u);
   // Words 0..31 written, 32..63 never touched.
   ASSERT_GE(ir.shared_words_written.size(), 32u);
   EXPECT_TRUE(ir.shared_words_written[0]);

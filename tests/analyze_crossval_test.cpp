@@ -122,10 +122,10 @@ TEST(AnalyzeCrossval, SyntheticConflictKernelPredictsExactDegree) {
   // 248}; words map onto banks {0, 8, 16, 24}, eight distinct words each,
   // so the issue serializes at degree 8 = 7 extra passes (the executor
   // charges max-degree per slot issue). Fully predictable, so equality.
-  const vgpu::KernelConfig config{.name = "stride8",
-                                  .grid = {1, 1, 1},
-                                  .block = {32, 1, 1},
-                                  .shared_bytes = 32 * 8 * 4};
+  vgpu::KernelConfig config{.name = "stride8",
+                            .grid = {1, 1, 1},
+                            .block = {32, 1, 1}};
+  config.shared.add<std::int32_t>(32 * 8);
   const auto phase = [](const vgpu::ThreadCoord& t, vgpu::LaneCtx& ctx,
                         vgpu::SharedMem&) {
     ctx.shared_load(static_cast<std::size_t>(t.thread.x) * 8 * 4, 4);

@@ -1,6 +1,6 @@
 // Static analyses + findings model (analyze/analyses.h): OOB proofs from
-// affine forms, dead-shared-write detection, barrier-divergence keying on
-// data dependence, and the suppression spec grammar.
+// affine forms, dead-shared-write detection over the shared layout, and
+// barrier-divergence keying on data dependence.
 #include "analyze/analyses.h"
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "analyze/capture.h"
-#include "core/check.h"
 #include "core/rng.h"
 #include "vgpu/kernel.h"
 
@@ -47,10 +46,8 @@ TEST(AnalyzeFindings, ProvesSharedOutOfBoundsFromAffineForm) {
   // 33-lane block, 33-word footprint, each lane reads word tx+1: the
   // affine proof must flag the max (34th word) as out of bounds even
   // though the capture itself never faults (raw offset report).
-  const KernelConfig config{.name = "oob",
-                            .grid = {1, 1, 1},
-                            .block = {33, 1, 1},
-                            .shared_bytes = 33 * 4};
+  KernelConfig config{.name = "oob", .grid = {1, 1, 1}, .block = {33, 1, 1}};
+  config.shared.add<std::int32_t>(33);
   const std::vector<Finding> findings = analyze_one(
       config, [](const ThreadCoord& t, LaneCtx& ctx, SharedMem&) {
         ctx.shared_load((static_cast<std::size_t>(t.thread.x) + 1) * 4, 4);
@@ -83,16 +80,14 @@ TEST(AnalyzeFindings, ProvesGlobalOutOfBoundsAgainstAllocations) {
 TEST(AnalyzeFindings, InBoundsKernelHasNoErrorFindings) {
   // 256-lane blocks keep occupancy at 100% so the only acceptable
   // findings are informational.
-  const KernelConfig config{.name = "clean",
-                            .grid = {2, 1, 1},
-                            .block = {256, 1, 1},
-                            .shared_bytes = 256 * 4};
+  KernelConfig config{.name = "clean", .grid = {2, 1, 1}, .block = {256, 1, 1}};
+  const auto cells = config.shared.add<std::int32_t>(256);
   AnalysisOptions options;
   options.allocations = {{"buf", 0, 2 * 256 * 4}};
   const std::vector<Finding> findings = analyze_one(
       config,
-      [](const ThreadCoord& t, LaneCtx& ctx, SharedMem& shared) {
-        auto tile = shared.array<std::int32_t>(256);
+      [cells](const ThreadCoord& t, LaneCtx& ctx, SharedMem& shared) {
+        const auto tile = shared[cells];
         const auto lane = static_cast<std::size_t>(t.thread.x);
         tile[lane] = t.thread.x;
         ctx.shared_store_at(shared, tile[lane]);
@@ -112,39 +107,39 @@ TEST(AnalyzeFindings, InBoundsKernelHasNoErrorFindings) {
 }
 
 TEST(AnalyzeFindings, DetectsDeadSharedWriteRegion) {
-  // Two carves; the second is written and never read anywhere in the
+  // Two arrays; the second is written and never read anywhere in the
   // kernel — shared memory spent for nothing, worth a warning.
-  const KernelConfig config{.name = "dead",
-                            .grid = {1, 1, 1},
-                            .block = {32, 1, 1},
-                            .shared_bytes = 64 * 4};
+  KernelConfig config{.name = "dead", .grid = {1, 1, 1}, .block = {32, 1, 1}};
+  const auto live = config.shared.add<std::int32_t>(32);
+  const auto dead = config.shared.add<std::int32_t>(32);
   const std::vector<Finding> findings = analyze_one(
       config,
-      [](const ThreadCoord& t, LaneCtx& ctx, SharedMem& shared) {
-        auto live = shared.array<std::int32_t>(32);
-        auto dead = shared.array<std::int32_t>(32);
+      [live, dead](const ThreadCoord& t, LaneCtx& ctx, SharedMem& shared) {
         const auto lane = static_cast<std::size_t>(t.thread.x);
-        live[lane] = t.thread.x;
-        ctx.shared_store_at(shared, live[lane]);
-        ctx.shared_load_at(shared, live[lane]);
-        dead[lane] = t.thread.x;
-        ctx.shared_store_at(shared, dead[lane]);
+        auto& kept = shared[live][lane];
+        kept = t.thread.x;
+        ctx.shared_store_at(shared, kept);
+        ctx.shared_load_at(shared, kept);
+        auto& dropped = shared[dead][lane];
+        dropped = t.thread.x;
+        ctx.shared_store_at(shared, dropped);
       });
 
   const Finding* f = find_kind(findings, FindingKind::kDeadSharedWrite);
   ASSERT_NE(f, nullptr);
   EXPECT_EQ(f->severity, Severity::kWarning);
+  EXPECT_EQ(f->slot, 1);  // the second array of the layout
 }
 
 TEST(AnalyzeFindings, BarrierDivergenceRequiresDataDependence) {
   // Geometry-affine producer guard (tx < 16): every run has the same
   // writer set, the consumers read only written words — NOT a barrier
   // hazard. The scan kernel's tree guards rely on this distinction.
-  const KernelConfig config{.name = "geom",
-                            .grid = {1, 1, 1},
-                            .block = {32, 1, 1},
-                            .shared_bytes = 32 * 4,
-                            .track_branches = true};
+  KernelConfig config{.name = "geom",
+                      .grid = {1, 1, 1},
+                      .block = {32, 1, 1},
+                      .track_branches = true};
+  config.shared.add<std::int32_t>(32);
   const std::vector<KernelIR> irs =
       capture_kernels([&config](std::uint64_t /*seed*/) {
         const vgpu::PhaseFn produce = [](const ThreadCoord& t, LaneCtx& ctx,
@@ -168,55 +163,18 @@ TEST(AnalyzeFindings, BarrierDivergenceRequiresDataDependence) {
   EXPECT_EQ(find_kind(findings, FindingKind::kBarrierDivergence), nullptr);
 }
 
-TEST(AnalyzeFindings, SuppressionsMatchKernelAndWildcard) {
-  std::vector<Finding> findings(3);
-  findings[0] = {.kind = FindingKind::kBankConflict,
-                 .severity = Severity::kWarning,
-                 .kernel = "foo",
-                 .message = "m"};
-  findings[1] = {.kind = FindingKind::kBankConflict,
-                 .severity = Severity::kWarning,
-                 .kernel = "bar",
-                 .message = "m"};
-  findings[2] = {.kind = FindingKind::kUncoalesced,
-                 .severity = Severity::kWarning,
-                 .kernel = "foo",
-                 .message = "m"};
-
-  apply_suppressions(findings, {"bank-conflict@foo"});
-  EXPECT_TRUE(findings[0].suppressed);
-  EXPECT_FALSE(findings[1].suppressed);
-  EXPECT_FALSE(findings[2].suppressed);
-  EXPECT_EQ(active_findings(findings), 2);
-
-  apply_suppressions(findings, {"bank-conflict@*"});
-  EXPECT_TRUE(findings[1].suppressed);
-  EXPECT_FALSE(findings[2].suppressed);
-  EXPECT_EQ(active_findings(findings), 1);
-}
-
-TEST(AnalyzeFindings, MalformedSuppressionSpecThrows) {
-  std::vector<Finding> findings;
-  EXPECT_THROW(apply_suppressions(findings, {"no-at-sign"}), core::CheckError);
-  EXPECT_THROW(apply_suppressions(findings, {"not-a-kind@foo"}),
-               core::CheckError);
-}
-
-TEST(AnalyzeFindings, SuppressedWarningsDoNotGate) {
+TEST(AnalyzeFindings, WarningsGateAndInfoDoesNot) {
   std::vector<Finding> findings(1);
   findings[0] = {.kind = FindingKind::kUncoalesced,
                  .severity = Severity::kWarning,
                  .kernel = "k",
                  .message = "m"};
   EXPECT_EQ(active_findings(findings), 1);
-  apply_suppressions(findings, {"uncoalesced@k"});
-  EXPECT_EQ(active_findings(findings), 0);
-  // Info findings never gate, suppressed or not.
   findings.push_back({.kind = FindingKind::kOccupancy,
                       .severity = Severity::kInfo,
                       .kernel = "k",
                       .message = "m"});
-  EXPECT_EQ(active_findings(findings), 0);
+  EXPECT_EQ(active_findings(findings), 1);
 }
 
 }  // namespace

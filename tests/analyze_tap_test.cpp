@@ -26,16 +26,23 @@ using vgpu::SharedMem;
 using vgpu::ThreadCoord;
 
 const vgpu::DeviceSpec kSpec;
+
+/// One 32-word tile: the shared layout of every kernel below.
+struct TileLayout {
+  vgpu::SharedLayout layout;
+  vgpu::SharedArray<std::int32_t> tile = layout.add<std::int32_t>(32);
+};
+const TileLayout kTile;
 const KernelConfig kConfig{.name = "tapped",
                            .grid = {1, 1, 1},
                            .block = {32, 1, 1},
-                           .shared_bytes = 32 * 4};
+                           .shared = kTile.layout};
 
 void launch_once() {
   vgpu::execute_kernel(
       kSpec, kConfig,
       [](const ThreadCoord& t, LaneCtx& ctx, SharedMem& shared) {
-        auto tile = shared.array<std::int32_t>(32);
+        const auto tile = shared[kTile.tile];
         const auto lane = static_cast<std::size_t>(t.thread.x);
         tile[lane] = t.thread.x;
         ctx.shared_store_at(shared, tile[lane]);
@@ -105,7 +112,7 @@ TEST(LaneOwner, CaptureKernelsReportsShadowedLaunches) {
         CheckScope check;  // the driver itself opens a checker
         launch_once();
       },
-      0x5eed0001, 0x5eed0002, CaptureOptions{}, &shadowed);
+      0x5eed0001, 0x5eed0002, &shadowed);
   EXPECT_TRUE(irs.empty());
   EXPECT_EQ(shadowed, 2);  // one shadowed launch per capture seed
 }

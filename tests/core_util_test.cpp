@@ -1,14 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <sstream>
-#include <vector>
 
 #include "core/check.h"
 #include "core/cli.h"
 #include "core/stopwatch.h"
 #include "core/table.h"
-#include "core/thread_pool.h"
 
 namespace fdet::core {
 namespace {
@@ -26,48 +23,6 @@ TEST(Check, FailingConditionThrowsWithMessage) {
     EXPECT_NE(what.find("context 42"), std::string::npos);
     EXPECT_NE(what.find("false"), std::string::npos);
   }
-}
-
-TEST(ThreadPool, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(hits.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      hits[i].fetch_add(1);
-    }
-  });
-  for (const auto& hit : hits) {
-    EXPECT_EQ(hit.load(), 1);
-  }
-}
-
-TEST(ThreadPool, ParallelForPropagatesException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(
-      pool.parallel_for(10,
-                        [](std::size_t begin, std::size_t) {
-                          if (begin == 0) {
-                            throw std::runtime_error("boom");
-                          }
-                        }),
-      std::runtime_error);
-}
-
-TEST(ThreadPool, ParallelForHandlesEmptyRange) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.parallel_for(0, [&](std::size_t, std::size_t) { called = true; });
-  EXPECT_FALSE(called);
 }
 
 TEST(Stopwatch, MeasuresNonNegativeMonotonicTime) {

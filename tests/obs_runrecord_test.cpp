@@ -296,9 +296,5 @@ TEST(RunRecordJson, TornWriteLeavesThePreviousFileIntact) {
   std::remove(core::tmp_path_for(path).c_str());
 }
 
-TEST(RunRecordPath, CanonicalName) {
-  EXPECT_EQ(run_record_path("fig5"), "BENCH_fig5.json");
-}
-
 }  // namespace
 }  // namespace fdet::obs

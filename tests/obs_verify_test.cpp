@@ -23,7 +23,6 @@ vgpu::CheckReport dirty_report() {
   report.phases = 2;
   report.blocks = 4;
   report.shared_accesses_checked = 128;
-  report.carves_checked = 8;
   report.global_ops_checked = 64;
   vgpu::Hazard race;
   race.kind = vgpu::HazardKind::kIntraPhaseRace;
@@ -54,7 +53,6 @@ TEST(PublishCheckReport, EmitsFullMetricFamily) {
       find_sample(samples, "vgpu.check.shared_accesses", kernel);
   ASSERT_NE(shared, nullptr);
   EXPECT_EQ(shared->value, 128.0);
-  EXPECT_EQ(find_sample(samples, "vgpu.check.carves", kernel)->value, 8.0);
   EXPECT_EQ(find_sample(samples, "vgpu.check.global_ops", kernel)->value,
             64.0);
 

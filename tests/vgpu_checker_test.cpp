@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 
 #include "core/check.h"
 #include "core/rng.h"
@@ -19,12 +20,19 @@ namespace {
 
 constexpr int kLanes = 32;
 
-KernelConfig tile_config(const std::string& name, int shared_bytes) {
+/// The shared layout of the tile kernels below: one kLanes-word tile.
+struct TileLayout {
+  SharedLayout layout;
+  SharedArray<std::int32_t> tile = layout.add<std::int32_t>(kLanes);
+};
+const TileLayout kTile;
+
+KernelConfig tile_config(const std::string& name, SharedLayout shared) {
   return KernelConfig{
       .name = name,
       .grid = {1, 1, 1},
       .block = {kLanes, 1, 1},
-      .shared_bytes = shared_bytes,
+      .shared = std::move(shared),
   };
 }
 
@@ -52,12 +60,12 @@ img::ImageU8 random_image(int w, int h, std::uint64_t seed) {
 TEST(CheckerSeeded, MissingBarrierRaceIsDetected) {
   const DeviceSpec spec;
   const auto init = [](const ThreadCoord& t, LaneCtx& ctx, SharedMem& shared) {
-    auto tile = shared.array<std::int32_t>(kLanes);
+    const auto tile = shared[kTile.tile];
     tile[static_cast<std::size_t>(t.thread.x)] = t.thread.x;
     ctx.shared_store_at(shared, tile[static_cast<std::size_t>(t.thread.x)]);
   };
   const auto racy = [](const ThreadCoord& t, LaneCtx& ctx, SharedMem& shared) {
-    auto tile = shared.array<std::int32_t>(kLanes);
+    const auto tile = shared[kTile.tile];
     auto& mine = tile[static_cast<std::size_t>(t.thread.x)];
     mine += 1;
     ctx.shared_store_at(shared, mine);
@@ -66,7 +74,7 @@ TEST(CheckerSeeded, MissingBarrierRaceIsDetected) {
   };
 
   const CheckedExecution run = execute_kernel_checked(
-      spec, tile_config("racy_kernel", kLanes * 4), init, racy);
+      spec, tile_config("racy_kernel", kTile.layout), init, racy);
   ASSERT_FALSE(run.report.clean());
   const Hazard* hazard = find_hazard(run.report, HazardKind::kIntraPhaseRace);
   ASSERT_NE(hazard, nullptr);
@@ -85,18 +93,18 @@ TEST(CheckerSeeded, MissingBarrierRaceIsDetected) {
 TEST(CheckerSeeded, BarrierSeparatedNeighbourReadIsClean) {
   const DeviceSpec spec;
   const auto write = [](const ThreadCoord& t, LaneCtx& ctx, SharedMem& shared) {
-    auto tile = shared.array<std::int32_t>(kLanes);
+    const auto tile = shared[kTile.tile];
     tile[static_cast<std::size_t>(t.thread.x)] = t.thread.x;
     ctx.shared_store_at(shared, tile[static_cast<std::size_t>(t.thread.x)]);
   };
   const auto read = [](const ThreadCoord& t, LaneCtx& ctx, SharedMem& shared) {
-    auto tile = shared.array<std::int32_t>(kLanes);
+    const auto tile = shared[kTile.tile];
     const std::size_t next = static_cast<std::size_t>((t.thread.x + 1) % kLanes);
     ctx.shared_load_at(shared, tile[next]);
   };
 
   const CheckedExecution run = execute_kernel_checked(
-      spec, tile_config("barriered_kernel", kLanes * 4), write, read);
+      spec, tile_config("barriered_kernel", kTile.layout), write, read);
   EXPECT_TRUE(run.report.clean()) << run.report.summary();
   EXPECT_EQ(run.report.shared_accesses_checked, 2u * kLanes);
   EXPECT_EQ(run.report.phases, 2);
@@ -106,12 +114,12 @@ TEST(CheckerSeeded, UninitializedSharedReadIsDetected) {
   const DeviceSpec spec;
   const auto read_cold = [](const ThreadCoord& t, LaneCtx& ctx,
                             SharedMem& shared) {
-    auto tile = shared.array<std::int32_t>(kLanes);
-    ctx.shared_load_at(shared, tile[static_cast<std::size_t>(t.thread.x)]);
+    ctx.shared_load_at(shared,
+                       shared[kTile.tile][static_cast<std::size_t>(t.thread.x)]);
   };
 
   const CheckedExecution run = execute_kernel_checked(
-      spec, tile_config("cold_read", kLanes * 4), read_cold);
+      spec, tile_config("cold_read", kTile.layout), read_cold);
   ASSERT_FALSE(run.report.clean());
   const Hazard* hazard =
       find_hazard(run.report, HazardKind::kUninitializedSharedRead);
@@ -128,77 +136,44 @@ TEST(CheckerSeeded, UninitializedSharedReadIsDetected) {
 TEST(CheckerSeeded, SameLaneWriteThenReadIsClean) {
   const DeviceSpec spec;
   const auto warm = [](const ThreadCoord& t, LaneCtx& ctx, SharedMem& shared) {
-    auto tile = shared.array<std::int32_t>(kLanes);
-    auto& mine = tile[static_cast<std::size_t>(t.thread.x)];
+    auto& mine = shared[kTile.tile][static_cast<std::size_t>(t.thread.x)];
     mine = 7;
     ctx.shared_store_at(shared, mine);
     ctx.shared_load_at(shared, mine);
   };
   const CheckedExecution run =
-      execute_kernel_checked(spec, tile_config("warm_read", kLanes * 4), warm);
+      execute_kernel_checked(spec, tile_config("warm_read", kTile.layout), warm);
   EXPECT_TRUE(run.report.clean()) << run.report.summary();
 }
 
-TEST(CheckerSeeded, CarveDivergenceIsDetected) {
+// An off-by-one store one word past the layout: under the checker the
+// block buffer spans the SM's shared capacity, so the stray write lands in
+// real storage and comes back as a hazard instead of corrupting the host.
+TEST(CheckerSeeded, StoreOneWordPastTheLayoutIsReportedNotFatal) {
   const DeviceSpec spec;
-  const auto divergent = [](const ThreadCoord& t, LaneCtx&, SharedMem& shared) {
-    // Odd lanes request a different layout than the one lane 0 established.
-    shared.array<std::int32_t>(t.thread.x % 2 == 1 ? 8 : 4);
-  };
-  const CheckedExecution run = execute_kernel_checked(
-      spec, tile_config("divergent_carve", 32), divergent);
-  ASSERT_FALSE(run.report.clean());
-  const Hazard* hazard = find_hazard(run.report, HazardKind::kCarveDivergence);
-  ASSERT_NE(hazard, nullptr);
-  EXPECT_NE(hazard->message.find("carve #0"), std::string::npos);
-  EXPECT_NE(hazard->message.find("divergent_carve"), std::string::npos);
-  EXPECT_NE(hazard->message.find("identical static __shared__ layouts"),
-            std::string::npos);
-}
-
-// Unchecked execution throws on a carve past shared_bytes; checked
-// execution gives the carve real storage and reports it instead.
-TEST(CheckerSeeded, CarveOverflowIsReportedNotFatal) {
-  const DeviceSpec spec;
-  const auto big_carve = [](const ThreadCoord&, LaneCtx&, SharedMem& shared) {
-    shared.array<double>(100);  // 800 bytes vs 64 declared
+  const auto off_by_one = [](const ThreadCoord& t, LaneCtx& ctx,
+                             SharedMem& shared) {
+    std::int32_t& cell =
+        shared[kTile.tile].data()[static_cast<std::size_t>(t.thread.x) + 1];
+    cell = t.thread.x;
+    ctx.shared_store_at(shared, cell);
   };
   CheckedExecution run;
   ASSERT_NO_THROW(run = execute_kernel_checked(
-                      spec, tile_config("escaping_carve", 64), big_carve));
-  ASSERT_FALSE(run.report.clean());
-  const Hazard* hazard = find_hazard(run.report, HazardKind::kCarveOverflow);
-  ASSERT_NE(hazard, nullptr);
-  EXPECT_NE(hazard->message.find("declares shared_bytes=64"),
-            std::string::npos);
-}
-
-TEST(CheckerSeeded, SharedDeclarationMismatchIsReported) {
-  const DeviceSpec spec;
-  const auto small_carve = [](const ThreadCoord&, LaneCtx&, SharedMem& shared) {
-    shared.array<std::int32_t>(16);  // 64 of the declared 256 bytes
-  };
-  const CheckedExecution run = execute_kernel_checked(
-      spec, tile_config("overdeclared", 256), small_carve);
-  ASSERT_FALSE(run.report.clean());
-  const Hazard* hazard =
-      find_hazard(run.report, HazardKind::kSharedDeclMismatch);
-  ASSERT_NE(hazard, nullptr);
-  EXPECT_NE(hazard->message.find("declares shared_bytes=256"),
-            std::string::npos);
-  EXPECT_NE(hazard->message.find("carves at most 64"), std::string::npos);
-
-  // The check is opt-out for intentionally padded layouts.
-  CheckOptions lax;
-  lax.check_shared_declaration = false;
-  const CheckedExecution lax_run = execute_kernel_checked(
-      spec, tile_config("overdeclared", 256), small_carve, lax);
-  EXPECT_TRUE(lax_run.report.clean()) << lax_run.report.summary();
+                      spec, tile_config("off_by_one", kTile.layout),
+                      off_by_one));
+  ASSERT_EQ(run.report.hazards.size(), 1u) << run.report.summary();
+  const Hazard& hazard = run.report.hazards.front();
+  EXPECT_EQ(hazard.kind, HazardKind::kSharedOutOfBounds);
+  EXPECT_EQ(hazard.lane_a.x, kLanes - 1);
+  EXPECT_EQ(hazard.offset, static_cast<std::uint64_t>(kLanes * 4));
+  EXPECT_NE(hazard.message.find("128-byte shared layout"), std::string::npos)
+      << hazard.message;
 }
 
 TEST(CheckerSeeded, ConstantOverflowReportedCheckedThrowsUnchecked) {
   const DeviceSpec spec;
-  KernelConfig config = tile_config("fat_constants", 0);
+  KernelConfig config = tile_config("fat_constants", {});
   config.constant_bytes = 128 * 1024;  // 2x the 64 KiB device limit
   const auto noop = [](const ThreadCoord&, LaneCtx&, SharedMem&) {};
 
@@ -218,7 +193,7 @@ TEST(CheckerSeeded, ConstantOverflowReportedCheckedThrowsUnchecked) {
 
 TEST(CheckerSeeded, GlobalOutOfBoundsIsDetected) {
   const DeviceSpec spec;
-  KernelConfig config = tile_config("oob_global", 0);
+  KernelConfig config = tile_config("oob_global", {});
   config.block = {1, 1, 1};
   const auto touch = [](const ThreadCoord&, LaneCtx& ctx, SharedMem&) {
     ctx.global_load(16, 4);   // inside [0, 64)
@@ -240,7 +215,7 @@ TEST(CheckerSeeded, GlobalOutOfBoundsIsDetected) {
 
 TEST(CheckerSeeded, GlobalCheckIsDisabledWithoutAllocations) {
   const DeviceSpec spec;
-  KernelConfig config = tile_config("unregistered_global", 0);
+  KernelConfig config = tile_config("unregistered_global", {});
   config.block = {1, 1, 1};
   const auto touch = [](const ThreadCoord&, LaneCtx& ctx, SharedMem&) {
     ctx.global_load(1 << 20, 4);
@@ -253,17 +228,19 @@ TEST(CheckerSeeded, GlobalCheckIsDisabledWithoutAllocations) {
 
 TEST(CheckerSeeded, HazardCapSuppressesButStillFailsClean) {
   const DeviceSpec spec;
+  // Every lane reads cold: kLanes hazards, more than the per-launch cap.
   const auto read_cold = [](const ThreadCoord& t, LaneCtx& ctx,
                             SharedMem& shared) {
-    auto tile = shared.array<std::int32_t>(kLanes);
-    ctx.shared_load_at(shared, tile[static_cast<std::size_t>(t.thread.x)]);
+    ctx.shared_load_at(shared,
+                       shared[kTile.tile][static_cast<std::size_t>(t.thread.x)]);
   };
-  CheckOptions options;
-  options.max_reports_per_kernel = 2;
+  static_assert(kMaxReportsPerKernel < kLanes);
   const CheckedExecution run = execute_kernel_checked(
-      spec, tile_config("cold_read_capped", kLanes * 4), read_cold, options);
-  EXPECT_EQ(run.report.hazards.size(), 2u);
-  EXPECT_EQ(run.report.suppressed_hazards, static_cast<std::uint64_t>(kLanes - 2));
+      spec, tile_config("cold_read_capped", kTile.layout), read_cold);
+  EXPECT_EQ(run.report.hazards.size(),
+            static_cast<std::size_t>(kMaxReportsPerKernel));
+  EXPECT_EQ(run.report.suppressed_hazards,
+            static_cast<std::uint64_t>(kLanes - kMaxReportsPerKernel));
   EXPECT_FALSE(run.report.clean());
 }
 
@@ -275,11 +252,11 @@ TEST(CheckerScope, InnermostCheckerOwnsTheLaunch) {
   CheckScope outer;
   {
     CheckScope inner;
-    execute_kernel(spec, tile_config("nested", 0), PhaseFn(body));
+    execute_kernel(spec, tile_config("nested", {}), PhaseFn(body));
     EXPECT_EQ(inner.reports().size(), 1u);
   }
   EXPECT_TRUE(outer.reports().empty());  // shadowed while inner was open
-  execute_kernel(spec, tile_config("restored", 0), PhaseFn(body));
+  execute_kernel(spec, tile_config("restored", {}), PhaseFn(body));
   EXPECT_EQ(outer.reports().size(), 1u);
 }
 
@@ -299,7 +276,6 @@ TEST(CheckerProduction, IntegralPipelineIsClean) {
   // The row pass stages through shared memory; the column pass has none.
   const CheckReport& rows = scope.reports().front();
   EXPECT_GT(rows.shared_accesses_checked, 0u);
-  EXPECT_GT(rows.carves_checked, 0u);
 }
 
 TEST(CheckerProduction, RowScanBoundaryStripsAreClean) {

@@ -150,8 +150,8 @@ LaunchCost run_shared_pattern(int lanes, const WordOf& word_of) {
   const DeviceSpec spec;
   KernelConfig config{.name = "shared_pattern",
                       .grid = {1, 1, 1},
-                      .block = {lanes, 1, 1},
-                      .shared_bytes = 4096};
+                      .block = {lanes, 1, 1}};
+  config.shared.add<std::int32_t>(1024);  // addressed by raw offset
   return execute_kernel(
       spec, config, [&](const ThreadCoord& t, LaneCtx& ctx, SharedMem&) {
         ctx.shared_load(static_cast<std::size_t>(word_of(t.thread.x)) * 4, 4);
@@ -204,10 +204,8 @@ TEST(BankConflicts, MisalignedSlotsDoNotCrossConflict) {
   // slot only sees the lanes that actually issued it. Lanes 16..31 issue
   // their second access into bank 0 with distinct words — degree 16.
   const DeviceSpec spec;
-  KernelConfig config{.name = "ragged",
-                      .grid = {1, 1, 1},
-                      .block = {32, 1, 1},
-                      .shared_bytes = 4096};
+  KernelConfig config{.name = "ragged", .grid = {1, 1, 1}, .block = {32, 1, 1}};
+  config.shared.add<std::int32_t>(1024);
   const LaunchCost cost = execute_kernel(
       spec, config, [](const ThreadCoord& t, LaneCtx& ctx, SharedMem&) {
         ctx.shared_load(static_cast<std::size_t>(t.thread.x) * 4, 4);  // clean
@@ -253,8 +251,8 @@ TEST(ServiceDecomposition, ComponentsSumToTotalServiceCycles) {
   KernelConfig config{.name = "mixed",
                       .grid = {8, 2, 1},
                       .block = {64, 1, 1},
-                      .shared_bytes = 4096,
                       .track_branches = true};
+  config.shared.add<std::int32_t>(1024);
   const LaunchCost cost = execute_kernel(
       spec, config, [](const ThreadCoord& t, LaneCtx& ctx, SharedMem&) {
         ctx.alu(3 + t.thread.x % 5);  // uneven lanes -> divergence cycles
@@ -286,7 +284,7 @@ TEST(ServiceDecomposition, OccupancyLimitedStallAppearsAtLowOccupancy) {
   KernelConfig high{.name = "occ_high", .grid = {14, 1, 1}, .block = {192, 1, 1}};
   KernelConfig low = high;
   low.name = "occ_low";
-  low.shared_bytes = 40 * 1024;  // one resident block per SM
+  low.shared.add<std::byte>(40 * 1024);  // one resident block per SM
 
   const LaunchCost fast = execute_kernel(spec, high, body);
   const LaunchCost slow = execute_kernel(spec, low, body);

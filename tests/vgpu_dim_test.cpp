@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "vgpu/dim.h"
-#include "vgpu/shared_mem.h"
 
 namespace fdet::vgpu {
 namespace {
@@ -29,48 +28,6 @@ TEST(ThreadCoord, FlatBlockIsXFastest) {
   t.grid = {5, 4, 3};
   t.block_id = {2, 3, 1};
   EXPECT_EQ(t.flat_block(), 2 + 5 * (3 + 4 * 1));
-}
-
-TEST(SharedMem, CarveSequenceIsStableAcrossRewinds) {
-  SharedMem shared;
-  shared.reset(256);
-  auto a1 = shared.array<std::int32_t>(16);
-  auto b1 = shared.array<float>(8);
-  a1[3] = 42;
-  b1[2] = 1.5f;
-  shared.rewind();
-  auto a2 = shared.array<std::int32_t>(16);
-  auto b2 = shared.array<float>(8);
-  EXPECT_EQ(a2.data(), a1.data());
-  EXPECT_EQ(b2.data(), b1.data());
-  EXPECT_EQ(a2[3], 42);
-  EXPECT_FLOAT_EQ(b2[2], 1.5f);
-}
-
-TEST(SharedMem, RespectsAlignment) {
-  SharedMem shared;
-  shared.reset(256);
-  (void)shared.array<std::uint8_t>(3);  // cursor at 3
-  auto doubles = shared.array<double>(2);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(doubles.data()) % alignof(double),
-            0u);
-}
-
-TEST(SharedMem, ResetZeroesTheBuffer) {
-  SharedMem shared;
-  shared.reset(64);
-  auto ints = shared.array<std::int32_t>(16);
-  ints[5] = 7;
-  shared.reset(64);
-  shared.rewind();
-  auto again = shared.array<std::int32_t>(16);
-  EXPECT_EQ(again[5], 0);
-}
-
-TEST(SharedMem, OverflowThrows) {
-  SharedMem shared;
-  shared.reset(32);
-  EXPECT_THROW((void)shared.array<std::int64_t>(5), core::CheckError);
 }
 
 }  // namespace

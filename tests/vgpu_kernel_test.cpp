@@ -152,26 +152,22 @@ TEST(Executor, UntrackedBranchesCountAtWarpLevel) {
 
 TEST(Executor, SharedMemoryCarriesDataAcrossPhases) {
   const DeviceSpec spec = test_spec();
-  KernelConfig config{.name = "twophase",
-                      .grid = {2, 1, 1},
-                      .block = {32, 1, 1},
-                      .shared_bytes = 32 * static_cast<int>(sizeof(int))};
+  KernelConfig config{.name = "twophase", .grid = {2, 1, 1}, .block = {32, 1, 1}};
+  const auto tile = config.shared.add<int>(32);
   std::vector<int> out(64, -1);
 
   execute_kernel(
       spec, config,
-      [](const ThreadCoord& t, LaneCtx& ctx, SharedMem& shared) {
-        auto tile = shared.array<int>(32);
-        int& slot = tile[static_cast<std::size_t>(t.thread.x)];
+      [tile](const ThreadCoord& t, LaneCtx& ctx, SharedMem& shared) {
+        int& slot = shared[tile][static_cast<std::size_t>(t.thread.x)];
         slot = t.thread.x * 2;
         ctx.shared_store_at(shared, slot);
       },
       [&](const ThreadCoord& t, LaneCtx& ctx, SharedMem& shared) {
-        auto tile = shared.array<int>(32);
         // Read a *different* lane's value: only valid because of the
         // inter-phase barrier.
         const int other = (t.thread.x + 1) % 32;
-        const int& slot = tile[static_cast<std::size_t>(other)];
+        const int& slot = shared[tile][static_cast<std::size_t>(other)];
         out[static_cast<std::size_t>(t.flat_block() * 32 + t.thread.x)] = slot;
         ctx.shared_load_at(shared, slot);
       });
@@ -223,17 +219,14 @@ TEST(Executor, RejectsInvalidLaunches) {
 }
 
 TEST(Executor, SharedOverflowIsCaught) {
+  // A layout larger than the SM's shared memory cannot be resident.
   const DeviceSpec spec = test_spec();
-  KernelConfig config{.name = "overflow",
-                      .grid = {1, 1, 1},
-                      .block = {32, 1, 1},
-                      .shared_bytes = 64};
-  EXPECT_THROW(
-      execute_kernel(spec, config,
-                     [](const ThreadCoord&, LaneCtx&, SharedMem& shared) {
-                       (void)shared.array<double>(100);
-                     }),
-      core::CheckError);
+  KernelConfig config{.name = "overflow", .grid = {1, 1, 1}, .block = {32, 1, 1}};
+  config.shared.add<double>(
+      static_cast<std::size_t>(spec.shared_mem_per_sm) / sizeof(double) + 1);
+  EXPECT_THROW(execute_kernel(spec, config,
+                              [](const ThreadCoord&, LaneCtx&, SharedMem&) {}),
+               core::CheckError);
 }
 
 TEST(Executor, PartialWarpsAreHandled) {
@@ -286,7 +279,7 @@ TEST(Executor, HigherOccupancyHidesMoreLatency) {
   KernelConfig high{.name = "high", .grid = {14, 1, 1}, .block = {192, 1, 1}};
   KernelConfig low = high;
   low.name = "low";
-  low.shared_bytes = 40 * 1024;  // 1 block per SM
+  low.shared.add<std::byte>(40 * 1024);  // 1 block per SM
   const auto body = [](const ThreadCoord& t, LaneCtx& ctx, SharedMem&) {
     ctx.global_load(static_cast<std::uint64_t>(t.flat_thread()) * 4, 4);
     ctx.alu(4);

@@ -19,35 +19,31 @@ namespace fdet::vgpu {
 namespace {
 
 const DeviceSpec kSpec;
-const KernelConfig kConfig{.name = "observed",
-                           .grid = {2, 1, 1},
-                           .block = {32, 1, 1},
-                           .shared_bytes = 32 * 4};
 const std::vector<GlobalAllocation> kAllocations = {{"input", 0, 64 * 4}};
 
-/// Two phases with lane events of every kind: blocks, phases, lanes, a
-/// carve, addressed shared stores and loads across the barrier, and a
-/// global load per lane. Counts the lanes that ran.
+/// Two phases with lane events of every kind: blocks, phases, lanes,
+/// addressed shared stores and loads across the barrier, and a global
+/// load per lane. Counts the lanes that ran.
 LaunchCost launch(int* lanes_run = nullptr) {
-  const PhaseFn stage = [lanes_run](const ThreadCoord& t, LaneCtx& ctx,
-                                    SharedMem& shared) {
+  KernelConfig config{.name = "observed", .grid = {2, 1, 1}, .block = {32, 1, 1}};
+  const auto tile = config.shared.add<std::int32_t>(32);
+  const PhaseFn stage = [lanes_run, tile](const ThreadCoord& t, LaneCtx& ctx,
+                                          SharedMem& shared) {
     if (lanes_run != nullptr) {
       ++*lanes_run;
     }
-    auto tile = shared.array<std::int32_t>(32);
-    auto& mine = tile[static_cast<std::size_t>(t.thread.x)];
+    auto& mine = shared[tile][static_cast<std::size_t>(t.thread.x)];
     mine = t.thread.x;
     ctx.shared_store_at(shared, mine);
     ctx.global_load(
         static_cast<std::uint64_t>(t.flat_block() * 32 + t.thread.x) * 4, 4);
   };
-  const PhaseFn read = [](const ThreadCoord& t, LaneCtx& ctx,
-                          SharedMem& shared) {
-    auto tile = shared.array<std::int32_t>(32);
+  const PhaseFn read = [tile](const ThreadCoord& t, LaneCtx& ctx,
+                              SharedMem& shared) {
     ctx.shared_load_at(
-        shared, tile[static_cast<std::size_t>((t.thread.x + 1) % 32)]);
+        shared, shared[tile][static_cast<std::size_t>((t.thread.x + 1) % 32)]);
   };
-  return execute_kernel(kSpec, kConfig, stage, read);
+  return execute_kernel(kSpec, config, stage, read);
 }
 
 /// Logs "<name>.<hook>" for every launch-level hook; throws a transient
@@ -132,7 +128,6 @@ TEST(LaunchObservers, AllObserverKindsComposeByTheRule) {
   EXPECT_EQ(owned.blocks, alone.blocks);
   EXPECT_EQ(owned.phases, alone.phases);
   EXPECT_EQ(owned.shared_accesses_checked, alone.shared_accesses_checked);
-  EXPECT_EQ(owned.carves_checked, alone.carves_checked);
   EXPECT_EQ(owned.global_ops_checked, alone.global_ops_checked);
   EXPECT_EQ(owned.shared_accesses_checked, 2u * 64u);
   EXPECT_EQ(owned.global_ops_checked, 64u);

@@ -264,9 +264,9 @@ class OracleObserver final : public LaunchObserver {
     threads_per_block_ = static_cast<int>(config.block.count());
     warps_per_block_ =
         (threads_per_block_ + reference::kWarpSize - 1) / reference::kWarpSize;
-    expected_.occupancy = compute_occupancy(spec, threads_per_block_,
-                                            config.shared_bytes,
-                                            config.regs_per_thread);
+    expected_.occupancy = compute_occupancy(
+        spec, threads_per_block_, static_cast<int>(config.shared.bytes()),
+        config.regs_per_thread);
     expected_.block_service_cycles.resize(
         static_cast<std::size_t>(config.grid.count()));
     hiding_ = 1.0 + spec.cost.latency_hiding_per_warp *
@@ -431,11 +431,12 @@ const DeviceSpec kSpec;
 
 KernelConfig pattern_config(const char* name, Dim3 block,
                             Dim3 grid = {2, 1, 1}) {
-  return KernelConfig{.name = name,
+  KernelConfig config{.name = name,
                       .grid = grid,
                       .block = block,
-                      .shared_bytes = 16 * 1024,
                       .track_branches = true};
+  config.shared.add<std::byte>(16 * 1024);
+  return config;
 }
 
 TEST(ReductionOracle, SharedStrides) {

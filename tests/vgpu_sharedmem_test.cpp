@@ -4,81 +4,63 @@
 
 #include <cstdint>
 
-#include "core/check.h"
-
 namespace fdet::vgpu {
 namespace {
 
-TEST(SharedMem, MixedTypeCarvesInsertAlignmentPadding) {
+TEST(SharedLayout, MixedTypeArraysInsertAlignmentPadding) {
+  SharedLayout layout;
+  const auto bytes = layout.add<std::uint8_t>(3);    // [0, 3)
+  const auto doubles = layout.add<double>(2);        // pads 3 -> 8, [8, 24)
+  const auto halves = layout.add<std::uint16_t>(1);  // 2-aligned, [24, 26)
+
+  EXPECT_EQ(bytes.offset, 0u);
+  EXPECT_EQ(doubles.offset, 8u);
+  EXPECT_EQ(halves.offset, 24u);
+  EXPECT_EQ(layout.bytes(), 26u);
+  ASSERT_EQ(layout.arrays().size(), 3u);
+  EXPECT_EQ(layout.arrays()[1].offset, 8u);
+  EXPECT_EQ(layout.arrays()[1].bytes, 16u);
+
   SharedMem shared;
-  shared.reset(64);
-
-  auto bytes = shared.array<std::uint8_t>(3);   // [0, 3)
-  auto doubles = shared.array<double>(2);       // pads 3 -> 8, [8, 24)
-  auto halves = shared.array<std::uint16_t>(1); // already 2-aligned, [24, 26)
-
-  EXPECT_EQ(shared.offset_of(&bytes[0]), 0u);
-  EXPECT_EQ(shared.offset_of(&doubles[0]), 8u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&doubles[0]) % alignof(double),
-            0u);
-  EXPECT_EQ(shared.offset_of(&halves[0]), 24u);
-
+  shared.reset(layout.bytes());
+  const auto d = shared[doubles];
+  EXPECT_EQ(d.size(), 2u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(d.data()) % alignof(double), 0u);
   // offset_of addresses individual elements, the unit the checker's
   // shared_load_at/shared_store_at helpers record.
-  EXPECT_EQ(shared.offset_of(&doubles[1]), 16u);
+  EXPECT_EQ(shared.offset_of(&d[0]), 8u);
+  EXPECT_EQ(shared.offset_of(&d[1]), 16u);
+  EXPECT_EQ(shared.offset_of(&shared[halves][0]), 24u);
 }
 
-TEST(SharedMem, ExactCapacityCarveSucceedsNextByteThrows) {
-  SharedMem shared;
-  shared.reset(64);
-  auto full = shared.array<double>(8);  // exactly 64 bytes
-  EXPECT_EQ(full.size(), 8u);
-  EXPECT_EQ(shared.offset_of(&full[0]), 0u);
-  EXPECT_THROW(shared.array<std::uint8_t>(1), core::CheckError);
+TEST(SharedLayout, PaddingCountsTowardTheFootprint) {
+  SharedLayout layout;
+  layout.add<std::uint8_t>(1);
+  // 16 bytes would fit from offset 1, but 4-alignment starts them at 4.
+  const auto ints = layout.add<std::int32_t>(4);
+  EXPECT_EQ(ints.offset, 4u);
+  EXPECT_EQ(layout.bytes(), 20u);
+  EXPECT_EQ(SharedLayout{}.bytes(), 0u);
 }
 
-TEST(SharedMem, PaddingCanPushAnOtherwiseFittingCarveOverCapacity) {
+TEST(SharedMem, AHandleResolvesToTheSameStorageEveryTime) {
+  SharedLayout layout;
+  const auto tile = layout.add<std::int32_t>(4);
   SharedMem shared;
-  shared.reset(16);
-  shared.array<std::uint8_t>(1);  // cursor 1
-  // 12 bytes would fit from offset 1, but 4-alignment starts them at 4.
-  EXPECT_THROW(shared.array<std::int32_t>(4), core::CheckError);
-  shared.rewind();
-  auto ints = shared.array<std::int32_t>(4);  // from 0 they fit exactly
-  EXPECT_EQ(ints.size(), 4u);
-}
-
-TEST(SharedMem, OverflowMessageNamesNeedAndHave) {
-  SharedMem shared;
-  shared.reset(16);
-  try {
-    shared.array<std::int32_t>(5);  // 20 > 16
-    FAIL() << "expected core::CheckError";
-  } catch (const core::CheckError& error) {
-    const std::string message = error.what();
-    EXPECT_NE(message.find("shared memory overflow: need 20 have 16"),
-              std::string::npos)
-        << message;
-  }
-}
-
-TEST(SharedMem, RewindReplaysTheSameStorage) {
-  SharedMem shared;
-  shared.reset(32);
-  auto first = shared.array<std::int32_t>(4);
-  first[2] = 77;
-  shared.rewind();
-  auto second = shared.array<std::int32_t>(4);
-  EXPECT_EQ(&second[0], &first[0]);
-  EXPECT_EQ(second[2], 77);  // block-lifetime storage survives the rewind
+  shared.reset(layout.bytes());
+  shared[tile][2] = 77;
+  EXPECT_EQ(shared[tile].data(), shared[tile].data());
+  EXPECT_EQ(shared[tile][2], 77);  // block-lifetime storage
 }
 
 TEST(SharedMem, ResetZeroesAndResizes) {
+  SharedLayout layout;
+  const auto word = layout.add<std::int64_t>(1);
   SharedMem shared;
   shared.reset(8);
-  shared.array<std::int64_t>(1)[0] = -1;
+  shared[word][0] = -1;
   shared.reset(8);
-  EXPECT_EQ(shared.array<std::int64_t>(1)[0], 0);
+  EXPECT_EQ(shared[word][0], 0);
   shared.reset(128);
   EXPECT_EQ(shared.capacity(), 128u);
 }

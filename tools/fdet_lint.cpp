@@ -21,8 +21,6 @@
 //                               proof of detection
 //   --width, --height           base frame geometry (96x72)
 //   --sweep                     also run an odd-sized frame (default on)
-//   --suppress=k@n,...          lint only: extra suppressions (kind@kernel
-//                               or kind@*) on top of registry ones
 //   --metrics-out=f             export vgpu.check.* (check) or
 //                               analyze.lint.* (lint) metrics as JSON,
 //                               which `fdet_report show` renders as
@@ -33,7 +31,6 @@
 // fails (hazards or findings; with --seeded, a planted defect missed).
 #include <cstdio>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,22 +53,12 @@ namespace {
 
 using vgpu::KernelConfig;
 using vgpu::LaneCtx;
+using vgpu::SharedLayout;
 using vgpu::SharedMem;
 using vgpu::ThreadCoord;
 
 /// Input-data seed of the check mode's single run per target.
 constexpr std::uint64_t kCheckSeed = 42;
-
-std::vector<std::string> split_commas(const std::string& csv) {
-  std::vector<std::string> out;
-  std::istringstream stream(csv);
-  for (std::string item; std::getline(stream, item, ',');) {
-    if (!item.empty()) {
-      out.push_back(item);
-    }
-  }
-  return out;
-}
 
 std::vector<std::pair<int, int>> geometries(int width, int height,
                                             bool sweep) {
@@ -120,7 +107,7 @@ int check_production(int width, int height, bool sweep,
   for (const auto& [w, h] : geometries(width, height, sweep)) {
     std::printf("## check sweep at %dx%d\n", w, h);
     core::Table table({"kernel", "verdict", "hazards", "shared accesses",
-                       "carves", "global ops"});
+                       "global ops"});
     for (const analyze::LintTarget& target :
          analyze::production_targets(w, h)) {
       // One scope per target: the offset address spaces of different
@@ -133,7 +120,6 @@ int check_production(int width, int height, bool sweep,
             {report.kernel, report.clean() ? "CLEAN" : "HAZARDS",
              std::to_string(report.hazards.size() + report.suppressed_hazards),
              std::to_string(report.shared_accesses_checked),
-             std::to_string(report.carves_checked),
              std::to_string(report.global_ops_checked)});
         reports.push_back(std::move(report));
       }
@@ -161,11 +147,14 @@ int check_seeded(const std::string& metrics_out) {
   using vgpu::HazardKind;
   const vgpu::DeviceSpec spec;
   constexpr int kLanes = 32;
-  const auto config = [](const std::string& name, int shared_bytes) {
+  // The shared-memory defects run over one kLanes-word tile.
+  SharedLayout layout;
+  const auto tile = layout.add<std::int32_t>(kLanes);
+  const auto config = [](const std::string& name, SharedLayout shared) {
     return KernelConfig{.name = name,
                         .grid = {1, 1, 1},
                         .block = {kLanes, 1, 1},
-                        .shared_bytes = shared_bytes};
+                        .shared = std::move(shared)};
   };
   struct Planted {
     std::string name;
@@ -181,46 +170,41 @@ int check_seeded(const std::string& metrics_out) {
   // Missing barrier: write own slot, read the neighbour's in one phase.
   plant("missing barrier (neighbour read)", HazardKind::kIntraPhaseRace,
         vgpu::execute_kernel_checked(
-            spec, config("seeded_race", kLanes * 4),
-            [](const ThreadCoord& t, LaneCtx& ctx, SharedMem& shared) {
-              auto tile = shared.array<std::int32_t>(kLanes);
-              auto& mine = tile[static_cast<std::size_t>(t.thread.x)];
+            spec, config("seeded_race", layout),
+            [tile](const ThreadCoord& t, LaneCtx& ctx, SharedMem& shared) {
+              const std::span<std::int32_t> cells = shared[tile];
+              auto& mine = cells[static_cast<std::size_t>(t.thread.x)];
               mine = t.thread.x;
               ctx.shared_store_at(shared, mine);
               ctx.shared_load_at(
                   shared,
-                  tile[static_cast<std::size_t>((t.thread.x + 1) % kLanes)]);
+                  cells[static_cast<std::size_t>((t.thread.x + 1) % kLanes)]);
             }));
 
   // Read of shared bytes no phase ever wrote.
   plant("uninitialized shared read", HazardKind::kUninitializedSharedRead,
         vgpu::execute_kernel_checked(
-            spec, config("seeded_uninit", kLanes * 4),
-            [](const ThreadCoord& t, LaneCtx& ctx, SharedMem& shared) {
-              auto tile = shared.array<std::int32_t>(kLanes);
-              ctx.shared_load_at(shared,
-                                 tile[static_cast<std::size_t>(t.thread.x)]);
+            spec, config("seeded_uninit", layout),
+            [tile](const ThreadCoord& t, LaneCtx& ctx, SharedMem& shared) {
+              ctx.shared_load_at(
+                  shared, shared[tile][static_cast<std::size_t>(t.thread.x)]);
             }));
 
-  // Lanes disagree on the static __shared__ layout.
-  plant("carve divergence (odd lanes)", HazardKind::kCarveDivergence,
+  // Off-by-one store: lane x writes word x + 1, so the last lane lands one
+  // word past the layout. Raw offset report: the planted bug is the index
+  // math, so no host access escapes the tile.
+  plant("shared store one word past the layout",
+        HazardKind::kSharedOutOfBounds,
         vgpu::execute_kernel_checked(
-            spec, config("seeded_divergence", 32),
-            [](const ThreadCoord& t, LaneCtx&, SharedMem& shared) {
-              shared.array<std::int32_t>(t.thread.x % 2 == 1 ? 8 : 4);
-            }));
-
-  // Carve escaping the declared static footprint.
-  plant("carve past shared_bytes", HazardKind::kCarveOverflow,
-        vgpu::execute_kernel_checked(
-            spec, config("seeded_overflow", 64),
-            [](const ThreadCoord&, LaneCtx&, SharedMem& shared) {
-              shared.array<double>(100);
+            spec, config("seeded_shared_oob", layout),
+            [](const ThreadCoord& t, LaneCtx& ctx, SharedMem&) {
+              ctx.shared_store(
+                  (static_cast<std::size_t>(t.thread.x) + 1) * 4, 4);
             }));
 
   // Constant-memory footprint over the device limit (Sec. III-B's reason
   // for re-encoding the cascade records).
-  KernelConfig fat = config("seeded_constant", 0);
+  KernelConfig fat = config("seeded_constant", {});
   fat.constant_bytes = 2 * spec.constant_mem_bytes;
   plant("constant footprint 2x device", HazardKind::kConstantOverflow,
         vgpu::execute_kernel_checked(
@@ -229,7 +213,7 @@ int check_seeded(const std::string& metrics_out) {
   // Global access outside every registered allocation.
   plant("global load past allocation", HazardKind::kGlobalOutOfBounds,
         vgpu::execute_kernel_checked(
-            spec, config("seeded_global_oob", 0),
+            spec, config("seeded_global_oob", {}),
             [](const ThreadCoord&, LaneCtx& ctx, SharedMem&) {
               ctx.global_load(100, 4);
             },
@@ -251,42 +235,32 @@ int check_seeded(const std::string& metrics_out) {
 
 // --- lint mode -----------------------------------------------------------
 
-std::vector<analyze::KernelLintResult> lint_geometry(
-    int width, int height, const std::vector<std::string>& cli_suppressions,
-    int& shadowed_launches) {
+std::vector<analyze::KernelLintResult> lint_geometry(int width, int height,
+                                                     int& shadowed_launches) {
   std::vector<analyze::KernelLintResult> results;
   for (analyze::LintTarget& target : analyze::production_targets(width, height)) {
     int shadowed = 0;
     const std::vector<analyze::KernelIR> irs = analyze::capture_kernels(
         target.driver, /*seed_a=*/0x5eed0001, /*seed_b=*/0x5eed0002,
-        analyze::CaptureOptions{}, &shadowed);
+        &shadowed);
     shadowed_launches += shadowed;
     analyze::AnalysisOptions options;
     options.allocations = target.allocations;
-    std::vector<std::string> suppressions = target.suppressions;
-    suppressions.insert(suppressions.end(), cli_suppressions.begin(),
-                        cli_suppressions.end());
     for (const analyze::KernelIR& ir : irs) {
-      std::vector<analyze::Finding> findings =
-          analyze::analyze_kernel(ir, options);
-      analyze::apply_suppressions(findings, suppressions);
-      results.push_back(
-          analyze::summarize(target.name, ir, std::move(findings)));
+      results.push_back(analyze::summarize(
+          target.name, ir, analyze::analyze_kernel(ir, options)));
     }
   }
   return results;
 }
 
 int lint_production(int width, int height, bool sweep,
-                    const std::string& suppress,
                     const std::string& metrics_out) {
-  const std::vector<std::string> cli_suppressions = split_commas(suppress);
   std::vector<analyze::KernelLintResult> results;
   int shadowed = 0;
   for (const auto& [w, h] : geometries(width, height, sweep)) {
     std::printf("## lint sweep at %dx%d\n", w, h);
-    const auto geometry_results = lint_geometry(w, h, cli_suppressions,
-                                                shadowed);
+    const auto geometry_results = lint_geometry(w, h, shadowed);
     analyze::print_lint_table(std::cout, geometry_results);
     results.insert(results.end(), geometry_results.begin(),
                    geometry_results.end());
@@ -315,6 +289,14 @@ int lint_production(int width, int height, bool sweep,
   return gating == 0 ? 0 : 2;
 }
 
+/// Layout of one `words`-word tile: the footprint of the seeded kernels
+/// that address shared memory by raw offset.
+SharedLayout word_tile(std::size_t words) {
+  SharedLayout layout;
+  layout.add<std::int32_t>(words);
+  return layout;
+}
+
 /// Captures one single-kernel driver under both seeds and analyzes it.
 template <typename Driver>
 std::vector<analyze::Finding> capture_and_analyze(Driver&& driver) {
@@ -340,14 +322,14 @@ int lint_seeded(const std::string& metrics_out) {
 
   // Off-by-one shared read: every lane of an odd-sized block reads its
   // right neighbour's word — the last lane's read lands one word past the
-  // declared footprint. The analyzer must PROVE this from the affine form
+  // shared layout. The analyzer must PROVE this from the affine form
   // (the capture seeds never change the address).
   {
     constexpr int kLanes = 33;  // odd block: the ragged case the sweep hunts
     const KernelConfig config{.name = "seeded_oob",
                               .grid = {1, 1, 1},
                               .block = {kLanes, 1, 1},
-                              .shared_bytes = kLanes * 4};
+                              .shared = word_tile(kLanes)};
     plant("shared off-by-one at odd block dim",
           analyze::FindingKind::kSharedOutOfBounds,
           capture_and_analyze([&spec, &config](std::uint64_t /*seed*/) {
@@ -369,7 +351,7 @@ int lint_seeded(const std::string& metrics_out) {
     const KernelConfig config{.name = "seeded_barrier",
                               .grid = {1, 1, 1},
                               .block = {32, 1, 1},
-                              .shared_bytes = 32 * 4,
+                              .shared = word_tile(32),
                               .track_branches = true};
     plant("barrier in data-dependent branch",
           analyze::FindingKind::kBarrierDivergence,
@@ -404,7 +386,7 @@ int lint_seeded(const std::string& metrics_out) {
     const KernelConfig config{.name = "seeded_stride",
                               .grid = {1, 1, 1},
                               .block = {32, 1, 1},
-                              .shared_bytes = 32 * 32 * 4};
+                              .shared = word_tile(32 * 32)};
     plant("stride-32 shared access (single bank)",
           analyze::FindingKind::kBankConflict,
           capture_and_analyze([&spec, &config](std::uint64_t /*seed*/) {
@@ -442,7 +424,7 @@ int lint_seeded(const std::string& metrics_out) {
     SeededVerdict verdict{p.name, analyze::finding_kind_name(p.expected)};
     for (const analyze::Finding& f : p.findings) {
       verdict.detected = verdict.detected ||
-                         (f.kind == p.expected && !f.suppressed &&
+                         (f.kind == p.expected &&
                           f.severity != analyze::Severity::kInfo);
       registry
           .counter("analyze.lint.findings",
@@ -467,15 +449,13 @@ int main(int argc, char** argv) {
   if (mode != "check" && mode != "lint") {
     std::fprintf(stderr,
                  "usage: fdet_lint check|lint [--seeded] [--width=N] "
-                 "[--height=N] [--sweep=BOOL] [--suppress=k@n,...] "
-                 "[--metrics-out=FILE]\n");
+                 "[--height=N] [--sweep=BOOL] [--metrics-out=FILE]\n");
     return 1;
   }
   int width = 96;
   int height = 72;
   bool sweep = true;
   bool seeded = false;
-  std::string suppress;
   std::string metrics_out;
   core::Cli cli("fdet_lint " + mode);
   cli.flag("width", width, "base frame width");
@@ -483,8 +463,6 @@ int main(int argc, char** argv) {
   cli.flag("sweep", sweep, "also verify an odd-sized frame geometry");
   cli.flag("seeded", seeded,
            "run the seeded-defect corpus instead of the production sweep");
-  cli.flag("suppress", suppress,
-           "lint: comma-separated suppressions (kind@kernel or kind@*)");
   cli.flag("metrics-out", metrics_out,
            "export vgpu.check.* / analyze.lint.* metrics (JSON)");
   // Shift out the mode so the flag parser sees only flags.
@@ -493,18 +471,13 @@ int main(int argc, char** argv) {
   if (!cli.parse(static_cast<int>(args.size()), args.data())) {
     return 1;
   }
-  if (mode == "check" && !suppress.empty()) {
-    std::fprintf(stderr, "fdet_lint check: --suppress applies to lint only\n");
-    return 1;
-  }
   try {
     if (mode == "check") {
       return seeded ? check_seeded(metrics_out)
                     : check_production(width, height, sweep, metrics_out);
     }
     return seeded ? lint_seeded(metrics_out)
-                  : lint_production(width, height, sweep, suppress,
-                                    metrics_out);
+                  : lint_production(width, height, sweep, metrics_out);
   } catch (const core::CheckError& error) {
     std::fprintf(stderr, "fdet_lint %s: %s\n", mode.c_str(), error.what());
     return 1;

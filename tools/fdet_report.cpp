@@ -193,7 +193,6 @@ struct KernelVerification {
   double hazards = 0.0;
   std::string hazard_kinds;
   double shared_accesses = 0.0;
-  double carves = 0.0;
   double global_ops = 0.0;
 };
 
@@ -216,8 +215,6 @@ void show_verification(const obs::RunRecord& record) {
       }
     } else if (series.name == "vgpu.check.shared_accesses") {
       v.shared_accesses = number;
-    } else if (series.name == "vgpu.check.carves") {
-      v.carves = number;
     } else if (series.name == "vgpu.check.global_ops") {
       v.global_ops = number;
     }
@@ -227,7 +224,7 @@ void show_verification(const obs::RunRecord& record) {
   }
   std::printf("#### Kernel verification\n\n");
   core::Table table({"kernel", "verdict", "hazards", "shared accesses",
-                     "carves", "global ops"});
+                     "global ops"});
   for (const auto& [kernel, v] : verification) {
     std::string verdict = "—";
     if (v.clean >= 0.0) {
@@ -238,7 +235,7 @@ void show_verification(const obs::RunRecord& record) {
       hazards += " (" + v.hazard_kinds + ")";
     }
     table.add_row({kernel, verdict, hazards, format_number(v.shared_accesses),
-                   format_number(v.carves), format_number(v.global_ops)});
+                   format_number(v.global_ops)});
   }
   table.print_markdown(std::cout);
   std::printf("\n");
@@ -438,7 +435,6 @@ struct KernelLintRollup {
   double predicted_conflicts = 0.0;
   double predicted_transactions = 0.0;
   double findings = 0.0;
-  double suppressed = 0.0;
   std::string finding_kinds;
 };
 
@@ -464,11 +460,7 @@ void show_lint(const obs::RunRecord& record) {
     } else if (series.name == "analyze.lint.predicted_global_transactions") {
       v.predicted_transactions += number;
     } else if (series.name == "analyze.lint.findings") {
-      if (label_of(series, "severity") == "suppressed") {
-        v.suppressed += number;
-      } else {
-        v.findings += number;
-      }
+      v.findings += number;
       const std::string kind = label_of(series, "kind");
       if (!kind.empty() && v.finding_kinds.find(kind) == std::string::npos) {
         append_item(v.finding_kinds, kind);
@@ -487,9 +479,6 @@ void show_lint(const obs::RunRecord& record) {
       verdict = v.clean > 0.0 ? "CLEAN" : "FINDINGS";
     }
     std::string findings = format_number(v.findings);
-    if (v.suppressed > 0.0) {
-      findings += " (+" + format_number(v.suppressed) + " suppressed)";
-    }
     if (!v.finding_kinds.empty()) {
       findings += " [" + v.finding_kinds + "]";
     }
