@@ -1,7 +1,9 @@
 #include "detect/kernels.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <span>
 #include <utility>
 
@@ -32,6 +34,9 @@ std::uint64_t addr_of_i32(int width, int x, int y) {
 struct DecodedRecord {
   struct R {
     int x, y, w, h, weight;
+    /// Tile-relative word offsets of the four corners, in the order the
+    /// cascade kernel reads them; filled at launch for its tile width.
+    std::array<int, 4> corners{};
   };
   std::array<R, 4> rects;
   int rect_count = 0;
@@ -211,11 +216,22 @@ vgpu::LaunchCost cascade_kernel(const vgpu::DeviceSpec& spec,
   out.depth = img::ImageI32(w, h, 0);
   out.score = img::ImageF32(w, h, 0.0f);
 
-  const DecodedCascade dc = decode_bank(bank);
+  const int tile_dim = 2 * n;
+  DecodedCascade dc = decode_bank(bank);
+  // The four corners of each rectangle as word offsets from a window's
+  // tile origin, in read order: (x+w, y+h), (x, y+h), (x+w, y), (x, y).
+  // A lane adds its origin and reports the four reads in one call.
+  for (DecodedRecord& rec : dc.records) {
+    for (int r = 0; r < rec.rect_count; ++r) {
+      auto& rect = rec.rects[static_cast<std::size_t>(r)];
+      const int top = rect.y * tile_dim + rect.x;
+      const int bottom = (rect.y + rect.h) * tile_dim + rect.x;
+      rect.corners = {bottom + rect.w, bottom, top + rect.w, top};
+    }
+  }
   const int stage_count = static_cast<int>(dc.stages.size());
   const img::ImageI32& table = ii.table();
 
-  const int tile_dim = 2 * n;
   vgpu::SharedLayout layout;
   const auto tile = layout.add<std::int32_t>(
       static_cast<std::size_t>(tile_dim) * static_cast<std::size_t>(tile_dim));
@@ -281,13 +297,11 @@ vgpu::LaunchCost cascade_kernel(const vgpu::DeviceSpec& spec,
       return;  // depth stays 0; border anchors cannot host a window
     }
 
-    // Every tile read is an addressed shared access (one per corner), so
-    // checked execution can verify the staging protocol of eqs. (1)-(4).
-    const auto tile_at = [&cells, &ctx, &shared, tile_dim](int lx, int ly) {
-      const auto& cell = cells[static_cast<std::size_t>(ly) * tile_dim + lx];
-      ctx.shared_load_at(shared, cell);
-      return cell;
-    };
+    // Every tile read is an addressed shared access (four per rectangle,
+    // reported in one batched call), so checked execution can verify the
+    // staging protocol of eqs. (1)-(4).
+    const std::int32_t* origin =
+        cells.data() + static_cast<std::ptrdiff_t>(y) * tile_dim + x;
 
     int depth = 0;
     float last_score = 0.0f;
@@ -317,18 +331,18 @@ vgpu::LaunchCost cascade_kernel(const vgpu::DeviceSpec& spec,
         std::int64_t response = 0;
         for (int r = 0; r < rec.rect_count; ++r) {
           const auto& rect = rec.rects[static_cast<std::size_t>(r)];
-          const int lx = x + rect.x;
-          const int ly = y + rect.y;
-          response += static_cast<std::int64_t>(rect.weight) *
-                      (tile_at(lx + rect.w, ly + rect.h) -
-                       tile_at(lx, ly + rect.h) - tile_at(lx + rect.w, ly) +
-                       tile_at(lx, ly));
-          ctx.alu(6);
+          const std::int32_t& br = origin[rect.corners[0]];
+          const std::int32_t& bl = origin[rect.corners[1]];
+          const std::int32_t& tr = origin[rect.corners[2]];
+          const std::int32_t& tl = origin[rect.corners[3]];
+          ctx.shared_load_at(shared, br, bl, tr, tl);
+          response +=
+              static_cast<std::int64_t>(rect.weight) * (br - bl - tr + tl);
         }
         score += (static_cast<float>(response) < rec.threshold)
                      ? rec.left_vote
                      : rec.right_vote;
-        ctx.alu(2);
+        ctx.alu(6 * rec.rect_count + 2);  // 6 per rectangle, 2 to vote
         // Classifier-loop back-edge: uniform across the active lanes of
         // the warp (they all walk the same stage's classifier list).
         ctx.branch_uniform();

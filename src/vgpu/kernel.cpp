@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 
 #include "core/check.h"
 #include "vgpu/warp.h"
@@ -19,7 +20,7 @@ struct LaneSlots {
   std::size_t min_size = 0;  ///< slots every lane issued
   std::size_t max_size = 0;  ///< slots some lane issued
 
-  void set(int lane, const std::vector<T>& events) {
+  void set(int lane, std::span<const T> events) {
     const auto l = static_cast<std::size_t>(lane);
     data[l] = events.data();
     size[l] = events.size();
@@ -45,6 +46,58 @@ struct LaneSlots {
     }
   }
 };
+
+/// Prices the shared slots of a *translated* warp: every lane's words are
+/// a longest lane r's words plus a per-lane constant d_l = w_l[0] - w_r[0]
+/// (uint32 arithmetic), checked by one branch-free compare per lane. Slot
+/// k's words are then w_r[k] + d_l over the lanes still issuing. Adding one
+/// constant to every word keeps them distinct and permutes the 32 banks
+/// (32 divides 2^32), so the slot's degree is the degree of those lanes'
+/// deltas: it changes only where a lane stops issuing. Calls
+/// charge(degree, slots) once per run of slots with one participant set,
+/// in slot order. Returns false, charging nothing, when the warp is not
+/// translated.
+template <typename Charge>
+bool price_translated_warp(const LaneSlots<std::uint32_t>& words, int active,
+                           BankConflictSlot& banks, Charge&& charge) {
+  int r = 0;
+  while (words.size[static_cast<std::size_t>(r)] != words.max_size) {
+    ++r;
+  }
+  const std::uint32_t* ref = words.data[static_cast<std::size_t>(r)];
+  std::array<std::uint32_t, kWarpSize> delta{};
+  for (int l = 0; l < active; ++l) {
+    const auto i = static_cast<std::size_t>(l);
+    const std::size_t n = words.size[i];
+    if (n == 0) {
+      continue;  // issues no slot, so it never joins a run below
+    }
+    const std::uint32_t* w = words.data[i];
+    const std::uint32_t d = w[0] - ref[0];
+    std::uint32_t mismatch = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      mismatch |= (w[k] - ref[k]) ^ d;
+    }
+    if (mismatch != 0) {
+      return false;
+    }
+    delta[i] = d;
+  }
+  for (std::size_t slot = 0; slot < words.max_size;) {
+    std::size_t end = words.max_size;
+    banks.clear();
+    for (int l = 0; l < active; ++l) {
+      const auto i = static_cast<std::size_t>(l);
+      if (words.size[i] > slot) {
+        banks.add(delta[i]);
+        end = std::min(end, words.size[i]);
+      }
+    }
+    charge(banks.degree(), end - slot);
+    slot = end;
+  }
+  return true;
+}
 
 /// Scratch for one warp's aggregation, reused across warps to avoid
 /// allocation in the hot loop (Per.14/Per.15).
@@ -125,19 +178,29 @@ WarpCost aggregate_warp(const CostModel& cost, const KernelConfig& config,
       std::max(0.0, max_lane_issue - sum_lane_issue / kWarpSize);
 
   // Bank conflicts (vgpu/warp.h): an n-way conflict in a slot costs n - 1
-  // extra serialized passes.
+  // extra serialized passes, added to the warp slot by slot. A translated
+  // warp prices each run of slots once; any other warp reduces every slot.
   std::uint64_t bank_conflicts = 0;
-  BankConflictSlot& banks = scratch.bank_slot;
-  for (std::size_t slot = 0; slot < scratch.shared_words.max_size; ++slot) {
-    banks.clear();
-    scratch.shared_words.for_each_in_slot(
-        active, slot, [&banks](std::uint32_t word) { banks.add(word); });
-    const int extra = banks.degree() - 1;
-    if (extra > 0) {
-      bank_conflicts += static_cast<std::uint64_t>(extra);
-      const double serialized = extra * cost.shared_conflict;
+  const auto charge = [&](int degree, std::size_t slots) {
+    const int extra = degree - 1;
+    if (extra <= 0) {
+      return;
+    }
+    bank_conflicts += static_cast<std::uint64_t>(extra) * slots;
+    const double serialized = extra * cost.shared_conflict;
+    for (std::size_t k = 0; k < slots; ++k) {
       warp.issue += serialized;
       warp.bank_conflict_issue += serialized;
+    }
+  };
+  BankConflictSlot& banks = scratch.bank_slot;
+  if (scratch.shared_words.max_size > 0 &&
+      !price_translated_warp(scratch.shared_words, active, banks, charge)) {
+    for (std::size_t slot = 0; slot < scratch.shared_words.max_size; ++slot) {
+      banks.clear();
+      scratch.shared_words.for_each_in_slot(
+          active, slot, [&banks](std::uint32_t word) { banks.add(word); });
+      charge(banks.degree(), 1);
     }
   }
   counters.bank_conflicts += bank_conflicts;
@@ -221,13 +284,6 @@ LaunchCost execute_kernel(const DeviceSpec& spec, const KernelConfig& config,
         << " bytes of constant memory but device '" << spec.name
         << "' provides " << spec.constant_mem_bytes;
   }
-  if (owner != nullptr) {
-    owner->begin_kernel(spec, config);
-  }
-  const bool track_branches =
-      config.track_branches ||
-      (owner != nullptr && owner->wants_branch_tracking());
-
   LaunchCost result;
   result.config = config;
   result.occupancy = compute_occupancy(
@@ -235,6 +291,14 @@ LaunchCost execute_kernel(const DeviceSpec& spec, const KernelConfig& config,
       config.regs_per_thread);
   FDET_CHECK(result.occupancy.blocks_per_sm > 0)
       << "kernel '" << config.name << "' cannot be resident on an SM";
+  // Every validation above throws before the owner's begin_kernel, so a
+  // rejected launch leaves the owner ready for the next one.
+  if (owner != nullptr) {
+    owner->begin_kernel(spec, config);
+  }
+  const bool track_branches =
+      config.track_branches ||
+      (owner != nullptr && owner->wants_branch_tracking());
 
   const std::int64_t num_blocks = config.grid.count();
   result.block_service_cycles.resize(static_cast<std::size_t>(num_blocks));

@@ -6,10 +6,23 @@
 // lanes warp-wise (32 lanes in lockstep: the warp pays for its slowest
 // lane, and early-exiting lanes idle — precisely the SIMD underutilization
 // the paper attacks) and derives timing plus profiler-style counters.
+//
+// Shared accesses are the most frequent lane event (the cascade reads four
+// tile corners per Haar rectangle), so their word indices go into a bump
+// buffer: a growable array plus an explicit count, which reset() zeroes
+// without touching the storage. The array only grows, when a record goes
+// past its high-water mark; shared_count() is the count and
+// shared_words() a span over the recorded prefix. The batched form,
+// shared_load_at(shared, a, b, ...), records several words with one
+// capacity check. Whatever the form, a launch's lane-event owner
+// (vgpu/observer.h) gets one on_shared per access, in the order the
+// kernel reported them. LaneCtx stays copyable (the reduction oracle
+// copies lanes).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "vgpu/observer.h"
@@ -20,10 +33,10 @@ class LaneCtx {
  public:
   /// Clears all counters and traces; called by the executor before each lane.
   void reset() {
-    n_alu_ = n_fma_ = n_sfu_ = n_shared_ = n_const_ = n_tex_ = 0;
+    n_alu_ = n_fma_ = n_sfu_ = n_const_ = n_tex_ = 0;
     untracked_branches_ = 0;
+    n_shared_words_ = 0;
     global_ops_.clear();
-    shared_words_.clear();
     branch_trace_.clear();
     track_branches_ = false;
     owner_ = nullptr;
@@ -53,29 +66,29 @@ class LaneCtx {
   /// are attributed to their first bank. Also feeds the race/memcheck
   /// shadow when a CheckScope is active.
   void shared_load(std::size_t offset, std::uint32_t bytes) {
-    ++n_shared_;
-    shared_words_.push_back(static_cast<std::uint32_t>(offset / 4));
+    *shared_tail(1) = static_cast<std::uint32_t>(offset / 4);
     if (owner_ != nullptr) {
       owner_->on_shared(offset, bytes, /*store=*/false);
     }
   }
   void shared_store(std::size_t offset, std::uint32_t bytes) {
-    ++n_shared_;
-    shared_words_.push_back(static_cast<std::uint32_t>(offset / 4));
+    *shared_tail(1) = static_cast<std::uint32_t>(offset / 4);
     if (owner_ != nullptr) {
       owner_->on_shared(offset, bytes, /*store=*/true);
     }
   }
-  /// Convenience: report the access for one element of a SharedMem span,
-  /// deriving offset and size from the element itself:
+  /// Convenience: report the accesses for elements of SharedMem spans, in
+  /// argument order, deriving each offset and size from the element:
   ///   tile[i] = v;  ctx.shared_store_at(shared, tile[i]);
-  template <typename SharedMemT, typename T>
-  void shared_load_at(const SharedMemT& shared, const T& element) {
-    shared_load(shared.offset_of(&element), sizeof(T));
+  ///   ctx.shared_load_at(shared, a, b, c, d);  // four loads, one record
+  /// A batched call records exactly what one call per element would.
+  template <typename SharedMemT, typename... T>
+  void shared_load_at(const SharedMemT& shared, const T&... elements) {
+    shared_at(shared, /*store=*/false, elements...);
   }
-  template <typename SharedMemT, typename T>
-  void shared_store_at(const SharedMemT& shared, const T& element) {
-    shared_store(shared.offset_of(&element), sizeof(T));
+  template <typename SharedMemT, typename... T>
+  void shared_store_at(const SharedMemT& shared, const T&... elements) {
+    shared_at(shared, /*store=*/true, elements...);
   }
   /// Constant-cache access. The cascade kernel keeps all active lanes of a
   /// warp on the same feature record, so accesses broadcast (see paper
@@ -120,7 +133,7 @@ class LaneCtx {
   std::uint32_t alu_count() const { return n_alu_; }
   std::uint32_t fma_count() const { return n_fma_; }
   std::uint32_t sfu_count() const { return n_sfu_; }
-  std::uint32_t shared_count() const { return n_shared_; }
+  std::uint32_t shared_count() const { return n_shared_words_; }
   std::uint32_t constant_count() const { return n_const_; }
   std::uint32_t texture_count() const { return n_tex_; }
   std::uint32_t untracked_branches() const { return untracked_branches_; }
@@ -128,23 +141,48 @@ class LaneCtx {
   /// 4-byte word index of each addressed shared access, in issue order
   /// (the executor aligns these slot-wise across the warp to count bank
   /// conflicts).
-  const std::vector<std::uint32_t>& shared_words() const {
-    return shared_words_;
+  std::span<const std::uint32_t> shared_words() const {
+    return {shared_words_.data(), n_shared_words_};
   }
   const std::vector<std::uint8_t>& branch_trace() const { return branch_trace_; }
 
  private:
+  /// Reserves the next n words of the shared-word bump buffer and returns
+  /// where they go; the one capacity check per record. The array grows
+  /// only past its high-water mark, by vector's own geometric policy, so
+  /// it writes no word that no lane records.
+  std::uint32_t* shared_tail(std::uint32_t n) {
+    if (n_shared_words_ + n > shared_words_.size()) {
+      shared_words_.resize(n_shared_words_ + n);
+    }
+    std::uint32_t* tail = shared_words_.data() + n_shared_words_;
+    n_shared_words_ += n;
+    return tail;
+  }
+
+  template <typename SharedMemT, typename... T>
+  void shared_at(const SharedMemT& shared, bool store, const T&... elements) {
+    std::uint32_t* tail = shared_tail(sizeof...(T));
+    ((*tail++ = static_cast<std::uint32_t>(shared.offset_of(&elements) / 4)),
+     ...);
+    if (owner_ != nullptr) {
+      (owner_->on_shared(shared.offset_of(&elements), sizeof(T), store), ...);
+    }
+  }
+
   std::uint32_t n_alu_ = 0;
   std::uint32_t n_fma_ = 0;
   std::uint32_t n_sfu_ = 0;
-  std::uint32_t n_shared_ = 0;
   std::uint32_t n_const_ = 0;
   std::uint32_t n_tex_ = 0;
   std::uint32_t untracked_branches_ = 0;
   bool track_branches_ = false;
   LaunchObserver* owner_ = nullptr;
   std::vector<GlobalOp> global_ops_;
+  /// Bump buffer: words [0, n_shared_words_) are this lane's record; the
+  /// rest is capacity.
   std::vector<std::uint32_t> shared_words_;
+  std::uint32_t n_shared_words_ = 0;
   std::vector<std::uint8_t> branch_trace_;
 };
 

@@ -23,6 +23,12 @@
 // word in a bank walks only that bank's overflow chain, so an n-way
 // conflict costs O(lanes x n); a segment below the running maximum scans
 // the slot's distinct segments.
+//
+// The executor feeds BankConflictSlot once per shared slot, except for a
+// translated warp (every lane's words are one lane's words plus a
+// per-lane constant): its degree depends only on which lanes still issue,
+// so the executor feeds the lanes' constants once per run of slots with
+// the same issuing lanes (kernel.cpp, DESIGN §2).
 #pragma once
 
 #include <algorithm>

@@ -260,6 +260,27 @@ TEST(CheckerScope, InnermostCheckerOwnsTheLaunch) {
   EXPECT_EQ(outer.reports().size(), 1u);
 }
 
+TEST(CheckerScope, LaunchTheDeviceRejectsLeavesTheCheckerReady) {
+  // A layout one double over the SM's shared memory cannot be resident:
+  // the launch throws before any lane runs, and the next launch under the
+  // same scope is checked as usual.
+  const DeviceSpec spec;
+  SharedLayout too_big;
+  too_big.add<double>(
+      static_cast<std::size_t>(spec.shared_mem_per_sm) / sizeof(double) + 1);
+  const auto body = [](const ThreadCoord&, LaneCtx& ctx, SharedMem&) {
+    ctx.alu();
+  };
+  CheckScope scope;
+  EXPECT_THROW(
+      execute_kernel(spec, tile_config("too_big", too_big), PhaseFn(body)),
+      core::CheckError);
+  execute_kernel(spec, tile_config("ok", {}), PhaseFn(body));
+  ASSERT_EQ(scope.reports().size(), 1u);
+  EXPECT_EQ(scope.reports()[0].kernel, "ok");
+  EXPECT_TRUE(scope.reports()[0].clean()) << scope.reports()[0].summary();
+}
+
 // --- production kernels must come back clean --------------------------
 
 TEST(CheckerProduction, IntegralPipelineIsClean) {

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -20,6 +19,7 @@
 
 #include "analyze/registry.h"
 #include "core/rng.h"
+#include "launch_cost_equal.h"
 #include "vgpu/kernel.h"
 #include "vgpu/observer.h"
 
@@ -201,52 +201,6 @@ WarpCost aggregate_warp(const CostModel& cost, const KernelConfig& config,
 }  // namespace reference
 
 // --- the oracle observer ---------------------------------------------------
-
-/// Bitwise equality of every modeled field of two launch costs.
-void expect_bit_identical(const LaunchCost& want, const LaunchCost& got) {
-  const std::string& k = got.config.name;
-  const PerfCounters& a = want.counters;
-  const PerfCounters& b = got.counters;
-#define FDET_ORACLE_EQ(field) \
-  EXPECT_EQ(a.field, b.field) << k << ": counters." #field
-#define FDET_ORACLE_BITS(field)                    \
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.field), \
-            std::bit_cast<std::uint64_t>(b.field)) \
-      << k << ": counters." #field " " << a.field << " vs " << b.field
-  FDET_ORACLE_EQ(threads);
-  FDET_ORACLE_EQ(warps);
-  FDET_ORACLE_EQ(warp_branches);
-  FDET_ORACLE_EQ(divergent_branches);
-  FDET_ORACLE_EQ(global_read_bytes);
-  FDET_ORACLE_EQ(global_write_bytes);
-  FDET_ORACLE_EQ(global_transactions);
-  FDET_ORACLE_EQ(alu_ops);
-  FDET_ORACLE_EQ(fma_ops);
-  FDET_ORACLE_EQ(sfu_ops);
-  FDET_ORACLE_EQ(shared_accesses);
-  FDET_ORACLE_EQ(constant_accesses);
-  FDET_ORACLE_EQ(texture_fetches);
-  FDET_ORACLE_EQ(bank_conflicts);
-  FDET_ORACLE_BITS(lane_issue_cycles);
-  FDET_ORACLE_BITS(warp_issue_cycles);
-  FDET_ORACLE_BITS(issue_service_cycles);
-  FDET_ORACLE_BITS(stall_service_cycles);
-  FDET_ORACLE_BITS(stall_base_cycles);
-  FDET_ORACLE_BITS(divergence_cycles);
-  FDET_ORACLE_BITS(bank_conflict_cycles);
-#undef FDET_ORACLE_EQ
-#undef FDET_ORACLE_BITS
-  ASSERT_EQ(want.block_service_cycles.size(), got.block_service_cycles.size())
-      << k;
-  for (std::size_t i = 0; i < want.block_service_cycles.size(); ++i) {
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(want.block_service_cycles[i]),
-              std::bit_cast<std::uint64_t>(got.block_service_cycles[i]))
-        << k << ": block " << i;
-  }
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(want.total_service_cycles),
-            std::bit_cast<std::uint64_t>(got.total_service_cycles))
-      << k << ": total_service_cycles";
-}
 
 /// Owns each launch's lane events, feeds the recorded lanes warp by warp
 /// through the reference reduction, and reassembles the block and launch
@@ -491,6 +445,48 @@ TEST(ReductionOracle, RaggedSlotCountsAndPartialWarps) {
             }
           });
     });
+  }
+}
+
+TEST(ReductionOracle, TranslatedWarpDegreesFollowTheIssuingLanes) {
+  // Lane l issues l/8 + 1 loads at word 8l + 32k: a translated warp (lane
+  // 24 is the longest; the deltas 8l - 192 are negative below it) whose
+  // slots 0..3 have 32, 24, 16 and 8 issuing lanes and degrees 8, 6, 4
+  // and 2. Each run of slots must be priced over the lanes still issuing.
+  const auto launch = [] {
+    return execute_kernel(
+        kSpec, pattern_config("shrinking", {32, 1, 1}),
+        [](const ThreadCoord& t, LaneCtx& ctx, SharedMem&) {
+          const int l = t.thread.x;
+          for (int k = 0; k <= l / 8; ++k) {
+            ctx.shared_load(static_cast<std::size_t>(8 * l + 32 * k) * 4, 4);
+          }
+        });
+  };
+  check_against_oracle(launch);
+  EXPECT_EQ(launch().counters.bank_conflicts, 2u * (7 + 5 + 3 + 1));
+}
+
+TEST(ReductionOracle, OneLanesLastWordBreaksTheTranslation) {
+  // Lane l loads words l, l + 32 and l + 64, a conflict-free translation,
+  // except that lane `odd` ends on word 96 + (odd + 1) % 32 instead: slot 2
+  // then holds two distinct words in that bank, a 2-way conflict the
+  // deltas of a translation would hide. The warp must take the slot loop.
+  for (const int odd : {0, 1, 16, 31}) {
+    SCOPED_TRACE(odd);
+    const auto launch = [odd] {
+      return execute_kernel(
+          kSpec, pattern_config("broken", {32, 1, 1}),
+          [odd](const ThreadCoord& t, LaneCtx& ctx, SharedMem&) {
+            const int l = t.thread.x;
+            ctx.shared_load(static_cast<std::size_t>(l) * 4, 4);
+            ctx.shared_load(static_cast<std::size_t>(l + 32) * 4, 4);
+            const int last = l == odd ? 96 + (odd + 1) % 32 : l + 64;
+            ctx.shared_load(static_cast<std::size_t>(last) * 4, 4);
+          });
+    };
+    check_against_oracle(launch);
+    EXPECT_EQ(launch().counters.bank_conflicts, 2u);
   }
 }
 
