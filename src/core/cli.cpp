@@ -6,26 +6,31 @@
 #include <sstream>
 
 namespace fdet::core {
-namespace {
 
 bool parse_int(std::string_view text, int& out) {
   const auto* end = text.data() + text.size();
-  const auto result = std::from_chars(text.data(), end, out);
-  return result.ec == std::errc() && result.ptr == end;
-}
-
-bool parse_double(std::string_view text, double& out) {
-  // from_chars for double is supported by libstdc++ 11+, but go through
-  // strtod for portability with the exact end-pointer check.
-  std::string owned(text);
-  char* end = nullptr;
-  const double value = std::strtod(owned.c_str(), &end);
-  if (end != owned.c_str() + owned.size() || owned.empty()) {
+  int value = 0;
+  const auto result = std::from_chars(text.data(), end, value);
+  if (result.ec != std::errc() || result.ptr != end) {
     return false;
   }
   out = value;
   return true;
 }
+
+bool parse_double(std::string_view text, double& out) {
+  // from_chars, unlike strtod, skips no leading space and reads no hex.
+  const auto* end = text.data() + text.size();
+  double value = 0.0;
+  const auto result = std::from_chars(text.data(), end, value);
+  if (result.ec != std::errc() || result.ptr != end) {
+    return false;
+  }
+  out = value;
+  return true;
+}
+
+namespace {
 
 bool parse_bool(std::string_view text, bool& out) {
   if (text == "1" || text == "true" || text == "yes" || text.empty()) {

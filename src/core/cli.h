@@ -17,6 +17,13 @@
 
 namespace fdet::core {
 
+/// Whole-token number parsers: true and `out` set only when every
+/// character of `text` belongs to the number ("4junk", "1e3" as an int,
+/// " 0.05", "+1", hex and "" are rejected). Flag values and the serving
+/// layer's plan and mix specs parse through these.
+bool parse_int(std::string_view text, int& out);
+bool parse_double(std::string_view text, double& out);
+
 class Cli {
  public:
   explicit Cli(std::string program) : program_(std::move(program)) {}

@@ -17,8 +17,6 @@ const char* ingest_error_kind_name(IngestErrorKind kind) {
     case IngestErrorKind::kAbsurdMetadata: return "absurd-metadata";
     case IngestErrorKind::kUnsupported: return "unsupported";
     case IngestErrorKind::kInjected: return "injected";
-    case IngestErrorKind::kMissingFrame: return "missing-frame";
-    case IngestErrorKind::kOutOfOrder: return "out-of-order";
   }
   return "?";
 }

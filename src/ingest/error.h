@@ -31,15 +31,12 @@ enum class IngestErrorKind {
   kAbsurdMetadata,     ///< declared counts/lengths beyond the hard caps
   kUnsupported,        ///< operation the source cannot perform (no bytes)
   kInjected,           ///< fault-plan injected bitstream corruption
-  kMissingFrame,       ///< delivery gap: the frame never arrived (lossy source)
-  kOutOfOrder,         ///< frame arrived after a successor (lossy source)
 };
 
 /// Stable lower-case token: "truncated", "bad-magic", "bad-version",
 /// "dimension-overflow", "plane-size-mismatch", "checksum-mismatch",
 /// "trailing-garbage", "bad-frame-index", "palette-overflow",
-/// "bad-sub-rect", "absurd-metadata", "unsupported", "injected",
-/// "missing-frame", "out-of-order".
+/// "bad-sub-rect", "absurd-metadata", "unsupported", "injected".
 const char* ingest_error_kind_name(IngestErrorKind kind);
 
 /// Error thrown by validating container parsers and FrameSources. Carries

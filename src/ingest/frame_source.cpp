@@ -2,15 +2,6 @@
 
 namespace fdet::ingest {
 
-const char* frame_arrival_name(FrameArrival arrival) {
-  switch (arrival) {
-    case FrameArrival::kInOrder: return "in-order";
-    case FrameArrival::kOutOfOrder: return "out-of-order";
-    case FrameArrival::kDuplicate: return "duplicate";
-  }
-  return "?";
-}
-
 void FrameSource::check_index(int index) const {
   const SourceInfo& meta = info();
   if (index < 0 || index >= meta.frames) {

@@ -19,11 +19,12 @@
 //     frame is always a valid Nv12Frame matching info() geometry;
 //   * decode_latency_ms(i) is the modeled fixed-function decode cost in
 //     virtual time (the serving layer charges it against the deadline
-//     budget), deterministic in (stream, i).
+//     budget), deterministic in (stream, i);
+//   * index i is the i-th frame of the stream: every frame arrives once,
+//     in order (the serving engines schedule frame i at i / fps).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -62,20 +63,6 @@ struct ByteRange {
   std::size_t size = 0;
 };
 
-/// How delivery slot `i` of a source relates to the original stream
-/// order. Well-behaved sources deliver every frame exactly once, in
-/// order; a network-ish wrapper (LossyReorderSource) can deliver frames
-/// late or twice — the serving layer counts and cause-tags both instead
-/// of treating them as malformed input. One byte: every served frame
-// record carries one.
-enum class FrameArrival : std::uint8_t {
-  kInOrder,
-  kOutOfOrder,  ///< an earlier frame delivered after a later one
-  kDuplicate,   ///< same frame delivered again
-};
-
-const char* frame_arrival_name(FrameArrival arrival);
-
 class FrameSource {
  public:
   virtual ~FrameSource() = default;
@@ -89,13 +76,6 @@ class FrameSource {
 
   /// Modeled fixed-function decode latency for frame `index`.
   virtual double decode_latency_ms(int index) const = 0;
-
-  /// Delivery-order classification of slot `index`. In-order for every
-  /// source except wrappers that model network-ish arrival.
-  virtual FrameArrival arrival_kind(int index) const {
-    (void)index;
-    return FrameArrival::kInOrder;
-  }
 
   /// Byte extent of frame `index`'s payload in the serialized container,
   /// when the source is backed by one (nullopt for the mock hardware

@@ -98,9 +98,10 @@ Registry::Entry& Registry::entry(const std::string& name, const Labels& labels,
         << "metric '" << name << "' already registered as " << it->second.kind;
     return it->second;
   }
-  if (entries_.size() >= series_limit_) {
+  if (entries_.size() >= kDefaultSeriesLimit) {
     throw MetricCardinalityError(
-        "metric series cardinality cap (" + std::to_string(series_limit_) +
+        "metric series cardinality cap (" +
+        std::to_string(kDefaultSeriesLimit) +
         ") reached creating '" + name + "{" + key.second +
         "}' — an unbounded label value is leaking into a metric identity");
   }
@@ -138,17 +139,6 @@ Histogram& Registry::histogram(const std::string& name,
     e.histogram.reset(new Histogram(this, std::move(bounds)));
   }
   return *e.histogram;
-}
-
-void Registry::set_series_limit(std::size_t limit) {
-  FDET_CHECK(limit >= 1) << "series limit must be >= 1";
-  std::lock_guard lock(mutex_);
-  series_limit_ = limit;
-}
-
-std::size_t Registry::series_limit() const {
-  std::lock_guard lock(mutex_);
-  return series_limit_;
 }
 
 bool Registry::empty() const {

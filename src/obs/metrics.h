@@ -124,14 +124,10 @@ class Registry {
   Histogram& histogram(const std::string& name, std::vector<double> bounds,
                        const Labels& labels = {});
 
-  /// Default cap on distinct (name, labels) series. Generous for every
+  /// Cap on distinct (name, labels) series. Generous for every
   /// legitimate publisher (benches sit in the hundreds) while bounding
-  /// the damage of an unbounded label.
+  /// the damage of an unbounded label; existing series are never evicted.
   static constexpr std::size_t kDefaultSeriesLimit = 4096;
-  /// Adjusts the cap (takes effect for subsequent creations; existing
-  /// series are never evicted). `limit` must be >= 1.
-  void set_series_limit(std::size_t limit);
-  std::size_t series_limit() const;
 
   bool empty() const;
   std::size_t size() const;
@@ -180,7 +176,6 @@ class Registry {
 
   mutable std::mutex mutex_;
   std::map<std::pair<std::string, std::string>, Entry> entries_;
-  std::size_t series_limit_ = kDefaultSeriesLimit;
 };
 
 }  // namespace fdet::obs

@@ -11,8 +11,6 @@ namespace fdet::obs {
 
 namespace {
 
-std::atomic<FlightRecorder*> g_recorder{nullptr};
-
 void copy_label(char* dst, std::size_t size, const char* text) {
   std::size_t i = 0;
   for (; text != nullptr && text[i] != '\0' && i + 1 < size; ++i) {
@@ -81,8 +79,6 @@ FlightRecorder::FlightRecorder(std::size_t capacity) {
   slots_ = std::make_unique<Slot[]>(rounded);
   mask_ = rounded - 1;
 }
-
-FlightRecorder::~FlightRecorder() { uninstall(); }
 
 void FlightRecorder::record(const FlightEvent& event) {
   const std::uint64_t ticket =
@@ -164,21 +160,6 @@ void FlightRecorder::clear() {
 
 std::uint64_t FlightRecorder::recorded() const {
   return head_.load(std::memory_order_relaxed);
-}
-
-void FlightRecorder::install() { g_recorder.store(this); }
-
-void FlightRecorder::uninstall() {
-  FlightRecorder* expected = this;
-  g_recorder.compare_exchange_strong(expected, nullptr);
-}
-
-FlightRecorder* FlightRecorder::current() { return g_recorder.load(); }
-
-void FlightRecorder::emit(const FlightEvent& event) {
-  if (FlightRecorder* recorder = current()) {
-    recorder->record(event);
-  }
 }
 
 namespace {

@@ -89,7 +89,6 @@ class FlightRecorder {
   explicit FlightRecorder(std::size_t capacity = 8192);
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
-  ~FlightRecorder();
 
   /// Wait-free writer: claims a ticket and publishes the event through a
   /// per-slot seqlock. Never blocks, never allocates.
@@ -110,13 +109,6 @@ class FlightRecorder {
 
   std::uint64_t recorded() const;  ///< total events ever recorded
   std::size_t capacity() const { return mask_ + 1; }
-
-  /// Ambient recorder, mirroring TraceSession::install: at most one;
-  /// emit() records there and is a no-op when none is installed.
-  void install();
-  void uninstall();
-  static FlightRecorder* current();
-  static void emit(const FlightEvent& event);
 
  private:
   static constexpr std::size_t kSlotWords =

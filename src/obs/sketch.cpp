@@ -8,46 +8,43 @@
 
 namespace fdet::obs {
 
-QuantileSketch::QuantileSketch(SketchOptions options)
-    : options_(options),
-      min_(std::numeric_limits<double>::infinity()),
-      max_(-std::numeric_limits<double>::infinity()) {
-  FDET_CHECK(options_.relative_error > 0.0 && options_.relative_error < 1.0)
-      << "sketch relative_error must be in (0, 1), got "
-      << options_.relative_error;
-  FDET_CHECK(options_.min_value > 0.0)
-      << "sketch min_value must be positive, got " << options_.min_value;
-  FDET_CHECK(options_.max_buckets >= 2)
-      << "sketch needs at least 2 buckets, got " << options_.max_buckets;
-  gamma_ = (1.0 + options_.relative_error) / (1.0 - options_.relative_error);
-  log_gamma_ = std::log(gamma_);
-  buckets_.assign(static_cast<std::size_t>(options_.max_buckets), 0.0);
-}
+namespace {
 
-int QuantileSketch::bucket_index(double value) const {
-  if (!(value > options_.min_value)) {
+constexpr double kGamma =
+    (1.0 + kSketchRelativeError) / (1.0 - kSketchRelativeError);
+const double kLogGamma = std::log(kGamma);
+
+}  // namespace
+
+QuantileSketch::QuantileSketch()
+    : buckets_(static_cast<std::size_t>(kSketchMaxBuckets), 0.0),
+      min_(std::numeric_limits<double>::infinity()),
+      max_(-std::numeric_limits<double>::infinity()) {}
+
+int QuantileSketch::bucket_index(double value) {
+  if (!(value > kSketchMinValue)) {
     return 0;  // zero bucket: non-positive, NaN, and tiny values
   }
-  const double raw = std::ceil(std::log(value / options_.min_value) / log_gamma_);
-  const int last = options_.max_buckets - 1;
+  const double raw = std::ceil(std::log(value / kSketchMinValue) / kLogGamma);
+  const int last = kSketchMaxBuckets - 1;
   if (raw >= static_cast<double>(last)) {
     return last;  // out of covered range: clamp (error grows only here)
   }
   return std::max(1, static_cast<int>(raw));
 }
 
-double QuantileSketch::representative(int bucket) const {
+double QuantileSketch::representative(int bucket) {
   if (bucket <= 0) {
-    return options_.min_value;
+    return kSketchMinValue;
   }
   // Geometric midpoint of (min * gamma^(i-1), min * gamma^i]: at most a
   // factor sqrt(gamma) from any value in the bucket.
-  return options_.min_value *
-         std::exp((static_cast<double>(bucket) - 0.5) * log_gamma_);
+  return kSketchMinValue *
+         std::exp((static_cast<double>(bucket) - 0.5) * kLogGamma);
 }
 
-double QuantileSketch::max_relative_error() const {
-  return std::sqrt(gamma_) - 1.0;
+double QuantileSketch::max_relative_error() {
+  return std::sqrt(kGamma) - 1.0;
 }
 
 void QuantileSketch::observe(double value, double count) {
@@ -63,12 +60,6 @@ void QuantileSketch::observe(double value, double count) {
 }
 
 void QuantileSketch::merge(const QuantileSketch& other) {
-  FDET_CHECK(options_ == other.options_)
-      << "cannot merge sketches with different options (relative_error "
-      << options_.relative_error << " vs " << other.options_.relative_error
-      << ", min_value " << options_.min_value << " vs "
-      << other.options_.min_value << ", max_buckets " << options_.max_buckets
-      << " vs " << other.options_.max_buckets << ")";
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     buckets_[i] += other.buckets_[i];
   }
@@ -98,7 +89,7 @@ double QuantileSketch::quantile(double q) const {
       return representative(static_cast<int>(i));
     }
   }
-  return options_.min_value;
+  return kSketchMinValue;
 }
 
 double QuantileSketch::min_observed() const {
@@ -119,13 +110,10 @@ void QuantileSketch::clear() {
   max_ = -std::numeric_limits<double>::infinity();
 }
 
-SlidingWindowSketch::SlidingWindowSketch(int slots, SketchOptions options) {
+SlidingWindowSketch::SlidingWindowSketch(int slots) {
   FDET_CHECK(slots >= 1) << "sliding window needs at least 1 slot, got "
                          << slots;
-  ring_.reserve(static_cast<std::size_t>(slots));
-  for (int i = 0; i < slots; ++i) {
-    ring_.emplace_back(options);
-  }
+  ring_.resize(static_cast<std::size_t>(slots));
 }
 
 void SlidingWindowSketch::observe(double value, double count) {
@@ -139,15 +127,11 @@ void SlidingWindowSketch::rotate() {
 }
 
 QuantileSketch SlidingWindowSketch::merged() const {
-  QuantileSketch out(ring_.front().options());
+  QuantileSketch out;
   for (const QuantileSketch& slot : ring_) {
     out.merge(slot);
   }
   return out;
-}
-
-double SlidingWindowSketch::quantile(double q) const {
-  return merged().quantile(q);
 }
 
 double SlidingWindowSketch::count() const {

@@ -1,20 +1,22 @@
 // Mergeable streaming quantile sketches for the serving SLO engine.
 //
 // QuantileSketch is a DDSketch-style log-bucketed histogram: values land
-// in geometric buckets (min_value * gamma^i), so any quantile estimate
-// carries a bounded *relative* error regardless of the latency range —
-// the property that makes p99.9 over a 0.1 ms..10 s span feasible in a
-// few hundred counters. Sketches over the same SketchOptions merge by
-// bucket-wise addition, which is associative and commutative: the order
-// in which per-slot or per-stream sketches are combined cannot change
-// the result (tested in obs_sketch_test). This is the integral-histogram
-// trick of arXiv 1711.01919 applied to the time axis: per-bin prefix
-// sums over a fixed bucket layout.
+// in geometric buckets (kSketchMinValue * gamma^i), so any quantile
+// estimate carries a bounded *relative* error regardless of the latency
+// range — the property that makes p99.9 over a 0.1 ms..10 s span feasible
+// in a few hundred counters. Every sketch has the one bucket layout the
+// constants below fix, so sketches merge by bucket-wise addition, which
+// is associative and commutative: the order in which per-slot or
+// per-stream sketches are combined cannot change the result (tested in
+// obs_sketch_test). This is the integral-histogram trick of arXiv
+// 1711.01919 applied to the time axis: per-bin prefix sums over a fixed
+// bucket layout.
 //
 // SlidingWindowSketch keeps a ring of per-slot sketches and answers
 // quantiles over the merged live slots: rotate() retires the oldest slot
 // wholesale, so eviction is O(buckets) and never touches individual
-// samples. The SLO engine rotates once per window_frames / slots frames.
+// samples. The SLO engine rotates once per kSloWindowFrames /
+// kSloWindowSlots frames.
 #pragma once
 
 #include <cstddef>
@@ -23,35 +25,29 @@
 
 namespace fdet::obs {
 
-struct SketchOptions {
-  /// Target relative accuracy e: gamma = (1 + e) / (1 - e). The guaranteed
-  /// bound on any quantile estimate is sqrt(gamma) - 1 (~e for small e);
-  /// see QuantileSketch::max_relative_error().
-  double relative_error = 0.01;
-  /// Values at or below this collapse into the zero bucket and report as
-  /// min_value; pick it below any latency the caller cares about.
-  double min_value = 1e-3;
-  /// Hard cap on log buckets; values beyond the covered range clamp into
-  /// the last bucket (error grows only for those). 1024 buckets at e=0.01
-  /// cover min_value * gamma^1024 ≈ 7.9e8 * min_value — with the default
-  /// min_value, latencies from 1 µs up to ~13 virtual minutes.
-  int max_buckets = 1024;
+/// Target relative accuracy e: gamma = (1 + e) / (1 - e). The guaranteed
+/// bound on any quantile estimate is sqrt(gamma) - 1 (~e for small e);
+/// see QuantileSketch::max_relative_error().
+inline constexpr double kSketchRelativeError = 0.01;
+/// Values at or below this (1 µs of virtual latency) collapse into the
+/// zero bucket and report as kSketchMinValue.
+inline constexpr double kSketchMinValue = 1e-3;
+/// Log buckets; values beyond the covered range clamp into the last
+/// bucket (error grows only for those). 1024 buckets at e = 0.01 cover
+/// kSketchMinValue * gamma^1024 ≈ 7.9e8 * kSketchMinValue: latencies from
+/// 1 µs up to ~13 virtual minutes.
+inline constexpr int kSketchMaxBuckets = 1024;
 
-  bool operator==(const SketchOptions&) const = default;
-};
-
-/// Log-bucketed quantile sketch with bounded relative error. Mergeable
-/// across instances built from identical SketchOptions.
+/// Log-bucketed quantile sketch with bounded relative error.
 class QuantileSketch {
  public:
-  explicit QuantileSketch(SketchOptions options = {});
+  QuantileSketch();
 
   /// Records `count` observations of `value` (count >= 0; negative values
   /// are clamped into the zero bucket — latencies are non-negative).
   void observe(double value, double count = 1.0);
 
-  /// Bucket-wise addition; throws core::CheckError when `other` was built
-  /// from different SketchOptions.
+  /// Bucket-wise addition.
   void merge(const QuantileSketch& other);
 
   /// Quantile estimate for q in [0, 1]; q=0 is the smallest bucket with
@@ -66,22 +62,18 @@ class QuantileSketch {
   bool empty() const { return count_ <= 0.0; }
   void clear();
 
-  const SketchOptions& options() const { return options_; }
   /// Guaranteed relative error bound of quantile(): sqrt(gamma) - 1.
-  double max_relative_error() const;
+  static double max_relative_error();
 
   /// Internal layout, exposed for tests: bucket 0 is the zero bucket
-  /// (values <= min_value), bucket i covers
-  /// (min_value * gamma^(i-1), min_value * gamma^i].
+  /// (values <= kSketchMinValue), bucket i covers
+  /// (kSketchMinValue * gamma^(i-1), kSketchMinValue * gamma^i].
   const std::vector<double>& buckets() const { return buckets_; }
-  int bucket_index(double value) const;
+  static int bucket_index(double value);
 
  private:
-  double representative(int bucket) const;
+  static double representative(int bucket);
 
-  SketchOptions options_;
-  double gamma_ = 0.0;
-  double log_gamma_ = 0.0;
   std::vector<double> buckets_;
   double count_ = 0.0;
   double sum_ = 0.0;
@@ -95,7 +87,7 @@ class QuantileSketch {
 class SlidingWindowSketch {
  public:
   /// `slots` >= 1; each slot is one rotation period of history.
-  SlidingWindowSketch(int slots, SketchOptions options = {});
+  explicit SlidingWindowSketch(int slots);
 
   void observe(double value, double count = 1.0);
   /// Advances the window one slot: the oldest slot's mass is evicted and
@@ -104,12 +96,9 @@ class SlidingWindowSketch {
 
   /// Merge of all live slots (freshly built; O(slots * buckets)).
   QuantileSketch merged() const;
-  /// Convenience: merged().quantile(q); throws on an empty window.
-  double quantile(double q) const;
   double count() const;
   bool empty() const { return count() <= 0.0; }
 
-  int slots() const { return static_cast<int>(ring_.size()); }
   std::uint64_t rotations() const { return rotations_; }
 
  private:

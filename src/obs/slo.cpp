@@ -1,38 +1,26 @@
 #include "obs/slo.h"
 
-#include <algorithm>
-
 #include "core/check.h"
 #include "obs/metrics.h"
 
 namespace fdet::obs {
 
-SloEngine::SloEngine(SloOptions options)
-    : options_(options),
-      latency_window_(std::max(1, options.window_slots), options.sketch),
-      queue_depth_(options.sketch) {
-  FDET_CHECK(options_.miss_budget > 0.0 && options_.miss_budget <= 1.0)
-      << "miss_budget must be in (0, 1], got " << options_.miss_budget;
-  FDET_CHECK(options_.window_frames >= 1)
-      << "window_frames must be >= 1, got " << options_.window_frames;
-  FDET_CHECK(options_.window_slots >= 1)
-      << "window_slots must be >= 1, got " << options_.window_slots;
-  FDET_CHECK(options_.fast_window_frames >= 1)
-      << "fast_window_frames must be >= 1, got " << options_.fast_window_frames;
-  FDET_CHECK(options_.recover_after >= 1)
-      << "recover_after must be >= 1, got " << options_.recover_after;
-  frames_per_slot_ =
-      std::max(1, options_.window_frames / std::max(1, options_.window_slots));
-  slot_counts_.assign(static_cast<std::size_t>(latency_window_.slots()),
-                      {0, 0});
-  fast_ring_.assign(static_cast<std::size_t>(options_.fast_window_frames), 0);
+namespace {
+
+/// Served frames per sketch slot: the slow window rotates this often.
+constexpr int kFramesPerSlot = kSloWindowFrames / kSloWindowSlots;
+
+}  // namespace
+
+SloEngine::SloEngine(double deadline_ms)
+    : deadline_ms_(deadline_ms), latency_window_(kSloWindowSlots) {
+  FDET_CHECK(deadline_ms_ > 0.0)
+      << "SloEngine needs a positive deadline_ms, got " << deadline_ms_;
 }
 
 SloDecision SloEngine::observe_frame(double latency_ms) {
-  FDET_CHECK(options_.deadline_ms > 0.0)
-      << "SloEngine needs a positive deadline_ms before observing frames";
   SloDecision decision;
-  decision.miss = latency_ms > options_.deadline_ms;
+  decision.miss = latency_ms > deadline_ms_;
 
   // Slow window: sketch + per-slot miss accounting, rotated in lockstep.
   latency_window_.observe(latency_ms);
@@ -41,38 +29,30 @@ SloDecision SloEngine::observe_frame(double latency_ms) {
   if (decision.miss) {
     ++slot_misses;
   }
-  if (++frames_in_slot_ >= frames_per_slot_) {
+  if (++frames_in_slot_ >= kFramesPerSlot) {
     frames_in_slot_ = 0;
     latency_window_.rotate();
     slot_head_ = (slot_head_ + 1) % slot_counts_.size();
     slot_counts_[slot_head_] = {0, 0};
   }
 
-  // Fast window: circular miss flags.
-  if (fast_seen_ >= fast_ring_.size()) {
-    fast_misses_ -= fast_ring_[fast_head_];
-  }
-  fast_ring_[fast_head_] = decision.miss ? 1 : 0;
-  fast_misses_ += fast_ring_[fast_head_];
-  fast_head_ = (fast_head_ + 1) % fast_ring_.size();
-  ++fast_seen_;
-
+  last_miss_ = decision.miss;
   ++frames_;
   if (decision.miss) {
     ++misses_;
   }
 
-  decision.fast_burn = fast_miss_ratio() / options_.miss_budget;
-  decision.slow_burn = window_miss_ratio() / options_.miss_budget;
-  decision.degrade = decision.fast_burn >= options_.degrade_burn;
+  decision.fast_burn = fast_burn();
+  decision.slow_burn = window_miss_ratio() / kSloMissBudget;
+  decision.degrade = decision.miss;
 
   // Recovery state machine: the streak grows only on comfortably-in-budget
   // frames and resets on a miss, on a close-to-the-edge frame, and when
   // recovery fires.
   if (decision.miss) {
     good_streak_ = 0;
-  } else if (latency_ms < options_.recover_fraction * options_.deadline_ms) {
-    if (++good_streak_ >= options_.recover_after) {
+  } else if (latency_ms < kSloRecoverFraction * deadline_ms_) {
+    if (++good_streak_ >= kSloRecoverAfter) {
       good_streak_ = 0;
       decision.recover = true;
     }
@@ -85,7 +65,7 @@ SloDecision SloEngine::observe_frame(double latency_ms) {
 void SloEngine::observe_stage(const std::string& stage, double latency_ms) {
   auto it = stage_latency_.find(stage);
   if (it == stage_latency_.end()) {
-    it = stage_latency_.emplace(stage, QuantileSketch(options_.sketch)).first;
+    it = stage_latency_.emplace(stage, QuantileSketch()).first;
   }
   it->second.observe(latency_ms);
 }
@@ -109,13 +89,8 @@ double SloEngine::window_miss_ratio() const {
   return static_cast<double>(misses) / static_cast<double>(frames);
 }
 
-double SloEngine::fast_miss_ratio() const {
-  const std::uint64_t live = std::min<std::uint64_t>(fast_seen_,
-                                                     fast_ring_.size());
-  if (live == 0) {
-    return 0.0;
-  }
-  return static_cast<double>(fast_misses_) / static_cast<double>(live);
+double SloEngine::fast_burn() const {
+  return (last_miss_ ? 1.0 : 0.0) / kSloMissBudget;
 }
 
 SloSnapshot SloEngine::snapshot() const {
@@ -126,8 +101,8 @@ SloSnapshot SloEngine::snapshot() const {
       frames_ == 0 ? 0.0
                    : static_cast<double>(misses_) / static_cast<double>(frames_);
   snap.window_miss_ratio = window_miss_ratio();
-  snap.fast_burn = fast_miss_ratio() / options_.miss_budget;
-  snap.slow_burn = snap.window_miss_ratio / options_.miss_budget;
+  snap.fast_burn = fast_burn();
+  snap.slow_burn = snap.window_miss_ratio / kSloMissBudget;
   if (!latency_window_.empty()) {
     const QuantileSketch merged = latency_window_.merged();
     snap.p50_ms = merged.quantile(0.50);
@@ -139,26 +114,6 @@ SloSnapshot SloEngine::snapshot() const {
   return snap;
 }
 
-std::vector<std::string> SloEngine::stages() const {
-  std::vector<std::string> names;
-  names.reserve(stage_latency_.size());
-  for (const auto& [name, sketch] : stage_latency_) {
-    names.push_back(name);
-  }
-  return names;
-}
-
-double SloEngine::stage_quantile(const std::string& stage, double q) const {
-  const auto it = stage_latency_.find(stage);
-  FDET_CHECK(it != stage_latency_.end())
-      << "no latency recorded for stage '" << stage << "'";
-  return it->second.quantile(q);
-}
-
-double SloEngine::queue_depth_quantile(double q) const {
-  return queue_depth_.quantile(q);
-}
-
 void SloEngine::publish(Registry& registry) const {
   const SloSnapshot snap = snapshot();
   registry.gauge("slo.frames").set(static_cast<double>(snap.frames));
@@ -167,7 +122,7 @@ void SloEngine::publish(Registry& registry) const {
   registry.gauge("slo.window_miss_ratio").set(snap.window_miss_ratio);
   registry.gauge("slo.burn_rate", {{"window", "fast"}}).set(snap.fast_burn);
   registry.gauge("slo.burn_rate", {{"window", "slow"}}).set(snap.slow_burn);
-  registry.gauge("slo.deadline_ms").set(options_.deadline_ms);
+  registry.gauge("slo.deadline_ms").set(deadline_ms_);
   registry.gauge("slo.sketch_error_bound").set(snap.max_relative_error);
   if (snap.frames > 0) {
     registry.gauge("slo.latency_p50_ms").set(snap.p50_ms);

@@ -1,10 +1,12 @@
 #include "serve/faults.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <sstream>
 
 #include "core/check.h"
+#include "core/cli.h"
 #include "core/rng.h"
 
 namespace fdet::serve {
@@ -78,26 +80,18 @@ FaultPlan FaultPlan::parse(const std::string& text, std::uint64_t seed) {
     std::string target = token.substr(at + 1);
     if (const auto x = target.find('x'); x != std::string::npos) {
       const std::string burst = target.substr(x + 1);
-      try {
-        spec.burst = std::stoi(burst);
-      } catch (const std::exception&) {
-        spec.burst = 0;  // rejected below with the token in the message
-      }
-      FDET_CHECK(spec.burst >= 1)
+      FDET_CHECK(core::parse_int(burst, spec.burst) && spec.burst >= 1)
           << "fault burst '" << burst << "' in '" << token
           << "' must be a positive integer";
       target.resize(x);
     }
-    try {
-      if (target.find('.') != std::string::npos) {
-        spec.probability = std::stod(target);
-        spec.frame = -1;
-      } else {
-        spec.frame = std::stoi(target);
-      }
-    } catch (const std::exception&) {
-      FDET_CHECK(false) << "fault target '" << target << "' in '" << token
-                        << "' is neither a frame index nor a probability";
+    const bool probabilistic = target.find('.') != std::string::npos;
+    FDET_CHECK(probabilistic ? core::parse_double(target, spec.probability)
+                             : core::parse_int(target, spec.frame))
+        << "fault target '" << target << "' in '" << token
+        << "' is neither a frame index nor a probability";
+    if (probabilistic) {
+      spec.frame = -1;
     }
     specs.push_back(spec);
   }
@@ -259,14 +253,18 @@ DeviceFaultPlan::DeviceFaultPlan(std::uint64_t seed,
       FDET_CHECK(spec.probability > 0.0 && spec.probability <= 1.0)
           << "probabilistic device-slow needs probability in (0, 1]";
     } else {
-      FDET_CHECK(spec.start_s >= 0.0)
-          << "device fault '" << name << "' onset must be >= 0";
-      FDET_CHECK(spec.duration_s > 0.0)
-          << "device fault '" << name << "' duration must be > 0";
+      // "inf" parses as a number; an infinite onset, duration or factor
+      // would poison the fleet's virtual clock.
+      FDET_CHECK(spec.start_s >= 0.0 && std::isfinite(spec.start_s))
+          << "device fault '" << name << "' onset must be finite and >= 0";
+      FDET_CHECK(spec.duration_s > 0.0 && std::isfinite(spec.duration_s))
+          << "device fault '" << name
+          << "' duration must be finite and > 0";
     }
     if (spec.kind == DeviceFaultKind::kDeviceSlow) {
-      FDET_CHECK(spec.factor > 1.0)
-          << "device-slow factor must be > 1 (got " << spec.factor << ")";
+      FDET_CHECK(spec.factor > 1.0 && std::isfinite(spec.factor))
+          << "device-slow factor must be finite and > 1 (got " << spec.factor
+          << ")";
     }
   }
   // Outage windows on one device must not overlap — the fleet's health
@@ -313,36 +311,27 @@ DeviceFaultPlan DeviceFaultPlan::parse(const std::string& text,
     std::string target = token.substr(at + 1);
     if (const auto star = target.find('*'); star != std::string::npos) {
       const std::string factor = target.substr(star + 1);
-      try {
-        spec.factor = std::stod(factor);
-      } catch (const std::exception&) {
-        spec.factor = 0.0;  // rejected by the ctor with the token context
-      }
-      FDET_CHECK(spec.factor > 1.0)
+      FDET_CHECK(core::parse_double(factor, spec.factor) && spec.factor > 1.0)
           << "device-slow factor '" << factor << "' in '" << token
           << "' must be a number > 1";
       target.resize(star);
     }
-    try {
-      if (const auto colon = target.find(':'); colon != std::string::npos) {
-        spec.device = std::stoi(target.substr(0, colon));
-        std::string window = target.substr(colon + 1);
-        const auto plus = window.find('+');
-        FDET_CHECK(plus != std::string::npos)
-            << "device fault window '" << window << "' in '" << token
-            << "' is not <start_s>+<duration_s>";
-        spec.start_s = std::stod(window.substr(0, plus));
-        spec.duration_s = std::stod(window.substr(plus + 1));
-      } else {
-        spec.device = -1;
-        spec.probability = std::stod(target);
-      }
-    } catch (const core::CheckError&) {
-      throw;
-    } catch (const std::exception&) {
-      FDET_CHECK(false) << "device fault target '" << target << "' in '"
-                        << token << "' did not parse";
+    bool parsed = false;
+    if (const auto colon = target.find(':'); colon != std::string::npos) {
+      const std::string window = target.substr(colon + 1);
+      const auto plus = window.find('+');
+      FDET_CHECK(plus != std::string::npos)
+          << "device fault window '" << window << "' in '" << token
+          << "' is not <start_s>+<duration_s>";
+      parsed = core::parse_int(target.substr(0, colon), spec.device) &&
+               core::parse_double(window.substr(0, plus), spec.start_s) &&
+               core::parse_double(window.substr(plus + 1), spec.duration_s);
+    } else {
+      spec.device = -1;
+      parsed = core::parse_double(target, spec.probability);
     }
+    FDET_CHECK(parsed) << "device fault target '" << target << "' in '"
+                       << token << "' did not parse";
     specs.push_back(spec);
   }
   return DeviceFaultPlan(seed, std::move(specs));

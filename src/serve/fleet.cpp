@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "core/check.h"
+#include "core/cli.h"
 #include "core/rng.h"
 #include "vgpu/kernel.h"
 
@@ -159,12 +160,8 @@ std::vector<TenantMixEntry> parse_tenant_mix(const std::string& text) {
     TenantMixEntry entry;
     entry.spec.name = token.substr(0, colon);
     entry.spec.cls = parse_qos_class(entry.spec.name);
-    try {
-      entry.streams = std::stoi(token.substr(colon + 1));
-    } catch (const std::exception&) {
-      entry.streams = 0;  // rejected below with the token in the message
-    }
-    FDET_CHECK(entry.streams >= 1)
+    FDET_CHECK(core::parse_int(token.substr(colon + 1), entry.streams) &&
+               entry.streams >= 1)
         << "tenant mix stream count in '" << token
         << "' must be a positive integer";
     mix.push_back(std::move(entry));
@@ -526,7 +523,7 @@ struct FleetScheduler::Sim {
   /// recovery starts at gold, so the premium class climbs back to full
   /// quality before lower classes get headroom back.
   void step_class(bool shed, double t) {
-    if (shed && t - last_shed_s < host->options_.shed_cooldown_s) {
+    if (shed && t - last_shed_s < kShedCooldownS) {
       return;
     }
     constexpr QosClass kShedOrder[] = {QosClass::kBestEffort,
@@ -581,7 +578,7 @@ struct FleetScheduler::Sim {
       // Silent stall: nothing migrates until the watchdog notices.
       dev.hanging = true;
       dev.hang_until = t + spec.duration_s;
-      events.push({t + host->options_.hang_watchdog_ms * 1e-3, kEvWatchdog,
+      events.push({t + kHangWatchdogMs * 1e-3, kEvWatchdog,
                    d, 0, dev.generation});
     } else {
       fail_device(d, t);
@@ -840,7 +837,7 @@ FleetReport FleetScheduler::run(const DeviceFaultPlan* device_plan,
     // across streams.
     const std::uint64_t seed = core::hash_combine(
         frame_plan != nullptr ? frame_plan->seed() : 0, 0xabc0 + s);
-    ss.recovery = StreamRecovery(RetryOptions{}, BreakerOptions{}, seed,
+    ss.recovery = StreamRecovery(RetryOptions{}, seed,
                                  static_cast<int>(s));
     if (frame_plan != nullptr) {
       ss.plan = FaultPlan(seed, frame_plan->specs());
@@ -924,11 +921,6 @@ FleetReport FleetScheduler::run(const DeviceFaultPlan* device_plan,
     }
     tenant.deadline_misses += r.deadline_miss ? 1 : 0;
     tenant.failovers += r.failed_over ? 1 : 0;
-    report.missing_frames += r.missing ? 1 : 0;
-    report.out_of_order +=
-        r.arrival == ingest::FrameArrival::kOutOfOrder ? 1 : 0;
-    report.duplicates +=
-        r.arrival == ingest::FrameArrival::kDuplicate ? 1 : 0;
   }
   // Fleet totals are the tenants' sums.
   for (std::size_t tnt = 0; tnt < tenants_.size(); ++tnt) {

@@ -100,19 +100,20 @@ std::vector<TenantMixEntry> parse_tenant_mix(const std::string& text);
 enum class DeviceState { kHealthy, kLost, kProbation };
 const char* device_state_name(DeviceState state);
 
-/// The fleet's settable knobs. Queue bounds, batching and the overload
+/// A silently hanging device is declared lost this long after the hang
+/// onset (nothing else can tell a hang from a long frame).
+inline constexpr double kHangWatchdogMs = 50.0;
+/// Minimum virtual seconds between fleet-wide shed steps, so one burst
+/// walks the ladder one rung at a time instead of slamming to the floor.
+inline constexpr double kShedCooldownS = 0.25;
+
+/// The fleet's settable values. Queue bounds, batching and the overload
 /// signal are constants of fleet.cpp (kStreamQueueCapacity,
 /// kDeviceQueueCapacity, kBatchMax, kBatchOverheadMs,
 /// kOverloadBacklogPerStream).
 struct FleetOptions {
   int devices = 4;
   double deadline_ms = 100.0;  ///< per-frame budget, arrival to completion
-  /// A silently hanging device is declared lost this long after the hang
-  /// onset (nothing else can tell a hang from a long frame).
-  double hang_watchdog_ms = 50.0;
-  /// Minimum virtual seconds between fleet-wide shed steps, so one burst
-  /// walks the ladder one rung at a time instead of slamming to the floor.
-  double shed_cooldown_s = 0.25;
   bool flight_recorder = true;
 };
 
@@ -162,9 +163,6 @@ struct FleetReport {
   int watchdog_fires = 0;
   int batches = 0;         ///< multi-frame dispatches
   int batched_frames = 0;  ///< frames inside those dispatches
-  int missing_frames = 0;
-  int out_of_order = 0;
-  int duplicates = 0;
   int shed_steps = 0;     ///< fleet-wide class shed actions
   int recover_steps = 0;  ///< fleet-wide class recover actions
   /// Frames still unsettled when the event queue drained — always 0

@@ -23,10 +23,10 @@ double retry_backoff_ms(const RetryOptions& options, int retry,
   FDET_CHECK(retry >= 1) << "retry numbers are 1-based, got " << retry;
   double backoff = options.base_backoff_ms;
   for (int i = 1; i < retry; ++i) {
-    backoff *= options.multiplier;
+    backoff *= kRetryMultiplier;
   }
   backoff = std::min(backoff, options.max_backoff_ms);
-  const double jitter = rng.uniform(-options.jitter, options.jitter);
+  const double jitter = rng.uniform(-kRetryJitter, kRetryJitter);
   return std::max(0.0, backoff * (1.0 + jitter));
 }
 
@@ -45,14 +45,14 @@ void CircuitBreaker::record_failure() {
   if (state_ == BreakerState::kHalfOpen) {
     // The probe failed: straight back to open for another cooldown.
     state_ = BreakerState::kOpen;
-    open_frames_left_ = options_.cooldown_frames;
+    open_frames_left_ = kBreakerCooldownFrames;
     ++trips_;
     return;
   }
-  if (++consecutive_failures_ >= options_.failure_threshold &&
+  if (++consecutive_failures_ >= kBreakerFailureThreshold &&
       state_ == BreakerState::kClosed) {
     state_ = BreakerState::kOpen;
-    open_frames_left_ = options_.cooldown_frames;
+    open_frames_left_ = kBreakerCooldownFrames;
     consecutive_failures_ = 0;
     ++trips_;
   }

@@ -47,35 +47,42 @@ struct FrameError {
   int attempts = 1;  ///< attempts spent before giving up
 };
 
+/// Attempts per stage, the first included (2 retries).
+inline constexpr int kRetryMaxAttempts = 3;
+/// Exponential growth of the backoff per retry.
+inline constexpr double kRetryMultiplier = 2.0;
+/// Jitter band: +- this fraction of the computed backoff.
+inline constexpr double kRetryJitter = 0.2;
+
+/// The backoff scale, which a caller sets against its deadline budget.
 struct RetryOptions {
-  int max_attempts = 3;        ///< total attempts per stage (1 = no retry)
   double base_backoff_ms = 1.0;
-  double multiplier = 2.0;     ///< exponential growth per retry
+  /// Cap on the pre-jitter backoff. Inert at the fixed attempt count:
+  /// retries 1 and 2 back off at most kRetryMultiplier * base, below the
+  /// 16 x base default and the 4 x base every production caller sets.
   double max_backoff_ms = 16.0;
-  double jitter = 0.2;         ///< +- fraction of the computed backoff
 };
 
-/// Backoff before retry number `retry` (1-based): base * multiplier^(retry-1),
-/// capped, with deterministic jitter drawn from `rng`.
+/// Backoff before retry number `retry` (1-based):
+/// base * kRetryMultiplier^(retry-1), capped, with deterministic jitter
+/// drawn from `rng`.
 double retry_backoff_ms(const RetryOptions& options, int retry,
                         core::Rng& rng);
 
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
-struct BreakerOptions {
-  int failure_threshold = 3;  ///< consecutive frame failures to trip
-  int cooldown_frames = 4;    ///< frames rejected while open
-};
+/// Consecutive frame failures that trip a breaker.
+inline constexpr int kBreakerFailureThreshold = 3;
+/// Frames an open breaker rejects before its half-open probe.
+inline constexpr int kBreakerCooldownFrames = 4;
 
 /// Classic three-state circuit breaker, clocked in frames (the service's
-/// only notion of time). Closed counts consecutive failures; at the
-/// threshold it opens and rejects the stage for `cooldown_frames`; then a
-/// half-open probe lets one frame through — success closes, failure
-/// re-opens.
+/// only notion of time). Closed counts consecutive failures; at
+/// kBreakerFailureThreshold it opens and rejects the stage for
+/// kBreakerCooldownFrames; then a half-open probe lets one frame through
+/// — success closes, failure re-opens.
 class CircuitBreaker {
  public:
-  explicit CircuitBreaker(BreakerOptions options) : options_(options) {}
-
   /// Advances the frame clock; while open, counts down toward half-open.
   void on_frame();
   /// May the stage run this frame? (closed or half-open probe)
@@ -87,7 +94,6 @@ class CircuitBreaker {
   int trips() const { return trips_; }
 
  private:
-  BreakerOptions options_;
   BreakerState state_ = BreakerState::kClosed;
   int consecutive_failures_ = 0;
   int open_frames_left_ = 0;

@@ -31,13 +31,9 @@ StreamingService::StreamingService(const vgpu::DeviceSpec& spec,
     : options_(options),
       executor_(spec, std::move(cascade), base, registry,
                 options_.obs.flight_recorder ? kRecorderCapacity : 0),
-      stream_(options_.retry, options_.breaker, options_.seed) {
+      stream_(options_.retry, options_.seed) {
   FDET_CHECK(options_.fps > 0.0) << "service fps must be positive";
   FDET_CHECK(options_.deadline_ms > 0.0) << "deadline budget must be positive";
-  FDET_CHECK(options_.queue_capacity >= 1)
-      << "queue capacity must be >= 1, got " << options_.queue_capacity;
-  FDET_CHECK(options_.retry.max_attempts >= 1)
-      << "retry.max_attempts must be >= 1";
 }
 
 void StreamingService::write_dumps(const ServedFrame& sf, bool breaker_open,
@@ -99,7 +95,7 @@ ServiceReport StreamingService::run(const ingest::FrameSource& source,
   FDET_CHECK(count_frames <= source.frame_count())
       << "run(" << count_frames << ") exceeds the stream's "
       << source.frame_count() << " frames";
-  stream_ = StreamRecovery(options_.retry, options_.breaker, options_.seed);
+  stream_ = StreamRecovery(options_.retry, options_.seed);
   executor_.begin_run(options_.deadline_ms);
   obs::SloEngine& slo = executor_.slo();
   dumps_written_ = 0;
@@ -117,7 +113,7 @@ ServiceReport StreamingService::run(const ingest::FrameSource& source,
     const int depth = static_cast<int>(pending.size());
     executor_.observe_histogram(
         "serve.queue_depth",
-        obs::linear_buckets(0.0, 1.0, options_.queue_capacity + 1),
+        obs::linear_buckets(0.0, 1.0, kServiceQueueCapacity + 1),
         static_cast<double>(depth));
     slo.observe_queue_depth(static_cast<double>(depth));
 
@@ -141,7 +137,7 @@ ServiceReport StreamingService::run(const ingest::FrameSource& source,
     // A full queue drops the arrival (backpressure); so does any backlog
     // on the shed-frames rung (load shedding).
     const DegradationStep& step = stream_.ladder.step();
-    const bool full = depth >= options_.queue_capacity;
+    const bool full = depth >= kServiceQueueCapacity;
     if (full || (step.shed_queued_frames && depth > 0)) {
       const char* reason = full ? "backpressure" : step.name;
       sf.status = FrameStatus::kDropped;
@@ -251,11 +247,6 @@ ServiceReport StreamingService::run(const ingest::FrameSource& source,
     if (sf.error.has_value() && sf.error->cls == ErrorClass::kMalformed) {
       ++report.ingest_rejects;
     }
-    report.missing_frames += sf.missing ? 1 : 0;
-    report.out_of_order +=
-        sf.arrival == ingest::FrameArrival::kOutOfOrder ? 1 : 0;
-    report.duplicates +=
-        sf.arrival == ingest::FrameArrival::kDuplicate ? 1 : 0;
     report.max_latency_ms = std::max(report.max_latency_ms, sf.latency_ms);
     unserved_streak = served ? 0 : unserved_streak + 1;
     report.max_consecutive_unserved =

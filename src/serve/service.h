@@ -46,12 +46,16 @@ struct ObservabilityOptions {
   std::string dump_dir;
 };
 
+/// Frame backlog the service queues; an arrival beyond it is dropped
+/// (backpressure).
+inline constexpr int kServiceQueueCapacity = 4;
+
+/// The service's settable values. Retry attempts, breaker thresholds
+/// (serve/policy.h) and the SLO rule (obs/slo.h) are constants.
 struct ServiceOptions {
   double fps = 24.0;          ///< stream arrival rate
   double deadline_ms = 40.0;  ///< per-frame latency budget (24 fps display)
-  int queue_capacity = 4;     ///< arrivals beyond this backlog are dropped
   RetryOptions retry;
-  BreakerOptions breaker;
   ObservabilityOptions obs;
   std::uint64_t seed = 0x5e12e;  ///< backoff-jitter stream
 };
@@ -81,12 +85,6 @@ struct ServiceReport {
   /// Frames whose bytes the ingest layer rejected with a typed
   /// IngestError (ErrorClass::kMalformed; subset of `failed`).
   int ingest_rejects = 0;
-  /// Delivery gaps (kMissingFrame drops; subset of `dropped`).
-  int missing_frames = 0;
-  /// Frames delivered after a successor (served, cause-tagged).
-  int out_of_order = 0;
-  /// Frames delivered more than once (served, cause-tagged).
-  int duplicates = 0;
   /// Longest streak of frames that produced no detections output
   /// (dropped or failed) — the chaos harness bounds this.
   int max_consecutive_unserved = 0;

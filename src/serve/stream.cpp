@@ -102,9 +102,7 @@ const detect::Pipeline& FrameExecutor::pipeline(int level) {
 }
 
 void FrameExecutor::begin_run(double deadline_ms) {
-  obs::SloOptions options;
-  options.deadline_ms = deadline_ms;
-  slo_.emplace(options);
+  slo_.emplace(deadline_ms);
   decoded_.clear();
   detected_.clear();
   if (recorder_) {
@@ -163,10 +161,9 @@ void FrameExecutor::flight(obs::FlightEventKind kind, int frame, double ts_us,
 
 // ---------------------------------------------------------------------------
 
-StreamRecovery::StreamRecovery(RetryOptions retry, BreakerOptions breaker,
-                               std::uint64_t seed, int stream)
-    : decode_breaker(breaker), detect_breaker(breaker), retry_(retry),
-      jitter_(seed), stream_(stream) {}
+StreamRecovery::StreamRecovery(RetryOptions retry, std::uint64_t seed,
+                               int stream)
+    : retry_(retry), jitter_(seed), stream_(stream) {}
 
 void StreamRecovery::on_frame() {
   decode_breaker.on_frame();
@@ -314,20 +311,6 @@ void StreamRecovery::serve_frame(FrameExecutor& executor, ServedFrame& sf,
             FrameExecutor::Decoded{decoded->decode_ms, digest});
         break;
       } catch (const ingest::IngestError& error) {
-        if (error.kind() == ingest::IngestErrorKind::kMissingFrame) {
-          // A delivery gap: the frame never arrived, nothing was
-          // malformed. Typed drop — no quarantine, and the decode
-          // breaker stays untouched (the decoder is healthy; the
-          // transport lost a frame).
-          sf.status = FrameStatus::kDropped;
-          sf.missing = true;
-          append_cause(sf, "missing-frame");
-          executor.count("serve.dropped", {{"reason", "missing-frame"}});
-          executor.count("ingest.missing", {{"format", format}});
-          executor.flight(obs::FlightEventKind::kDrop, index, now_us(), 0.0,
-                          "drop", "missing-frame", 0.0, stream_);
-          return;
-        }
         // Malformed bytes fail every attempt identically: quarantine the
         // frame instead of retrying, and let the decode breaker see the
         // failure so a malformed burst sheds via the ladder.
@@ -340,7 +323,7 @@ void StreamRecovery::serve_frame(FrameExecutor& executor, ServedFrame& sf,
         return;
       } catch (const DecodeError& error) {
         sf.decode_ms += source.decode_latency_ms(index);
-        if (attempt + 1 >= retry_.max_attempts) {
+        if (attempt + 1 >= kRetryMaxAttempts) {
           fail("decode", ErrorClass::kTransient,
                std::string(error.what()) + " (retries exhausted)",
                attempt + 1, decode_breaker);
@@ -353,18 +336,6 @@ void StreamRecovery::serve_frame(FrameExecutor& executor, ServedFrame& sf,
     if (sf.retries > 0) {
       executor.count("serve.faults.recovered", {{"stage", "decode"}});
     }
-  }
-  // Delivery-order bookkeeping: a lossy transport can deliver frames
-  // late or twice. Both decode fine and are served normally — counted
-  // and cause-tagged so downstream consumers can see the disorder
-  // without the stream dying.
-  sf.arrival = source.arrival_kind(index);
-  if (sf.arrival == ingest::FrameArrival::kOutOfOrder) {
-    append_cause(sf, "out-of-order");
-    executor.count("ingest.out_of_order", {{"format", source.info().format}});
-  } else if (sf.arrival == ingest::FrameArrival::kDuplicate) {
-    append_cause(sf, "duplicate-frame");
-    executor.count("ingest.duplicates", {{"format", source.info().format}});
   }
   if (plan != nullptr && plan->fires(FaultKind::kCorruptLuma, index)) {
     // Undetectable input damage: flows through like real bitstream
@@ -436,7 +407,7 @@ void StreamRecovery::serve_frame(FrameExecutor& executor, ServedFrame& sf,
     } catch (const vgpu::LaunchError& error) {
       if (error.transient()) {
         fault_injected("launch");
-        if (attempt + 1 >= retry_.max_attempts) {
+        if (attempt + 1 >= kRetryMaxAttempts) {
           fail("detect", ErrorClass::kTransient,
                std::string(error.what()) + " (retries exhausted)",
                attempt + 1, detect_breaker);

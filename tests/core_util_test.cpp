@@ -84,6 +84,27 @@ TEST(Cli, RejectsMalformedValue) {
   EXPECT_FALSE(cli.parse(2, const_cast<char**>(argv)));
 }
 
+TEST(Cli, NumberParsersTakeWholeTokensOnly) {
+  int i = 7;
+  double d = 7.0;
+  EXPECT_TRUE(parse_int("-12", i));
+  EXPECT_EQ(i, -12);
+  EXPECT_TRUE(parse_double("0.05", d));
+  EXPECT_DOUBLE_EQ(d, 0.05);
+  EXPECT_TRUE(parse_double("1e-3", d));
+  EXPECT_DOUBLE_EQ(d, 1e-3);
+  for (const char* text : {"", "4junk", "1e3", " 4", "4 ", "+4", "2.9"}) {
+    EXPECT_FALSE(parse_int(text, i)) << "'" << text << "'";
+  }
+  for (const char* text :
+       {"", "0.05z", " 0.05", "0.05 ", "+1", "0x1p3", "2+1", "1e400"}) {
+    EXPECT_FALSE(parse_double(text, d)) << "'" << text << "'";
+  }
+  // A rejected token leaves the output as it was.
+  EXPECT_EQ(i, -12);
+  EXPECT_DOUBLE_EQ(d, 1e-3);
+}
+
 TEST(Cli, IgnoresBenchmarkFlags) {
   Cli cli("test");
   const char* argv[] = {"test", "--benchmark_filter=all"};

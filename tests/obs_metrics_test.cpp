@@ -152,11 +152,13 @@ TEST(MetricsHistogram, ExportersEmitCumulativeBuckets) {
 
 TEST(MetricsRegistry, CardinalityCapThrowsTypedError) {
   Registry registry;
-  registry.set_series_limit(2);
-  EXPECT_EQ(registry.series_limit(), 2u);
   registry.counter("a").increment();
   registry.gauge("b").set(1.0);
-  // A third *new* series blows the cap with the typed error...
+  for (std::size_t i = 2; i < Registry::kDefaultSeriesLimit; ++i) {
+    registry.counter("fill", {{"i", std::to_string(i)}});
+  }
+  ASSERT_EQ(registry.size(), Registry::kDefaultSeriesLimit);
+  // One more *new* series blows the cap with the typed error...
   EXPECT_THROW(registry.counter("c"), MetricCardinalityError);
   // ...which is also a core::CheckError, so generic handlers still work.
   try {
@@ -166,22 +168,14 @@ TEST(MetricsRegistry, CardinalityCapThrowsTypedError) {
     const std::string what = error.what();
     EXPECT_NE(what.find("c{leaky=label}"), std::string::npos)
         << "error must name the offending series: " << what;
-    EXPECT_NE(what.find("2"), std::string::npos);
+    EXPECT_NE(what.find("4096"), std::string::npos);
   }
   // Existing series stay writable after the refusal.
   registry.counter("a").increment();
+  registry.gauge("b").set(2.0);
   EXPECT_DOUBLE_EQ(registry.counter("a").value(), 2.0);
-  EXPECT_EQ(registry.size(), 2u);
-  // Raising the limit unblocks creation.
-  registry.set_series_limit(3);
-  registry.counter("c").increment();
-  EXPECT_EQ(registry.size(), 3u);
-}
-
-TEST(MetricsRegistry, DefaultSeriesLimitIsGenerousButFinite) {
-  Registry registry;
-  EXPECT_EQ(registry.series_limit(), Registry::kDefaultSeriesLimit);
-  EXPECT_THROW(registry.set_series_limit(0), core::CheckError);
+  EXPECT_DOUBLE_EQ(registry.gauge("b").value(), 2.0);
+  EXPECT_EQ(registry.size(), Registry::kDefaultSeriesLimit);
 }
 
 TEST(MetricsRegistry, ConcurrentWritersLoseNoIncrements) {

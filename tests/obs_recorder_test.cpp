@@ -157,20 +157,6 @@ TEST(FlightRecorder, ConcurrentWritersLoseNothingWhenRingIsLargeEnough) {
   }
 }
 
-TEST(FlightRecorder, AmbientInstallAndEmit) {
-  FlightEvent event = make_event(0, 0.0, FlightEventKind::kRetry, "retry");
-  FlightRecorder::emit(event);  // no ambient recorder: silent no-op
-
-  FlightRecorder recorder(8);
-  recorder.install();
-  ASSERT_EQ(FlightRecorder::current(), &recorder);
-  FlightRecorder::emit(event);
-  recorder.uninstall();
-  EXPECT_EQ(FlightRecorder::current(), nullptr);
-  FlightRecorder::emit(event);  // after uninstall: no-op again
-  EXPECT_EQ(recorder.recorded(), 1u);
-}
-
 TEST(FlightDump, TraceEventsMapSpansAndInstants) {
   std::vector<FlightEvent> events;
   FlightEvent frame = make_event(3, 100.0, FlightEventKind::kFrame, "frame3");

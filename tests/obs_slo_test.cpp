@@ -1,11 +1,13 @@
 // SLO engine: burn-rate arithmetic, window accounting, and the claim the
-// serving layer rests on — at default options the decision stream drives
-// the DegradationLadder by the deadline rule exactly.
+// serving layer rests on — the decision stream drives the
+// DegradationLadder by the deadline rule exactly.
 #include "obs/slo.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/check.h"
@@ -16,14 +18,20 @@
 namespace fdet::obs {
 namespace {
 
-SloOptions options_with_deadline(double deadline_ms) {
-  SloOptions options;
-  options.deadline_ms = deadline_ms;
-  return options;
+/// Published gauges whose name is `name`, as (labels, value) pairs.
+std::vector<std::pair<Labels, double>> published(const Registry& registry,
+                                                 const std::string& name) {
+  std::vector<std::pair<Labels, double>> out;
+  for (const Registry::Sample& sample : registry.samples()) {
+    if (sample.name == name) {
+      out.emplace_back(sample.labels, sample.value);
+    }
+  }
+  return out;
 }
 
 TEST(SloEngine, SingleMissBurnsTheFastBudget) {
-  SloEngine engine(options_with_deadline(40.0));
+  SloEngine engine(40.0);
   const SloDecision good = engine.observe_frame(10.0);
   EXPECT_FALSE(good.miss);
   EXPECT_FALSE(good.degrade);
@@ -33,15 +41,15 @@ TEST(SloEngine, SingleMissBurnsTheFastBudget) {
   EXPECT_TRUE(miss.miss);
   EXPECT_TRUE(miss.degrade);
   // fast window = 1 frame, miss ratio 1.0, budget 0.05 -> burn 20.
-  EXPECT_DOUBLE_EQ(miss.fast_burn, 1.0 / engine.options().miss_budget);
+  EXPECT_DOUBLE_EQ(miss.fast_burn, 1.0 / kSloMissBudget);
   EXPECT_GT(miss.slow_burn, 0.0);
 }
 
 TEST(SloEngine, RecoverySignalNeedsAComfortableStreak) {
-  SloOptions options = options_with_deadline(40.0);
-  options.recover_fraction = 0.75;
-  options.recover_after = 3;
-  SloEngine engine(options);
+  // The rule's constants: 3 frames under 0.75 x deadline.
+  ASSERT_EQ(kSloRecoverAfter, 3);
+  ASSERT_DOUBLE_EQ(kSloRecoverFraction, 0.75);
+  SloEngine engine(40.0);
 
   engine.observe_frame(50.0);  // miss resets everything
   // Two comfortable frames: no recover signal yet.
@@ -58,7 +66,7 @@ TEST(SloEngine, RecoverySignalNeedsAComfortableStreak) {
 }
 
 TEST(SloEngine, ResetRecoveryClearsTheStreakOnly) {
-  SloEngine engine(options_with_deadline(40.0));
+  SloEngine engine(40.0);
   engine.observe_frame(10.0);
   engine.observe_frame(10.0);
   engine.reset_recovery();  // breaker-forced serial fallback
@@ -72,14 +80,13 @@ TEST(SloEngine, ResetRecoveryClearsTheStreakOnly) {
 // The rule the serving layer relies on (service.cpp and fleet.cpp drive
 // the ladder from SloDecision): for any latency stream, the engine-driven
 // ladder traces the deadline rule's level trajectory — a miss sheds one
-// rung; a recover_after-long streak under recover_fraction * deadline
-// climbs one, the streak resetting on a miss, on an in-budget frame near
-// the edge, and when it fires.
-TEST(SloEngine, DefaultDecisionsFollowTheDeadlineLadderRule) {
+// rung; a kSloRecoverAfter-long streak under kSloRecoverFraction *
+// deadline climbs one, the streak resetting on a miss, on an in-budget
+// frame near the edge, and when it fires.
+TEST(SloEngine, DecisionsFollowTheDeadlineLadderRule) {
   const double deadline = 40.0;
-  const SloOptions slo = options_with_deadline(deadline);
 
-  SloEngine engine(slo);
+  SloEngine engine(deadline);
   serve::DegradationLadder driven;
   int expected_level = 0;
   int streak = 0;
@@ -95,8 +102,8 @@ TEST(SloEngine, DefaultDecisionsFollowTheDeadlineLadderRule) {
       streak = 0;
       expected_level =
           std::min(expected_level + 1, serve::DegradationLadder::max_level());
-    } else if (latency < slo.recover_fraction * deadline) {
-      if (++streak >= slo.recover_after) {
+    } else if (latency < kSloRecoverFraction * deadline) {
+      if (++streak >= kSloRecoverAfter) {
         streak = 0;
         expected_level = std::max(expected_level - 1, 0);
       }
@@ -111,33 +118,35 @@ TEST(SloEngine, DefaultDecisionsFollowTheDeadlineLadderRule) {
 }
 
 TEST(SloEngine, WindowMissRatioDecaysLifetimeDoesNot) {
-  SloOptions options = options_with_deadline(40.0);
-  options.window_frames = 16;
-  options.window_slots = 4;
-  SloEngine engine(options);
-
-  for (int i = 0; i < 8; ++i) {
+  SloEngine engine(40.0);
+  const int misses = 8;
+  for (int i = 0; i < misses; ++i) {
     engine.observe_frame(50.0);  // all misses
   }
   SloSnapshot hot = engine.snapshot();
   EXPECT_DOUBLE_EQ(hot.miss_ratio, 1.0);
   EXPECT_DOUBLE_EQ(hot.window_miss_ratio, 1.0);
 
-  // A full window of good frames flushes the windowed ratio to zero while
-  // the lifetime ratio remembers the bad start.
-  for (int i = 0; i < 16; ++i) {
+  // The misses sit in the window's first slot. Good frames dilute them
+  // until the window has rotated through every slot; the frame that
+  // completes kSloWindowFrames evicts that slot, flushing the windowed
+  // ratio to zero while the lifetime ratio remembers the bad start.
+  for (int i = misses; i < kSloWindowFrames - 1; ++i) {
     engine.observe_frame(5.0);
   }
+  EXPECT_NEAR(engine.snapshot().window_miss_ratio,
+              misses / (kSloWindowFrames - 1.0), 1e-12);
+  engine.observe_frame(5.0);
   SloSnapshot cooled = engine.snapshot();
   EXPECT_DOUBLE_EQ(cooled.window_miss_ratio, 0.0);
   EXPECT_DOUBLE_EQ(cooled.slow_burn, 0.0);
-  EXPECT_NEAR(cooled.miss_ratio, 8.0 / 24.0, 1e-12);
-  EXPECT_EQ(cooled.misses, 8u);
-  EXPECT_EQ(cooled.frames, 24u);
+  EXPECT_NEAR(cooled.miss_ratio, misses / double{kSloWindowFrames}, 1e-12);
+  EXPECT_EQ(cooled.misses, static_cast<std::uint64_t>(misses));
+  EXPECT_EQ(cooled.frames, static_cast<std::uint64_t>(kSloWindowFrames));
 }
 
 TEST(SloEngine, SnapshotPercentilesTrackTheLatencyStream) {
-  SloEngine engine(options_with_deadline(100.0));
+  SloEngine engine(100.0);
   for (int i = 1; i <= 100; ++i) {
     engine.observe_frame(static_cast<double>(i));  // 1..100 ms
   }
@@ -150,25 +159,34 @@ TEST(SloEngine, SnapshotPercentilesTrackTheLatencyStream) {
   EXPECT_NEAR(snap.p999_ms, 100.0, bound * 100.0 + 1e-9);
 }
 
-TEST(SloEngine, StageAndQueueDepthSketches) {
-  SloEngine engine(options_with_deadline(40.0));
-  EXPECT_FALSE(engine.has_queue_depth());
+TEST(SloEngine, StageAndQueueDepthSketchesArePublished) {
+  SloEngine engine(40.0);
+  Registry before;
+  engine.publish(before);
+  EXPECT_TRUE(published(before, "slo.stage_p50_ms").empty());
+  EXPECT_TRUE(published(before, "slo.queue_depth_max").empty());
+
   engine.observe_stage("decode", 2.0);
   engine.observe_stage("detect", 8.0);
   engine.observe_stage("detect", 12.0);
   engine.observe_queue_depth(0.0);
   engine.observe_queue_depth(3.0);
+  Registry registry;
+  engine.publish(registry);
 
-  const std::vector<std::string> expected = {"decode", "detect"};
-  EXPECT_EQ(engine.stages(), expected);
-  EXPECT_NEAR(engine.stage_quantile("decode", 0.5), 2.0, 0.1);
-  EXPECT_TRUE(engine.has_queue_depth());
-  EXPECT_GE(engine.queue_depth_quantile(1.0), 2.9);
-  EXPECT_THROW(engine.stage_quantile("nonexistent", 0.5), core::CheckError);
+  // One series per observed stage, in stage order.
+  const auto stage_p50 = published(registry, "slo.stage_p50_ms");
+  ASSERT_EQ(stage_p50.size(), 2u);
+  EXPECT_EQ(stage_p50[0].first, (Labels{{"stage", "decode"}}));
+  EXPECT_EQ(stage_p50[1].first, (Labels{{"stage", "detect"}}));
+  EXPECT_NEAR(stage_p50[0].second, 2.0, 0.1);
+  EXPECT_EQ(published(registry, "slo.stage_p99_ms").size(), 2u);
+  EXPECT_DOUBLE_EQ(registry.gauge("slo.queue_depth_max").value(), 3.0);
+  EXPECT_GE(registry.gauge("slo.queue_depth_p99").value(), 2.9);
 }
 
 TEST(SloEngine, PublishExportsTheSloSeries) {
-  SloEngine engine(options_with_deadline(40.0));
+  SloEngine engine(40.0);
   engine.observe_frame(10.0);
   engine.observe_frame(50.0);
   engine.observe_stage("detect", 9.0);
@@ -188,17 +206,9 @@ TEST(SloEngine, PublishExportsTheSloSeries) {
   EXPECT_GE(registry.gauge("slo.queue_depth_p99").value(), 0.9);
 }
 
-TEST(SloEngine, RejectsUnusableOptions) {
-  // A zero deadline is caught at the first observation (the service
-  // overrides it from ServiceOptions before running).
-  SloEngine unset(SloOptions{});
-  EXPECT_THROW(unset.observe_frame(1.0), core::CheckError);
-  SloOptions zero_budget = options_with_deadline(40.0);
-  zero_budget.miss_budget = 0.0;
-  EXPECT_THROW(SloEngine{zero_budget}, core::CheckError);
-  SloOptions zero_window = options_with_deadline(40.0);
-  zero_window.window_frames = 0;
-  EXPECT_THROW(SloEngine{zero_window}, core::CheckError);
+TEST(SloEngine, RejectsANonPositiveDeadline) {
+  EXPECT_THROW(SloEngine{0.0}, core::CheckError);
+  EXPECT_THROW(SloEngine{-1.0}, core::CheckError);
 }
 
 }  // namespace

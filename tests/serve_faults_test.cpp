@@ -32,6 +32,12 @@ TEST(FaultPlan, ParseNamesTheOffendingToken) {
   EXPECT_THROW(FaultPlan::parse("decode@", 1), core::CheckError);
   EXPECT_THROW(FaultPlan::parse("decode@4x0", 1), core::CheckError);
   EXPECT_THROW(FaultPlan::parse("launch@xyz", 1), core::CheckError);
+  // Every character of a number must belong to it: no prefix parses.
+  EXPECT_THROW(FaultPlan::parse("decode@4junk", 1), core::CheckError);
+  EXPECT_THROW(FaultPlan::parse("decode@1e3", 1), core::CheckError);
+  EXPECT_THROW(FaultPlan::parse("launch@9x2y", 1), core::CheckError);
+  EXPECT_THROW(FaultPlan::parse("launch@0.05z", 1), core::CheckError);
+  EXPECT_THROW(FaultPlan::parse("launch@ 0.05", 1), core::CheckError);
 }
 
 TEST(FaultPlan, BurstGatesRetryableKindsButNotHardOnes) {
@@ -174,6 +180,26 @@ TEST(DeviceFaultPlan, ParseNamesTheOffendingToken) {
       core::CheckError);
   // Slow factors must actually slow.
   EXPECT_THROW(DeviceFaultPlan::parse("device-slow@0:1+1*0.5", 1),
+               core::CheckError);
+  // Every character of a number must belong to it: no prefix parses.
+  EXPECT_THROW(DeviceFaultPlan::parse("device-lost@1:2.5+1.0zz", 1),
+               core::CheckError);
+  EXPECT_THROW(DeviceFaultPlan::parse("device-lost@1: 2+1", 1),
+               core::CheckError);
+  EXPECT_THROW(DeviceFaultPlan::parse("device-lost@1x:2+1", 1),
+               core::CheckError);
+  EXPECT_THROW(DeviceFaultPlan::parse("device-hang@1:2s+1", 1),
+               core::CheckError);
+  EXPECT_THROW(DeviceFaultPlan::parse("device-slow@0:1+1*4q", 1),
+               core::CheckError);
+  EXPECT_THROW(DeviceFaultPlan::parse("device-slow@0.05p*4", 1),
+               core::CheckError);
+  // "inf" is a whole number token, but no usable onset, length or factor.
+  EXPECT_THROW(DeviceFaultPlan::parse("device-slow@0:1+1*inf", 1),
+               core::CheckError);
+  EXPECT_THROW(DeviceFaultPlan::parse("device-lost@1:inf+1", 1),
+               core::CheckError);
+  EXPECT_THROW(DeviceFaultPlan::parse("device-hang@1:1+inf", 1),
                core::CheckError);
 }
 

@@ -229,11 +229,11 @@ TEST(FleetScheduler, DeviceLossFailsOverWithIdenticalDetections) {
 }
 
 TEST(FleetScheduler, HangIsDeclaredLostByTheWatchdog) {
-  FleetOptions options = generous_options();
-  options.hang_watchdog_ms = 20.0;
-  FleetScheduler fleet(vgpu::DeviceSpec{}, fleet_cascade(), {}, options);
+  FleetScheduler fleet(vgpu::DeviceSpec{}, fleet_cascade(), {},
+                       generous_options());
   add_test_streams(fleet);
-  // Hang long enough that the watchdog must fire first.
+  // Hang long enough (250 ms) that the watchdog must fire first.
+  ASSERT_LT(kHangWatchdogMs, 250.0);
   const DeviceFaultPlan plan =
       DeviceFaultPlan::parse("device-hang@0:0.1+0.25", 7);
   const FleetReport report = fleet.run(&plan);
@@ -269,27 +269,35 @@ TEST(FleetScheduler, DeviceSlowInflatesServiceTime) {
 TEST(FleetScheduler, SheddingDrainsBestEffortBeforeGold) {
   FleetOptions options = generous_options();
   options.deadline_ms = 1e-3;  // unmeetable: sustained overload
-  options.shed_cooldown_s = 0.0;
   FleetScheduler fleet(vgpu::DeviceSpec{}, fleet_cascade(), {}, options);
   const int gold = fleet.add_tenant({"gold", QosClass::kGold, {}});
   const int silver = fleet.add_tenant({"silver", QosClass::kSilver, {}});
   const int effort =
       fleet.add_tenant({"best-effort", QosClass::kBestEffort, {}});
+  // Waves 0.5 s apart, two shed cooldowns: every wave misses and sheds
+  // exactly one class one rung, so the frame count sets how deep the
+  // shedding reaches.
+  const double fps = 2.0;
+  ASSERT_GE(1.0 / fps, 2.0 * kShedCooldownS);
+  const int frames = 11;
   for (int i = 0; i < 2; ++i) {
-    fleet.add_stream(gold, fleet_source(), 20.0, 8);
-    fleet.add_stream(silver, fleet_source(), 20.0, 8);
-    fleet.add_stream(effort, fleet_source(), 20.0, 8);
+    fleet.add_stream(gold, fleet_source(), fps, frames);
+    fleet.add_stream(silver, fleet_source(), fps, frames);
+    fleet.add_stream(effort, fleet_source(), fps, frames);
   }
   const FleetReport report = fleet.run();
 
-  EXPECT_GT(report.shed_steps, 0);
   EXPECT_EQ(report.stranded, 0);
-  // Shed ordering: lower classes always at least as degraded as higher.
-  EXPECT_GE(report.tenants[2].max_shed_level,
-            report.tenants[1].max_shed_level);
-  EXPECT_GE(report.tenants[1].max_shed_level,
-            report.tenants[0].max_shed_level);
-  EXPECT_GT(report.tenants[2].max_shed_level, 0);
+  EXPECT_EQ(report.recover_steps, 0);
+  // One step per wave: best-effort to the floor, then silver to the
+  // floor, and only then gold, which the last waves shed part way.
+  const int floor = DegradationLadder::max_level();
+  EXPECT_EQ(report.shed_steps, frames);
+  EXPECT_EQ(report.tenants[2].max_shed_level, floor);
+  EXPECT_EQ(report.tenants[1].max_shed_level, floor);
+  EXPECT_EQ(report.tenants[0].max_shed_level, frames - 2 * floor);
+  EXPECT_GT(report.tenants[0].max_shed_level, 0);
+  EXPECT_LT(report.tenants[0].max_shed_level, floor);
 }
 
 // One stream on one device and the same source through StreamingService:
@@ -467,6 +475,9 @@ TEST(FleetParsing, TenantMixRoundTripsAndRejectsGarbage) {
   EXPECT_THROW(parse_tenant_mix("platinum:2"), core::CheckError);
   EXPECT_THROW(parse_tenant_mix("gold:0"), core::CheckError);
   EXPECT_THROW(parse_tenant_mix("gold:x"), core::CheckError);
+  // Every character of the count must belong to the integer.
+  EXPECT_THROW(parse_tenant_mix("gold:3junk"), core::CheckError);
+  EXPECT_THROW(parse_tenant_mix("silver:2.9"), core::CheckError);
 }
 
 TEST(FleetScheduler, RejectsUnusableConfiguration) {

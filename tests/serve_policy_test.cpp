@@ -11,26 +11,30 @@ namespace {
 TEST(RetryBackoff, GrowsExponentiallyAndCaps) {
   RetryOptions options;
   options.base_backoff_ms = 2.0;
-  options.multiplier = 2.0;
   options.max_backoff_ms = 10.0;
-  options.jitter = 0.0;
+  // A twin of the backoff's jitter stream reproduces each draw exactly.
   core::Rng rng(1);
-  EXPECT_DOUBLE_EQ(retry_backoff_ms(options, 1, rng), 2.0);
-  EXPECT_DOUBLE_EQ(retry_backoff_ms(options, 2, rng), 4.0);
-  EXPECT_DOUBLE_EQ(retry_backoff_ms(options, 3, rng), 8.0);
-  EXPECT_DOUBLE_EQ(retry_backoff_ms(options, 4, rng), 10.0);  // capped
+  core::Rng twin(1);
+  const auto jittered = [&twin](double ms) {
+    return ms * (1.0 + twin.uniform(-kRetryJitter, kRetryJitter));
+  };
+  ASSERT_DOUBLE_EQ(kRetryMultiplier, 2.0);
+  EXPECT_DOUBLE_EQ(retry_backoff_ms(options, 1, rng), jittered(2.0));
+  EXPECT_DOUBLE_EQ(retry_backoff_ms(options, 2, rng), jittered(4.0));
+  EXPECT_DOUBLE_EQ(retry_backoff_ms(options, 3, rng), jittered(8.0));
+  EXPECT_DOUBLE_EQ(retry_backoff_ms(options, 4, rng),
+                   jittered(10.0));  // capped
   EXPECT_THROW(retry_backoff_ms(options, 0, rng), core::CheckError);
 }
 
-TEST(RetryBackoff, JitterStaysWithinTheConfiguredBand) {
+TEST(RetryBackoff, JitterStaysWithinItsBand) {
   RetryOptions options;
   options.base_backoff_ms = 8.0;
-  options.jitter = 0.25;
   core::Rng rng(7);
   for (int i = 0; i < 200; ++i) {
     const double ms = retry_backoff_ms(options, 1, rng);
-    EXPECT_GE(ms, 6.0);
-    EXPECT_LE(ms, 10.0);
+    EXPECT_GE(ms, 8.0 * (1.0 - kRetryJitter));
+    EXPECT_LE(ms, 8.0 * (1.0 + kRetryJitter));
   }
   // Deterministic: an identically seeded stream reproduces the draws.
   core::Rng a(3);
@@ -40,19 +44,21 @@ TEST(RetryBackoff, JitterStaysWithinTheConfiguredBand) {
 }
 
 TEST(CircuitBreaker, TripsAtThresholdAndProbesAfterCooldown) {
-  CircuitBreaker breaker(BreakerOptions{.failure_threshold = 3,
-                                        .cooldown_frames = 2});
+  CircuitBreaker breaker;
   EXPECT_TRUE(breaker.allows());
-  breaker.record_failure();
-  breaker.record_failure();
+  for (int i = 1; i < kBreakerFailureThreshold; ++i) {
+    breaker.record_failure();
+  }
   EXPECT_TRUE(breaker.allows());  // below threshold
   breaker.record_failure();
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
   EXPECT_FALSE(breaker.allows());
   EXPECT_EQ(breaker.trips(), 1);
 
-  breaker.on_frame();
-  EXPECT_FALSE(breaker.allows());  // still cooling down
+  for (int i = 1; i < kBreakerCooldownFrames; ++i) {
+    breaker.on_frame();
+    EXPECT_FALSE(breaker.allows());  // still cooling down
+  }
   breaker.on_frame();
   EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
   EXPECT_TRUE(breaker.allows());  // the probe frame
@@ -63,21 +69,25 @@ TEST(CircuitBreaker, TripsAtThresholdAndProbesAfterCooldown) {
 }
 
 TEST(CircuitBreaker, FailedProbeReopensImmediately) {
-  CircuitBreaker breaker(BreakerOptions{.failure_threshold = 1,
-                                        .cooldown_frames = 1});
-  breaker.record_failure();
+  CircuitBreaker breaker;
+  for (int i = 0; i < kBreakerFailureThreshold; ++i) {
+    breaker.record_failure();
+  }
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-  breaker.on_frame();
+  for (int i = 0; i < kBreakerCooldownFrames; ++i) {
+    breaker.on_frame();
+  }
   EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
-  breaker.record_failure();  // probe failed
+  breaker.record_failure();  // probe failed: one failure re-opens
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
   EXPECT_EQ(breaker.trips(), 2);
 }
 
 TEST(CircuitBreaker, SuccessResetsTheConsecutiveFailureCount) {
-  CircuitBreaker breaker(BreakerOptions{.failure_threshold = 2,
-                                        .cooldown_frames = 1});
-  breaker.record_failure();
+  CircuitBreaker breaker;
+  for (int i = 1; i < kBreakerFailureThreshold; ++i) {
+    breaker.record_failure();
+  }
   breaker.record_success();
   breaker.record_failure();
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);  // streak broken
@@ -86,15 +96,7 @@ TEST(CircuitBreaker, SuccessResetsTheConsecutiveFailureCount) {
 /// The serving loops' ladder signal: each served frame's latency goes
 /// through the SLO engine, whose decision drives the ladder.
 struct SloDrivenLadder {
-  SloDrivenLadder(double deadline_ms, int recover_after = 3,
-                  double recover_fraction = 0.75)
-      : engine([&] {
-          obs::SloOptions slo;
-          slo.deadline_ms = deadline_ms;
-          slo.recover_after = recover_after;
-          slo.recover_fraction = recover_fraction;
-          return slo;
-        }()) {}
+  explicit SloDrivenLadder(double deadline_ms) : engine(deadline_ms) {}
 
   void observe(double latency_ms) {
     const obs::SloDecision decision = engine.observe_frame(latency_ms);
@@ -121,8 +123,8 @@ TEST(DegradationLadder, ShedsOneLevelPerDeadlineMiss) {
 }
 
 TEST(DegradationLadder, ClimbsBackAfterARecoveryStreak) {
-  SloDrivenLadder driven(/*deadline_ms=*/10.0, /*recover_after=*/3,
-                         /*recover_fraction=*/0.75);
+  // The recovery streak: 3 frames under 0.75 x deadline.
+  SloDrivenLadder driven(/*deadline_ms=*/10.0);
   const DegradationLadder& ladder = driven.ladder;
   driven.observe(12.0);
   ASSERT_EQ(ladder.level(), 1);
@@ -135,13 +137,14 @@ TEST(DegradationLadder, ClimbsBackAfterARecoveryStreak) {
 }
 
 TEST(DegradationLadder, NearDeadlineFramesResetTheRecoveryStreak) {
-  SloDrivenLadder driven(/*deadline_ms=*/10.0, /*recover_after=*/2,
-                         /*recover_fraction=*/0.5);
+  SloDrivenLadder driven(/*deadline_ms=*/10.0);
   const DegradationLadder& ladder = driven.ladder;
   driven.observe(12.0);
   ASSERT_EQ(ladder.level(), 1);
   driven.observe(4.0);
+  driven.observe(4.0);
   driven.observe(8.0);  // in budget but above the recovery fraction
+  driven.observe(4.0);
   driven.observe(4.0);
   EXPECT_EQ(ladder.level(), 1);  // 8.0 broke the streak
   driven.observe(4.0);
@@ -180,8 +183,7 @@ TEST(DegradationLadder, ExactThresholdLatenciesNeverFlap) {
   // fraction is too close to the edge to climb (streak resets). A stream
   // oscillating between both edge values therefore never moves the
   // ladder in either direction.
-  SloDrivenLadder driven(/*deadline_ms=*/10.0, /*recover_after=*/2,
-                         /*recover_fraction=*/0.75);
+  SloDrivenLadder driven(/*deadline_ms=*/10.0);
   const DegradationLadder& ladder = driven.ladder;
   driven.observe(12.0);
   ASSERT_EQ(ladder.level(), 1);
@@ -192,7 +194,8 @@ TEST(DegradationLadder, ExactThresholdLatenciesNeverFlap) {
   }
   EXPECT_EQ(ladder.level(), 1);
   EXPECT_EQ(ladder.shifts(), shifts_before);
-  // One ulp under the fraction on every frame does climb.
+  // Just under the fraction on every frame does climb.
+  driven.observe(7.4);
   driven.observe(7.4);
   driven.observe(7.4);
   EXPECT_EQ(ladder.level(), 0);

@@ -9,7 +9,6 @@
 #include "core/check.h"
 #include "facegen/dataset.h"
 #include "ingest/frame_source.h"
-#include "ingest/lossy.h"
 #include "ingest/mutate.h"
 #include "ingest/registry.h"
 #include "obs/json.h"
@@ -166,11 +165,11 @@ TEST(StreamingService, TransientDecodeFaultRetriesAndRecovers) {
 TEST(StreamingService, ExhaustedRetriesQuarantineTheFrame) {
   const video::MockH264Decoder decoder = test_decoder();
   const ingest::H264FrameSource source(decoder);
-  ServiceOptions options = generous_options();
-  options.retry.max_attempts = 2;
   StreamingService service(vgpu::DeviceSpec{}, service_cascade(), {},
-                           options);
-  const FaultPlan plan = FaultPlan::parse("decode@1x2", 1);
+                           generous_options());
+  // Every one of the stage's kRetryMaxAttempts attempts fails.
+  const FaultPlan plan = FaultPlan::parse(
+      "decode@1x" + std::to_string(kRetryMaxAttempts), 1);
   const ServiceReport report = service.run(source, 4, &plan);
 
   const ServedFrame& frame = report.frames[1];
@@ -178,7 +177,8 @@ TEST(StreamingService, ExhaustedRetriesQuarantineTheFrame) {
   ASSERT_TRUE(frame.error.has_value());
   EXPECT_EQ(frame.error->stage, "decode");
   EXPECT_EQ(frame.error->cls, ErrorClass::kTransient);
-  EXPECT_EQ(frame.error->attempts, 2);
+  EXPECT_EQ(frame.error->attempts, kRetryMaxAttempts);
+  EXPECT_EQ(frame.retries, kRetryMaxAttempts - 1);
   // Quarantine is per frame: the stream carries on.
   EXPECT_EQ(report.frames[2].status, FrameStatus::kOk);
   EXPECT_EQ(report.frames[3].status, FrameStatus::kOk);
@@ -217,30 +217,35 @@ TEST(StreamingService, CorruptLumaStillServesTheFrame) {
 TEST(StreamingService, BreakerTripsFailsFastAndRecoversToFullQuality) {
   const video::MockH264Decoder decoder = test_decoder();
   const ingest::H264FrameSource source(decoder);
-  ServiceOptions options = generous_options();
-  options.breaker.failure_threshold = 3;
-  options.breaker.cooldown_frames = 2;
   StreamingService service(vgpu::DeviceSpec{}, service_cascade(), {},
-                           options);
+                           generous_options());
   // Three consecutive frames exhaust their decode retries -> breaker trips.
+  ASSERT_EQ(kBreakerFailureThreshold, 3);
   const FaultPlan plan =
       FaultPlan::parse("decode@2x3,decode@3x3,decode@4x3", 1);
   const ServiceReport report = service.run(source, 20, &plan);
 
   EXPECT_EQ(report.breaker_trips, 1);
-  // Cooling down: the frame after the trip is rejected without running.
-  const ServedFrame& rejected = report.frames[5];
-  EXPECT_EQ(rejected.status, FrameStatus::kFailed);
-  ASSERT_TRUE(rejected.error.has_value());
-  EXPECT_NE(rejected.error->message.find("breaker"), std::string::npos);
-  // The trip forces the serial-exec rung while the stage is unhealthy.
-  EXPECT_TRUE(DegradationLadder::step_at(report.frames[6].degradation_level)
-                  .serial_exec);
+  // Cooling down: the frames after the trip are rejected without running,
+  // all at the serial-exec rung the trip forces while the stage is
+  // unhealthy.
+  for (int i = 5; i < 4 + kBreakerCooldownFrames; ++i) {
+    const ServedFrame& rejected = report.frames[static_cast<std::size_t>(i)];
+    EXPECT_EQ(rejected.status, FrameStatus::kFailed) << "frame " << i;
+    ASSERT_TRUE(rejected.error.has_value());
+    EXPECT_NE(rejected.error->message.find("breaker"), std::string::npos);
+    EXPECT_TRUE(DegradationLadder::step_at(rejected.degradation_level)
+                    .serial_exec);
+  }
   // The half-open probe succeeds and the ladder climbs all the way back.
+  EXPECT_NE(report.frames[4 + kBreakerCooldownFrames].status,
+            FrameStatus::kFailed);
   EXPECT_EQ(report.final_degradation_level, 0);
   EXPECT_EQ(service.decode_breaker(), BreakerState::kClosed);
   EXPECT_EQ(report.frames.back().status, FrameStatus::kOk);
-  EXPECT_LE(report.max_consecutive_unserved, 4);
+  // The three failed frames plus the cooldown's rejections.
+  EXPECT_EQ(report.max_consecutive_unserved,
+            kBreakerFailureThreshold + kBreakerCooldownFrames - 1);
 }
 
 TEST(StreamingService, DeadlineMissesWalkTheDegradationLadder) {
@@ -267,7 +272,6 @@ TEST(StreamingService, BackpressureDropsFramesWhenTheQueueFills) {
   const ingest::H264FrameSource source(decoder);
   ServiceOptions options = generous_options();
   options.fps = 100000.0;  // arrivals far faster than service time
-  options.queue_capacity = 2;
   StreamingService service(vgpu::DeviceSpec{}, service_cascade(), {},
                            options);
   const ServiceReport report = service.run(source, 12);
@@ -276,7 +280,7 @@ TEST(StreamingService, BackpressureDropsFramesWhenTheQueueFills) {
   EXPECT_GT(report.ok + report.degraded, 0);  // not everything is shed
   for (const ServedFrame& frame : report.frames) {
     if (frame.status == FrameStatus::kDropped) {
-      EXPECT_GE(frame.queue_depth, options.queue_capacity);
+      EXPECT_GE(frame.queue_depth, kServiceQueueCapacity);
       EXPECT_TRUE(frame.detections.empty());
     }
   }
@@ -456,11 +460,8 @@ TEST(StreamingService, ByteStreamSourceServesLikeTheMockDecoder) {
 }
 
 TEST(StreamingService, MalformedMidStreamBurstShedsAndRecovers) {
-  ServiceOptions options = generous_options();
-  options.breaker.failure_threshold = 3;
-  options.breaker.cooldown_frames = 2;
   StreamingService service(vgpu::DeviceSpec{}, service_cascade(), {},
-                           options);
+                           generous_options());
   // Frames 4-6 arrive with flipped payload bytes; the raw container's
   // per-frame CRC turns each into a typed IngestError mid-stream.
   const ingest::CorruptingSource source(
@@ -552,10 +553,10 @@ TEST(StreamingService, RejectsUnusableOptions) {
   EXPECT_THROW(StreamingService(vgpu::DeviceSpec{}, service_cascade(), {},
                                 bad_fps),
                core::CheckError);
-  ServiceOptions bad_queue;
-  bad_queue.queue_capacity = 0;
+  ServiceOptions bad_deadline;
+  bad_deadline.deadline_ms = 0.0;
   EXPECT_THROW(StreamingService(vgpu::DeviceSpec{}, service_cascade(), {},
-                                bad_queue),
+                                bad_deadline),
                core::CheckError);
   const video::MockH264Decoder decoder = test_decoder();
   const ingest::H264FrameSource source(decoder);
@@ -564,90 +565,6 @@ TEST(StreamingService, RejectsUnusableOptions) {
   EXPECT_THROW(service.run(source, 0), core::CheckError);
   EXPECT_THROW(service.run(source, decoder.frame_count() + 1),
                core::CheckError);
-}
-
-TEST(StreamingService, LossyTransportDropsTagsAndServesTheRest) {
-  obs::Registry registry;
-  StreamingService service(vgpu::DeviceSpec{}, service_cascade(), {},
-                           generous_options(), &registry);
-  const video::MockH264Decoder decoder = test_decoder();
-  const ingest::H264FrameSource inner(decoder);
-  ingest::LossyOptions lossy_options;
-  lossy_options.drop_probability = 0.15;
-  lossy_options.duplicate_probability = 0.15;
-  lossy_options.reorder_probability = 0.25;
-  lossy_options.seed = 21;
-  const ingest::LossyReorderSource source(inner, lossy_options);
-  ASSERT_GT(source.dropped(), 0);
-  ASSERT_GT(source.duplicated(), 0);
-  ASSERT_GT(source.displaced(), 0);
-  const ServiceReport report =
-      service.run(source, source.frame_count());
-
-  // A delivery gap is a typed, counted drop — never a quarantine.
-  EXPECT_EQ(report.missing_frames, source.dropped());
-  EXPECT_EQ(report.failed, 0);
-  EXPECT_GE(report.dropped, report.missing_frames);
-  // Late and duplicate deliveries are served and cause-tagged.
-  EXPECT_GT(report.out_of_order, 0);
-  EXPECT_GT(report.duplicates, 0);
-  int missing_seen = 0;
-  for (const ServedFrame& frame : report.frames) {
-    if (frame.missing) {
-      ++missing_seen;
-      EXPECT_EQ(frame.status, FrameStatus::kDropped);
-      EXPECT_NE(frame.cause.find("missing-frame"), std::string::npos);
-      EXPECT_TRUE(frame.detections.empty());
-    }
-    if (frame.arrival == ingest::FrameArrival::kOutOfOrder &&
-        frame.status == FrameStatus::kOk) {
-      EXPECT_NE(frame.cause.find("out-of-order"), std::string::npos);
-    }
-    if (frame.arrival == ingest::FrameArrival::kDuplicate &&
-        frame.status == FrameStatus::kOk) {
-      EXPECT_NE(frame.cause.find("duplicate-frame"), std::string::npos);
-    }
-  }
-  EXPECT_EQ(missing_seen, report.missing_frames);
-  // The transport damage reaches the metrics registry.
-  bool missing_metric = false;
-  for (const auto& sample : registry.samples()) {
-    missing_metric |= sample.name == "ingest.missing";
-  }
-  EXPECT_TRUE(missing_metric);
-}
-
-TEST(StreamingService, DuplicateDeliveriesServeIdenticalDetections) {
-  StreamingService service(vgpu::DeviceSpec{}, service_cascade(), {},
-                           generous_options());
-  const video::MockH264Decoder decoder = test_decoder();
-  const ingest::H264FrameSource inner(decoder);
-  ingest::LossyOptions lossy_options;
-  lossy_options.duplicate_probability = 0.3;
-  lossy_options.seed = 8;
-  const ingest::LossyReorderSource source(inner, lossy_options);
-  ASSERT_GT(source.duplicated(), 0);
-  const ServiceReport report =
-      service.run(source, source.frame_count());
-
-  int compared = 0;
-  for (std::size_t i = 1; i < report.frames.size(); ++i) {
-    const ServedFrame& dup = report.frames[i];
-    const ServedFrame& first = report.frames[i - 1];
-    if (dup.arrival != ingest::FrameArrival::kDuplicate ||
-        dup.status != FrameStatus::kOk ||
-        first.status != FrameStatus::kOk ||
-        first.degradation_level != dup.degradation_level) {
-      continue;
-    }
-    ++compared;
-    ASSERT_EQ(dup.detections.size(), first.detections.size());
-    for (std::size_t d = 0; d < dup.detections.size(); ++d) {
-      EXPECT_EQ(dup.detections[d].box, first.detections[d].box);
-      EXPECT_EQ(dup.detections[d].score, first.detections[d].score);
-    }
-  }
-  EXPECT_GT(compared, 0);
 }
 
 }  // namespace

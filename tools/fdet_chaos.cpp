@@ -684,7 +684,7 @@ int run_fleet_chaos(int argc, char** argv) {
   // fault-dominated.
   std::vector<std::pair<double, double>> outage_windows;
   const double drain_s =
-      (fleet_options.hang_watchdog_ms + deadline_ms) / 1e3;
+      (serve::kHangWatchdogMs + deadline_ms) / 1e3;
   for (const serve::DeviceFaultSpec& fault : plan.specs()) {
     if (fault.kind != serve::DeviceFaultKind::kDeviceSlow) {
       outage_windows.emplace_back(fault.start_s,
