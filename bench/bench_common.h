@@ -58,15 +58,13 @@ inline void print_header(const char* artifact, const char* description) {
 ///   --trace-out         Chrome/Perfetto trace (ambient TraceSession; the
 ///                       binary's lifetime, so library-internal spans land
 ///                       automatically)
-///   --metrics-out       the metrics registry (JSON)
 ///   --profile-out       kernel profile (an obs::RunRecord of profile.*
 ///                       series, obs/profile.h) aggregated over every
 ///                       launch of the binary's lifetime — the collector
 ///                       is installed from construction
-///   --record-out        obs::RunRecord of the registry, one value per
-///                       series (the committed baselines are
+///   --record-out        obs::RunRecord of the metrics registry, one value
+///                       per series (the committed baselines are
 ///                       BENCH_<artifact>.json at the repo root)
-///   --variant           configuration variant stamped into both records
 ///
 /// Each artifact is written only when its flag names a path, so a bench
 /// run never overwrites a committed record unless asked to.
@@ -81,7 +79,6 @@ class RunRecorder {
   explicit RunRecorder(std::string artifact)
       : artifact_(std::move(artifact)) {
     session_.install();
-    metrics_.gauge("bench.schema_version").set(1.0);
   }
 
   ~RunRecorder() { session_.uninstall(); }
@@ -89,12 +86,9 @@ class RunRecorder {
   void add_flags(core::Cli& cli) {
     cli.flag("trace-out", trace_out_,
              "write a Chrome/Perfetto trace-event JSON file");
-    cli.flag("metrics-out", metrics_out_, "write run metrics (JSON)");
     cli.flag("record-out", record_out_, "write the run record (JSON)");
     cli.flag("profile-out", profile_out_,
              "write the kernel-profile record (JSON)");
-    cli.flag("variant", variant_,
-             "configuration variant stamped into the run record");
   }
 
   obs::Registry& metrics() { return metrics_; }
@@ -129,17 +123,8 @@ class RunRecorder {
                   artifact_.c_str(), trace_out_.c_str(),
                   trace.at("traceEvents").as_array().size());
     }
-    if (!metrics_out_.empty()) {
-      metrics_.write_file(metrics_out_);
-      const obs::json::Value doc = obs::json::parse_file(metrics_out_);
-      FDET_CHECK(!doc.at("metrics").as_array().empty())
-          << "metrics '" << metrics_out_ << "' is empty";
-      std::printf("[%s] metrics written to %s (%zu series)\n",
-                  artifact_.c_str(), metrics_out_.c_str(), metrics_.size());
-    }
-
     if (!profile_out_.empty()) {
-      profiler_.snapshot(artifact_, variant_).write_file(profile_out_);
+      profiler_.snapshot(artifact_).write_file(profile_out_);
       const obs::RunRecord reparsed = obs::RunRecord::load_file(profile_out_);
       std::printf("[%s] kernel profile written to %s (%zu series)\n",
                   artifact_.c_str(), profile_out_.c_str(),
@@ -147,8 +132,7 @@ class RunRecorder {
     }
 
     if (!record_out_.empty()) {
-      obs::build_run_record(artifact_, variant_, {}, metrics_)
-          .write_file(record_out_);
+      obs::build_run_record(artifact_, {}, metrics_).write_file(record_out_);
       const obs::RunRecord reparsed = obs::RunRecord::load_file(record_out_);
       FDET_CHECK(!reparsed.metrics.empty())
           << "run record '" << record_out_ << "' has no series";
@@ -161,9 +145,7 @@ class RunRecorder {
 
  private:
   std::string artifact_;
-  std::string variant_ = "default";
   std::string trace_out_;
-  std::string metrics_out_;
   std::string record_out_;
   std::string profile_out_;
   obs::Registry metrics_;

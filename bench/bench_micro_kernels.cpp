@@ -150,8 +150,8 @@ BENCHMARK(BM_GroupDetections)->Arg(50)->Arg(400);
 
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): peel off --trace-out /
-// --metrics-out with parse_known and hand everything else (including
+// Custom main instead of BENCHMARK_MAIN(): peel off the RunRecorder's
+// output flags with parse_known and hand everything else (including
 // --benchmark_* flags) to google-benchmark untouched.
 int main(int argc, char** argv) {
   fdet::bench::RunRecorder run("micro");

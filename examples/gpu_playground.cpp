@@ -11,6 +11,7 @@
 #include "core/cli.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "obs/runrecord.h"
 #include "obs/trace.h"
 #include "vgpu/scheduler.h"
 #include "vgpu/warp.h"
@@ -20,13 +21,13 @@ int main(int argc, char** argv) {
   int streams = 6;
   int blocks_per_kernel = 3;
   std::string trace_out;
-  std::string metrics_out;
+  std::string record_out;
   std::string profile_out;
   core::Cli cli("gpu_playground");
   cli.flag("streams", streams, "concurrent streams");
   cli.flag("blocks", blocks_per_kernel, "blocks per kernel");
   cli.flag("trace-out", trace_out, "write a Perfetto trace-event JSON file");
-  cli.flag("metrics-out", metrics_out, "write run metrics (JSON)");
+  cli.flag("record-out", record_out, "write the run record (JSON)");
   cli.flag("profile-out", profile_out, "write a kernel profile (JSON)");
   if (!cli.parse(argc, argv)) {
     return 1;
@@ -135,12 +136,12 @@ int main(int argc, char** argv) {
     session.write_file(trace_out);
     std::printf("trace written to %s\n", trace_out.c_str());
   }
-  if (!metrics_out.empty()) {
+  if (!record_out.empty()) {
     obs::Registry registry;
     obs::publish_timeline(registry, serial, {{"mode", "serial"}});
     obs::publish_timeline(registry, concurrent, {{"mode", "concurrent"}});
-    registry.write_file(metrics_out);
-    std::printf("metrics written to %s\n", metrics_out.c_str());
+    obs::build_run_record("playground", {}, registry).write_file(record_out);
+    std::printf("run record written to %s\n", record_out.c_str());
   }
   if (!profile_out.empty()) {
     profiler.snapshot("playground").write_file(profile_out);

@@ -10,6 +10,7 @@
 #include "detect/pipeline.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "obs/runrecord.h"
 #include "obs/trace.h"
 #include "facegen/dataset.h"
 #include "img/draw.h"
@@ -21,13 +22,13 @@ int main(int argc, char** argv) {
   int faces = 300;
   std::string out = "quickstart_out.ppm";
   std::string trace_out;
-  std::string metrics_out;
+  std::string record_out;
   std::string profile_out;
   core::Cli cli("quickstart");
   cli.flag("faces", faces, "training faces");
   cli.flag("out", out, "annotated output image (PPM)");
   cli.flag("trace-out", trace_out, "write a Perfetto trace-event JSON file");
-  cli.flag("metrics-out", metrics_out, "write run metrics (JSON)");
+  cli.flag("record-out", record_out, "write the run record (JSON)");
   cli.flag("profile-out", profile_out, "write a kernel profile (JSON)");
   if (!cli.parse(argc, argv)) {
     return 1;
@@ -117,11 +118,11 @@ int main(int argc, char** argv) {
     session.write_file(trace_out);
     std::printf("trace written to %s\n", trace_out.c_str());
   }
-  if (!metrics_out.empty()) {
+  if (!record_out.empty()) {
     obs::Registry registry;
     result.publish_metrics(registry);
-    registry.write_file(metrics_out);
-    std::printf("metrics written to %s\n", metrics_out.c_str());
+    obs::build_run_record("quickstart", {}, registry).write_file(record_out);
+    std::printf("run record written to %s\n", record_out.c_str());
   }
   if (!profile_out.empty()) {
     profiler.snapshot("quickstart").write_file(profile_out);

@@ -31,10 +31,7 @@ void FrameResult::publish_metrics(obs::Registry& registry,
       .add(static_cast<double>(raw_detections.size()));
   registry.counter("detect.detections", labels)
       .add(static_cast<double>(detections.size()));
-  registry
-      .histogram("detect.frame_latency_ms",
-                 {1, 2, 5, 10, 20, 30, 40, 50, 75, 100, 150, 200}, labels)
-      .observe(detect_ms);
+  registry.histogram("detect.frame_latency_ms", labels).observe(detect_ms);
 
   // Cascade-evaluation profiler ratios: the numbers the paper quotes from
   // the CUDA compute profiler (98.9 % branch efficiency).
@@ -53,19 +50,16 @@ void FrameResult::publish_metrics(obs::Registry& registry,
   }
 
   // Fig. 7: how deep windows travel into the cascade before rejection,
-  // per pyramid scale (bucket d = deepest stage reached; d = stage count
-  // means accepted).
+  // per pyramid scale (an observation of depth d = the deepest stage
+  // reached; d = stage count means accepted).
   for (const ScaleStats& stats : scales) {
     if (stats.depth_histogram.empty()) {
       continue;
     }
     obs::Labels scale_labels = labels;
     scale_labels.emplace_back("scale", std::to_string(stats.scale_index));
-    auto& histogram = registry.histogram(
-        "detect.rejection_depth",
-        obs::linear_buckets(0.0, 1.0,
-                            static_cast<int>(stats.depth_histogram.size())),
-        scale_labels);
+    auto& histogram =
+        registry.histogram("detect.rejection_depth", scale_labels);
     for (std::size_t depth = 0; depth < stats.depth_histogram.size();
          ++depth) {
       const auto count = stats.depth_histogram[depth];

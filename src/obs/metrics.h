@@ -7,12 +7,14 @@
 //
 //   Counter    monotonically increasing total (kernel launches, bytes)
 //   Gauge      last-written value (makespan_ms, sm_utilization)
-//   Histogram  explicit-bucket distribution (frame latency, stage depth)
+//   Histogram  sum and count of weighted observations (frame latency,
+//              stage depth)
 //
 // Every metric carries a name plus an ordered label set, so the same
 // quantity can be published per {mode=serial|concurrent}, per scale, per
-// trailer, ... The registry serializes to JSON; bench binaries write
-// these files via --metrics-out (bench_common.h).
+// trailer, ... A registry is persisted only as a run record
+// (obs::build_run_record, obs/runrecord.h), which binaries write via
+// --record-out.
 //
 // Thread safety: metric creation and all value updates are guarded by one
 // registry mutex — contention is irrelevant at the rates benches publish.
@@ -75,39 +77,20 @@ class Gauge {
   double value_ = 0.0;
 };
 
-// Bucket-count convention (applies to every exported surface): bucket
-// counts are CUMULATIVE, Prometheus-style — element i is the count of
-// observations <= bounds()[i], the final element (the implicit +inf
-// bucket) equals count(). This holds for Histogram::bucket_counts(),
-// Registry::Sample::bucket_counts and the JSON "buckets" array. Only the
-// private accumulation buffer `counts_` stores per-bucket
-// (non-cumulative) increments; it is never exported.
+/// Keeps what a run record holds of a distribution: the weighted sum
+/// and the observation count (series `<name>.sum` / `<name>.count`).
 class Histogram {
  public:
   /// Records `count` observations of `value`.
   void observe(double value, double count = 1.0);
-  double sum() const;
-  double count() const;
-  /// Cumulative: element i counts observations <= bounds()[i]; the last
-  /// element (implicit +inf bucket) equals count().
-  std::vector<double> bucket_counts() const;
-  const std::vector<double>& bounds() const { return bounds_; }
 
  private:
   friend class Registry;
-  Histogram(Registry* registry, std::vector<double> bounds);
+  explicit Histogram(Registry* registry) : registry_(registry) {}
   Registry* registry_;
-  std::vector<double> bounds_;   ///< ascending upper bounds; +inf implicit
-  /// Per-bucket accumulation buffer (last slot = +inf bucket). Internal
-  /// only: every exported view converts to cumulative counts (see the
-  /// class comment).
-  std::vector<double> counts_;
   double sum_ = 0.0;
   double count_ = 0.0;
 };
-
-/// Equal-width bucket bounds [0, count) — handy for depth histograms.
-std::vector<double> linear_buckets(double start, double width, int count);
 
 class Registry {
  public:
@@ -121,40 +104,24 @@ class Registry {
   /// cardinality cap throws MetricCardinalityError.
   Counter& counter(const std::string& name, const Labels& labels = {});
   Gauge& gauge(const std::string& name, const Labels& labels = {});
-  Histogram& histogram(const std::string& name, std::vector<double> bounds,
-                       const Labels& labels = {});
+  Histogram& histogram(const std::string& name, const Labels& labels = {});
 
   /// Cap on distinct (name, labels) series. Generous for every
   /// legitimate publisher (benches sit in the hundreds) while bounding
   /// the damage of an unbounded label; existing series are never evicted.
   static constexpr std::size_t kDefaultSeriesLimit = 4096;
 
-  bool empty() const;
-  std::size_t size() const;
-
-  /// One exported data point (histograms flatten into sum/count/buckets).
+  /// One data point of a snapshot.
   struct Sample {
     std::string name;
     std::string kind;  ///< "counter" | "gauge" | "histogram"
     Labels labels;
-    double value = 0.0;               ///< counter/gauge value, histogram sum
-    double count = 0.0;               ///< histogram only
-    std::vector<double> bounds;       ///< histogram only
-    /// Histogram only; cumulative (element i = observations <=
-    /// bounds[i], last = total), matching Histogram::bucket_counts().
-    std::vector<double> bucket_counts;
+    double value = 0.0;  ///< counter/gauge value, histogram sum
+    double count = 0.0;  ///< histogram only
   };
 
   /// Deterministic snapshot, sorted by (name, labels).
   std::vector<Sample> samples() const;
-
-  /// `{"metrics": [...]}` — one object per sample.
-  std::string to_json() const;
-
-  /// Writes to_json() through core::atomic_write_file (a failed write
-  /// leaves the previous file intact). Throws core::CheckError when the
-  /// file cannot be written.
-  void write_file(const std::string& path) const;
 
  private:
   friend class Counter;

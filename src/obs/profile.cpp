@@ -198,11 +198,10 @@ void KernelProfiler::after_launch(const vgpu::DeviceSpec& spec,
   frame_bucket.cycles += cycles;
 }
 
-RunRecord KernelProfiler::snapshot(std::string artifact, std::string variant,
+RunRecord KernelProfiler::snapshot(std::string artifact,
                                    Labels labels) const {
   RunRecord record;
   record.artifact = std::move(artifact);
-  record.variant = std::move(variant);
   record.labels = std::move(labels);
   const auto add = [&record](std::string name, double value,
                              Labels series_labels = {}) {

@@ -159,11 +159,10 @@ class KernelProfiler : public vgpu::LaunchObserver {
   std::uint64_t launches() const { return launches_; }
   double total_cycles() const { return total_cycles_; }
 
-  /// Aggregates collected launches into a run record of the series
-  /// listed above, in series_less order. Callable repeatedly;
-  /// collection continues afterwards.
-  RunRecord snapshot(std::string artifact, std::string variant = "default",
-                     Labels labels = {}) const;
+  /// Aggregates collected launches into a run record (default variant)
+  /// of the series listed above, in series_less order. Callable
+  /// repeatedly; collection continues afterwards.
+  RunRecord snapshot(std::string artifact, Labels labels = {}) const;
 
   /// Discards everything collected so far.
   void reset();

@@ -142,11 +142,10 @@ RunRecord RunRecord::load_file(const std::string& path) {
   }
 }
 
-RunRecord build_run_record(std::string artifact, std::string variant,
-                           Labels labels, const Registry& registry) {
+RunRecord build_run_record(std::string artifact, Labels labels,
+                           const Registry& registry) {
   RunRecord record;
   record.artifact = std::move(artifact);
-  record.variant = std::move(variant);
   record.labels = std::move(labels);
   for (const Registry::Sample& sample : registry.samples()) {
     if (sample.kind == "histogram") {

@@ -1,12 +1,14 @@
 // Versioned benchmark run records: the persistence half of the
 // observability loop.
 //
-// A RunRecord captures one invocation of a bench binary — the artifact
-// it reproduces (fig5, table2, ...), the cascade/configuration variant,
-// and one value per metric series. Records serialize through obs::json
-// as `BENCH_<artifact>.json`. It is the one persisted record schema:
-// kernel profiles (`PROFILE_<artifact>.json`, obs/profile.h) and the
-// fleet record (`BENCH_fleet_chaos.json`) are run records too. Committed
+// A RunRecord captures one invocation of a binary — the artifact it
+// reproduces (fig5, table2, ...), the configuration variant, and one
+// value per metric series. Records serialize through obs::json as
+// `BENCH_<artifact>.json`. It is the one persisted record schema and the
+// only way a metrics registry is persisted: every binary that keeps its
+// registry writes build_run_record(...) behind --record-out, and kernel
+// profiles (`PROFILE_<artifact>.json`, obs/profile.h) and the fleet
+// record (`BENCH_fleet_chaos.json`) are run records too. Committed
 // records at the repo root form the trajectory that `fdet_report diff`
 // (obs::compare_runs) gates new runs against, and `fdet_report show`
 // renders. Every recorded series is on the modeled clock of the
@@ -31,9 +33,8 @@
 // series_less — and from_json rejects a record that is not, which also
 // rejects a repeated identity; find() binary-searches that order.
 // Histograms flatten into two scalar series, `<name>.sum` and
-// `<name>.count` (kinds `histogram_sum` / `histogram_count`): run-to-run
-// comparison needs scalars, not buckets — the full bucket layout stays
-// available via --metrics-out. A non-finite value serializes as `null`
+// `<name>.count` (kinds `histogram_sum` / `histogram_count`), which is
+// all a registry histogram keeps. A non-finite value serializes as `null`
 // (see json::number) and parses back as NaN, so one degenerate ratio
 // cannot make a record unreadable.
 #pragma once
@@ -91,9 +92,10 @@ struct RunRecord {
   static RunRecord load_file(const std::string& path);
 };
 
-/// Snapshots `registry` into a record: one series per (name, labels),
-/// histograms flattened into .sum/.count, in series_less order.
-RunRecord build_run_record(std::string artifact, std::string variant,
-                           Labels labels, const Registry& registry);
+/// Snapshots `registry` into a record of the default variant: one series
+/// per (name, labels), histograms flattened into .sum/.count, in
+/// series_less order.
+RunRecord build_run_record(std::string artifact, Labels labels,
+                           const Registry& registry);
 
 }  // namespace fdet::obs

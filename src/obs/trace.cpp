@@ -393,10 +393,7 @@ void publish_timeline(Registry& registry, const vgpu::Timeline& timeline,
   registry.counter("vgpu.global_write_bytes", labels)
       .add(static_cast<double>(total.global_write_bytes));
 
-  auto& durations = registry.histogram(
-      "vgpu.kernel_duration_ms",
-      {0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0},
-      labels);
+  auto& durations = registry.histogram("vgpu.kernel_duration_ms", labels);
   for (const vgpu::LaunchRecord& record : timeline.records) {
     durations.observe(record.duration_s() * 1e3);
   }

@@ -2,8 +2,8 @@
 //
 // One CheckReport — a single launch run under a CheckScope — becomes a
 // `vgpu.check.*` metric family labelled by kernel name, so verification
-// results travel through the same --metrics-out files, fdet_report tables
-// and CI gates as the performance numbers:
+// results travel through the same run records (--record-out),
+// fdet_report tables and CI gates as the performance numbers:
 //
 //   vgpu.check.clean{kernel=K}          gauge, 1 when no hazards
 //   vgpu.check.hazards{kernel=K,kind=}  counter per hazard kind (includes

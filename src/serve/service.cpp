@@ -111,10 +111,8 @@ ServiceReport StreamingService::run(const ingest::FrameSource& source,
     stream_.on_frame();
     std::erase_if(pending, [&](double done) { return done <= arrival_s; });
     const int depth = static_cast<int>(pending.size());
-    executor_.observe_histogram(
-        "serve.queue_depth",
-        obs::linear_buckets(0.0, 1.0, kServiceQueueCapacity + 1),
-        static_cast<double>(depth));
+    executor_.observe_histogram("serve.queue_depth",
+                                static_cast<double>(depth));
     slo.observe_queue_depth(static_cast<double>(depth));
 
     // Causal context for everything this frame does — spans, launches and
@@ -186,9 +184,7 @@ ServiceReport StreamingService::run(const ingest::FrameSource& source,
     }
 
     if (served) {
-      executor_.observe_histogram(
-          "serve.latency_ms", {1, 2, 5, 10, 20, 30, 40, 50, 75, 100, 150, 200},
-          sf.latency_ms);
+      executor_.observe_histogram("serve.latency_ms", sf.latency_ms);
       slo.observe_stage("decode", sf.decode_ms);
       slo.observe_stage("detect", sf.detect_ms);
       if (sf.backoff_ms > 0.0) {

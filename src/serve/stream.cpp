@@ -124,11 +124,9 @@ void FrameExecutor::gauge(const char* name, double value,
   }
 }
 
-void FrameExecutor::observe_histogram(const char* name,
-                                      std::vector<double> bounds,
-                                      double value) const {
+void FrameExecutor::observe_histogram(const char* name, double value) const {
   if (registry_ != nullptr) {
-    registry_->histogram(name, std::move(bounds)).observe(value);
+    registry_->histogram(name).observe(value);
   }
 }
 
@@ -241,8 +239,7 @@ void StreamRecovery::serve_frame(FrameExecutor& executor, ServedFrame& sf,
     sf.backoff_ms += wait;
     ++sf.retries;
     executor.count("serve.retries", {{"stage", stage}});
-    executor.observe_histogram("serve.backoff_ms",
-                               {0.5, 1, 2, 4, 8, 16, 32, 64}, wait);
+    executor.observe_histogram("serve.backoff_ms", wait);
     trace_instant(std::string("serve.retry ") + stage + " frame " +
                   std::to_string(index) + " retry " + std::to_string(retry));
     append_cause(sf, std::string("retry:") + stage);
@@ -302,9 +299,7 @@ void StreamRecovery::serve_frame(FrameExecutor& executor, ServedFrame& sf,
         decoded = source.decode(index);
         sf.decode_ms += decoded->decode_ms;
         executor.count("ingest.frames", {{"format", format}});
-        executor.observe_histogram("ingest.decode_ms",
-                                   {0.5, 1, 2, 4, 8, 12, 16, 24, 32},
-                                   decoded->decode_ms);
+        executor.observe_histogram("ingest.decode_ms", decoded->decode_ms);
         digest = luma_digest(decoded->frame.luma());
         executor.decoded_.emplace(
             std::make_pair(&source, index),

@@ -116,8 +116,7 @@ class FrameExecutor {
              double delta = 1.0) const;
   void gauge(const char* name, double value,
              const obs::Labels& labels = {}) const;
-  void observe_histogram(const char* name, std::vector<double> bounds,
-                         double value) const;
+  void observe_histogram(const char* name, double value) const;
   /// Records one flight event, in the ambient trace context if any.
   /// `stream` >= 0 tags the detail "s<stream>:" (fleet events).
   void flight(obs::FlightEventKind kind, int frame, double ts_us,

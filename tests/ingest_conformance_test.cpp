@@ -142,7 +142,9 @@ TEST_P(Conformance, CapabilityFlagsMatchTheFormat) {
 
 INSTANTIATE_TEST_SUITE_P(AllSources, Conformance,
                          ::testing::Values("h264", "raw", "mjpeg", "gif"),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& param_info) {
+                           return param_info.param;
+                         });
 
 TEST(ConformanceCross, ContainerLumaMatchesTheDecoderOutput) {
   // The byte-stream encoders serialize the same synthetic footage the

@@ -108,8 +108,8 @@ TEST_P(SharedHeader, TrailingGarbageIsTyped) {
 
 INSTANTIATE_TEST_SUITE_P(AllFormats, SharedHeader,
                          ::testing::ValuesIn(kAllFormats),
-                         [](const auto& info) {
-                           return std::string(format_name(info.param));
+                         [](const auto& param_info) {
+                           return std::string(format_name(param_info.param));
                          });
 
 // ---- per-format payload validation (lazy, at decode) ----

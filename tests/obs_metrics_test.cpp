@@ -1,5 +1,7 @@
-// Metrics registry: metric kinds, label identity, histogram bucketing,
-// and the JSON exporter (validated by re-parsing through obs::json).
+// Metrics registry: metric kinds, label identity, snapshots, the
+// cardinality cap and concurrent writers; plus the obs::json parser and
+// number formatting. What a registry persists is tested through its run
+// record (obs_runrecord_test).
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
@@ -33,7 +35,7 @@ TEST(MetricsRegistry, CounterAccumulatesAndIsIdentityStable) {
   Counter& other = registry.counter("launches", {{"mode", "concurrent"}});
   EXPECT_NE(&other, &c);
   EXPECT_DOUBLE_EQ(other.value(), 0.0);
-  EXPECT_EQ(registry.size(), 2u);
+  EXPECT_EQ(registry.samples().size(), 2u);
 }
 
 TEST(MetricsRegistry, GaugeKeepsLastValue) {
@@ -48,32 +50,7 @@ TEST(MetricsRegistry, KindMismatchThrows) {
   Registry registry;
   registry.counter("x");
   EXPECT_THROW(registry.gauge("x"), core::CheckError);
-  EXPECT_THROW(registry.histogram("x", {1.0}), core::CheckError);
-}
-
-TEST(MetricsHistogram, BucketCountsAreCumulativeWithImplicitInf) {
-  Registry registry;
-  Histogram& h = registry.histogram("latency", {1.0, 5.0, 10.0});
-  h.observe(0.5);
-  h.observe(1.0);   // boundary value counts as <= bound
-  h.observe(7.0);
-  h.observe(100.0, 2.0);  // weighted observation into +inf
-  EXPECT_DOUBLE_EQ(h.count(), 5.0);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.0 + 7.0 + 200.0);
-  const std::vector<double> cumulative = h.bucket_counts();
-  ASSERT_EQ(cumulative.size(), 4u);  // 3 bounds + inf
-  EXPECT_DOUBLE_EQ(cumulative[0], 2.0);
-  EXPECT_DOUBLE_EQ(cumulative[1], 2.0);
-  EXPECT_DOUBLE_EQ(cumulative[2], 3.0);
-  EXPECT_DOUBLE_EQ(cumulative[3], 5.0);
-}
-
-TEST(MetricsHistogram, LinearBuckets) {
-  const std::vector<double> bounds = linear_buckets(0.0, 2.0, 3);
-  ASSERT_EQ(bounds.size(), 3u);
-  EXPECT_DOUBLE_EQ(bounds[0], 0.0);
-  EXPECT_DOUBLE_EQ(bounds[1], 2.0);
-  EXPECT_DOUBLE_EQ(bounds[2], 4.0);
+  EXPECT_THROW(registry.histogram("x"), core::CheckError);
 }
 
 TEST(MetricsRegistry, SamplesAreSortedAndComplete) {
@@ -91,65 +68,6 @@ TEST(MetricsRegistry, SamplesAreSortedAndComplete) {
   EXPECT_EQ(samples[2].kind, "gauge");
 }
 
-TEST(MetricsRegistry, JsonExportRoundTripsThroughParser) {
-  Registry registry;
-  registry.gauge("vgpu.sm_utilization", {{"mode", "serial"}}).set(0.75);
-  registry.histogram("depth", {1.0, 2.0}).observe(1.5);
-  const json::Value doc = json::parse(registry.to_json());
-  const auto& metrics = doc.at("metrics").as_array();
-  ASSERT_EQ(metrics.size(), 2u);
-  // Sorted by name: depth < vgpu.sm_utilization.
-  EXPECT_EQ(metrics[0].at("name").as_string(), "depth");
-  EXPECT_EQ(metrics[0].at("kind").as_string(), "histogram");
-  EXPECT_DOUBLE_EQ(metrics[0].at("count").as_number(), 1.0);
-  ASSERT_EQ(metrics[0].at("buckets").as_array().size(), 3u);
-  EXPECT_EQ(metrics[1].at("name").as_string(), "vgpu.sm_utilization");
-  EXPECT_DOUBLE_EQ(metrics[1].at("value").as_number(), 0.75);
-  EXPECT_EQ(metrics[1].at("labels").at("mode").as_string(), "serial");
-}
-
-TEST(MetricsRegistry, JsonExportKeepsCommasInLabelValues) {
-  Registry registry;
-  registry.counter("n", {{"a", "x,y"}}).add(2.0);
-  const json::Value doc = json::parse(registry.to_json());
-  const json::Value& metric = doc.at("metrics").as_array()[0];
-  EXPECT_EQ(metric.at("name").as_string(), "n");
-  EXPECT_EQ(metric.at("kind").as_string(), "counter");
-  EXPECT_EQ(metric.at("labels").at("a").as_string(), "x,y");
-  EXPECT_DOUBLE_EQ(metric.at("value").as_number(), 2.0);
-}
-
-TEST(MetricsHistogram, ExportersEmitCumulativeBuckets) {
-  // Regression test for the bucket-count convention (see metrics.h): all
-  // exported surfaces are cumulative; only the internal accumulation
-  // buffer is per-bucket. Hand-computed: observations 0.5, 3.0, 3.0, 7.0
-  // against bounds {1, 5} land per-bucket {1, 2, 1(inf)}, so the
-  // cumulative export must read {1, 3, 4}.
-  Registry registry;
-  Histogram& h = registry.histogram("lat", {1.0, 5.0});
-  h.observe(0.5);
-  h.observe(3.0, 2.0);
-  h.observe(7.0);
-
-  const std::vector<double> expected = {1.0, 3.0, 4.0};
-  EXPECT_EQ(h.bucket_counts(), expected);
-
-  const auto samples = registry.samples();
-  ASSERT_EQ(samples.size(), 1u);
-  EXPECT_EQ(samples[0].bucket_counts, expected);
-
-  const json::Value doc = json::parse(registry.to_json());
-  const auto& buckets = doc.at("metrics").as_array()[0].at("buckets").as_array();
-  ASSERT_EQ(buckets.size(), 3u);
-  EXPECT_DOUBLE_EQ(buckets[0].at("count").as_number(), 1.0);
-  EXPECT_DOUBLE_EQ(buckets[1].at("count").as_number(), 3.0);
-  EXPECT_DOUBLE_EQ(buckets[2].at("count").as_number(), 4.0);
-  EXPECT_EQ(buckets[2].at("le").as_string(), "inf");
-  // The +inf bucket equals the total count in a cumulative scheme.
-  EXPECT_DOUBLE_EQ(buckets[2].at("count").as_number(),
-                   doc.at("metrics").as_array()[0].at("count").as_number());
-}
-
 TEST(MetricsRegistry, CardinalityCapThrowsTypedError) {
   Registry registry;
   registry.counter("a").increment();
@@ -157,7 +75,7 @@ TEST(MetricsRegistry, CardinalityCapThrowsTypedError) {
   for (std::size_t i = 2; i < Registry::kDefaultSeriesLimit; ++i) {
     registry.counter("fill", {{"i", std::to_string(i)}});
   }
-  ASSERT_EQ(registry.size(), Registry::kDefaultSeriesLimit);
+  ASSERT_EQ(registry.samples().size(), Registry::kDefaultSeriesLimit);
   // One more *new* series blows the cap with the typed error...
   EXPECT_THROW(registry.counter("c"), MetricCardinalityError);
   // ...which is also a core::CheckError, so generic handlers still work.
@@ -175,7 +93,7 @@ TEST(MetricsRegistry, CardinalityCapThrowsTypedError) {
   registry.gauge("b").set(2.0);
   EXPECT_DOUBLE_EQ(registry.counter("a").value(), 2.0);
   EXPECT_DOUBLE_EQ(registry.gauge("b").value(), 2.0);
-  EXPECT_EQ(registry.size(), Registry::kDefaultSeriesLimit);
+  EXPECT_EQ(registry.samples().size(), Registry::kDefaultSeriesLimit);
 }
 
 TEST(MetricsRegistry, ConcurrentWritersLoseNoIncrements) {
@@ -209,7 +127,8 @@ TEST(MetricsRegistry, ConcurrentWritersLoseNoIncrements) {
         static_cast<double>(kIncrements));
   }
   // shared + last_writer + one series per thread.
-  EXPECT_EQ(registry.size(), static_cast<std::size_t>(kThreads) + 2);
+  EXPECT_EQ(registry.samples().size(),
+            static_cast<std::size_t>(kThreads) + 2);
 }
 
 TEST(ObsJson, ParserRejectsMalformedInput) {
@@ -233,22 +152,6 @@ TEST(ObsJson, NonFiniteNumbersSerializeAsNull) {
   EXPECT_EQ(json::number(-std::numeric_limits<double>::infinity()), "null");
   // Value::dump goes through the same formatter.
   EXPECT_EQ(json::Value::make_number(std::nan("")).dump(), "null");
-}
-
-TEST(ObsJson, RegistryWithNonFiniteValuesStaysParseable) {
-  // Degenerate ratios (0/0 utilization on an empty timeline, say) must
-  // not produce an unparseable metrics file or run record.
-  Registry registry;
-  registry.gauge("ratio").set(std::nan(""));
-  registry.gauge("rate").set(std::numeric_limits<double>::infinity());
-  registry.gauge("ok").set(1.5);
-
-  const json::Value doc = json::parse(registry.to_json());
-  const auto& metrics = doc.at("metrics").as_array();
-  ASSERT_EQ(metrics.size(), 3u);
-  EXPECT_DOUBLE_EQ(metrics[0].at("value").as_number(), 1.5);   // "ok"
-  EXPECT_TRUE(metrics[1].at("value").is_null());               // "rate"
-  EXPECT_TRUE(metrics[2].at("value").is_null());               // "ratio"
 }
 
 }  // namespace

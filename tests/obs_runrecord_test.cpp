@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -42,7 +43,7 @@ TEST(RunRecordBuild, CollectsOneValuePerSeries) {
   registry.counter("detect.frames").add(36.0);
 
   const RunRecord record =
-      build_run_record("fig5", "default", {{"host", "test"}}, registry);
+      build_run_record("fig5", {{"host", "test"}}, registry);
   EXPECT_EQ(record.schema_version, kRunRecordSchemaVersion);
   EXPECT_EQ(record.artifact, "fig5");
   ASSERT_EQ(record.metrics.size(), 3u);
@@ -63,10 +64,18 @@ TEST(RunRecordBuild, CollectsOneValuePerSeries) {
 
 TEST(RunRecordBuild, HistogramsFlattenIntoSumAndCountSeries) {
   Registry registry;
-  registry.histogram("detect.frame_latency_ms", {1.0, 10.0}).observe(3.0);
-  registry.histogram("detect.frame_latency_ms", {1.0, 10.0}).observe(5.0, 2.0);
+  registry.histogram("detect.frame_latency_ms").observe(3.0);
+  registry.histogram("detect.frame_latency_ms").observe(5.0, 2.0);
+  // Weighted observations only (the per-scale rejection-depth pattern):
+  // a weight multiplies into the sum and adds to the count, and a zero
+  // weight adds nothing.
+  Histogram& depth =
+      registry.histogram("detect.rejection_depth", {{"scale", "0"}});
+  depth.observe(0.0, 90.0);
+  depth.observe(2.0, 8.0);
+  depth.observe(5.0, 0.0);
 
-  const RunRecord record = build_run_record("fig5", "default", {}, registry);
+  const RunRecord record = build_run_record("fig5", {}, registry);
   const MetricSeries* sum = record.find("detect.frame_latency_ms.sum", {});
   const MetricSeries* count = record.find("detect.frame_latency_ms.count", {});
   ASSERT_NE(sum, nullptr);
@@ -79,6 +88,14 @@ TEST(RunRecordBuild, HistogramsFlattenIntoSumAndCountSeries) {
   EXPECT_LT(count, sum);
   // No raw histogram series leaks through under the original name.
   EXPECT_EQ(record.find("detect.frame_latency_ms", {}), nullptr);
+
+  const Labels scale = {{"scale", "0"}};
+  ASSERT_NE(record.find("detect.rejection_depth.sum", scale), nullptr);
+  ASSERT_NE(record.find("detect.rejection_depth.count", scale), nullptr);
+  EXPECT_DOUBLE_EQ(record.find("detect.rejection_depth.sum", scale)->value,
+                   16.0);
+  EXPECT_DOUBLE_EQ(record.find("detect.rejection_depth.count", scale)->value,
+                   98.0);
 }
 
 TEST(RunRecordFind, BinarySearchFindsEveryIdentityAndNothingElse) {
@@ -90,7 +107,7 @@ TEST(RunRecordFind, BinarySearchFindsEveryIdentityAndNothingElse) {
   for (int i = 0; i < 50; ++i) {
     registry.gauge(name_of(i), {{"k", std::to_string(i)}}).set(i);
   }
-  const RunRecord record = build_run_record("x", "default", {}, registry);
+  const RunRecord record = build_run_record("x", {}, registry);
   ASSERT_EQ(record.metrics.size(), 50u);
   for (int i = 0; i < 50; ++i) {
     const MetricSeries* series =
@@ -107,26 +124,34 @@ TEST(RunRecordFind, BinarySearchFindsEveryIdentityAndNothingElse) {
 TEST(RunRecordJson, DumpParsesBackIdentically) {
   Registry registry;
   registry.gauge("vgpu.makespan_ms", {{"mode", "serial"}}).set(8.625);
+  // A label value may hold commas (a fault plan is one): the record keeps
+  // labels as JSON members, so the value comes back whole.
+  registry.counter("zz.n", {{"plan", "decode@6x2,corrupt@12"}}).add(2.0);
   const RunRecord record =
-      build_run_record("fig6", "ours", {{"commit", "abc"}}, registry);
+      build_run_record("fig6", {{"commit", "abc"}}, registry);
 
   const RunRecord reparsed = RunRecord::parse(record.dump());
   EXPECT_EQ(reparsed.schema_version, kRunRecordSchemaVersion);
   EXPECT_EQ(reparsed.artifact, "fig6");
-  EXPECT_EQ(reparsed.variant, "ours");
+  EXPECT_EQ(reparsed.variant, "default");
   EXPECT_EQ(format_labels(reparsed.labels), "commit=abc");
-  ASSERT_EQ(reparsed.metrics.size(), 1u);
+  ASSERT_EQ(reparsed.metrics.size(), 2u);
   const MetricSeries& series = reparsed.metrics[0];
   EXPECT_EQ(series.name, "vgpu.makespan_ms");
   EXPECT_EQ(format_labels(series.labels), "mode=serial");
   EXPECT_DOUBLE_EQ(series.value, 8.625);
+  const MetricSeries& commas = reparsed.metrics[1];
+  EXPECT_EQ(commas.kind, "counter");
+  ASSERT_EQ(commas.labels.size(), 1u);
+  EXPECT_EQ(commas.labels[0].second, "decode@6x2,corrupt@12");
+  EXPECT_DOUBLE_EQ(commas.value, 2.0);
   EXPECT_EQ(reparsed.dump(), record.dump());
 }
 
 TEST(RunRecordJson, FileRoundTripThroughWriteAndLoad) {
   Registry registry;
   registry.counter("vgpu.kernel_launches").add(18.0);
-  const RunRecord record = build_run_record("fig6", "default", {}, registry);
+  const RunRecord record = build_run_record("fig6", {}, registry);
 
   const std::string path = testing::TempDir() + "fdet_runrecord_test.json";
   record.write_file(path);
@@ -139,7 +164,7 @@ TEST(RunRecordJson, FileRoundTripThroughWriteAndLoad) {
 TEST(RunRecordJson, RejectsWrongSchemaVersionAndMalformedRecords) {
   Registry registry;
   registry.gauge("g").set(1.0);
-  RunRecord record = build_run_record("x", "default", {}, registry);
+  RunRecord record = build_run_record("x", {}, registry);
   record.schema_version = kRunRecordSchemaVersion + 1;
   EXPECT_THROW(RunRecord::parse(record.dump()), core::CheckError);
 
@@ -243,36 +268,42 @@ TEST(RunRecordJson, LoadFileDiagnosticsNameThePath) {
 }
 
 TEST(RunRecordJson, NonFiniteValuesSerializeAsNullAndParseAsNaN) {
+  // Degenerate ratios (0/0 utilization on an empty timeline, say) must
+  // not make a record unparseable.
   Registry registry;
   registry.gauge("degenerate_ratio").set(std::nan(""));
   registry.gauge("fine").set(2.0);
-  const RunRecord record = build_run_record("x", "default", {}, registry);
+  registry.gauge("rate").set(std::numeric_limits<double>::infinity());
+  const RunRecord record = build_run_record("x", {}, registry);
   const std::string text = record.dump();
-  EXPECT_NE(text.find("null"), std::string::npos);
+  EXPECT_NE(text.find("\"value\":null"), std::string::npos);
+  EXPECT_EQ(text.find("inf"), std::string::npos);
 
   const RunRecord reparsed = RunRecord::parse(text);
   const MetricSeries* degenerate = reparsed.find("degenerate_ratio", {});
   ASSERT_NE(degenerate, nullptr);
   EXPECT_TRUE(std::isnan(degenerate->value));
+  const MetricSeries* rate = reparsed.find("rate", {});
+  ASSERT_NE(rate, nullptr);
+  EXPECT_TRUE(std::isnan(rate->value));
   const MetricSeries* fine = reparsed.find("fine", {});
   ASSERT_NE(fine, nullptr);
   EXPECT_DOUBLE_EQ(fine->value, 2.0);
 }
 
 TEST(RunRecordJson, TornWriteLeavesThePreviousFileIntact) {
-  // Records, metrics exports and traces are rewritten in place (a re-pin
-  // writes straight over the committed BENCH_*.json); a write that dies
-  // halfway must throw and leave the previous bytes as they were.
+  // Records and traces are rewritten in place (a re-pin writes straight
+  // over the committed BENCH_*.json); a write that dies halfway must
+  // throw and leave the previous bytes as they were.
   Registry registry;
   registry.gauge("vgpu.makespan_ms").set(4.0);
-  const RunRecord record = build_run_record("x", "default", {}, registry);
+  const RunRecord record = build_run_record("x", {}, registry);
   const TraceSession trace;
 
   const std::string path = testing::TempDir() + "fdet_torn_write.json";
   const std::string previous = "previous contents\n";
   const std::vector<std::function<void()>> writers = {
       [&] { record.write_file(path); },
-      [&] { registry.write_file(path); },
       [&] { trace.write_file(path); },
   };
   for (std::size_t i = 0; i < writers.size(); ++i) {

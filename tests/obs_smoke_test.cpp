@@ -1,6 +1,6 @@
 // End-to-end observability smoke: run a real (small) detection frame with
-// the trace session installed, write the trace and metrics artifacts, and
-// re-read both through the obs::json parser — the same validation the
+// the trace session installed, write the trace and the run record, and
+// re-read both through their loaders — the same validation the
 // bench_trace_smoke ctest target performs on bench_fig6_kernel_trace.
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include "integral/integral.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/runrecord.h"
 #include "obs/trace.h"
 
 namespace fdet {
@@ -61,9 +62,9 @@ TEST(ObsSmoke, TracedPipelineFrameWritesValidArtifacts) {
 
   const std::string dir = ::testing::TempDir();
   const std::string trace_path = dir + "/obs_smoke.trace.json";
-  const std::string metrics_path = dir + "/obs_smoke.metrics.json";
+  const std::string record_path = dir + "/obs_smoke.record.json";
   session.write_file(trace_path);
-  metrics.write_file(metrics_path);
+  obs::build_run_record("smoke", {}, metrics).write_file(record_path);
 
   // Trace: parses, and holds both device processes plus host spans.
   const obs::json::Value trace = obs::json::parse_file(trace_path);
@@ -81,28 +82,21 @@ TEST(ObsSmoke, TracedPipelineFrameWritesValidArtifacts) {
   EXPECT_TRUE(saw_concurrent);
   EXPECT_TRUE(saw_serial);
 
-  // Metrics: parses, and carries the paper's profiler quantities for both
-  // execution modes (the issue's acceptance list).
-  const obs::json::Value doc = obs::json::parse_file(metrics_path);
+  // Record: loads, and carries the paper's profiler quantities for both
+  // execution modes.
+  const obs::RunRecord record = obs::RunRecord::load_file(record_path);
   const char* required[] = {"vgpu.branch_efficiency", "vgpu.simd_efficiency",
                             "vgpu.dram_read_gbps", "vgpu.makespan_ms",
                             "vgpu.sm_utilization"};
   for (const char* name : required) {
     for (const char* mode : {"concurrent", "serial"}) {
-      bool found = false;
-      for (const obs::json::Value& m : doc.at("metrics").as_array()) {
-        if (m.at("name").as_string() == name &&
-            m.at("labels").at("mode").as_string() == mode) {
-          found = true;
-          break;
-        }
-      }
-      EXPECT_TRUE(found) << name << " missing for mode=" << mode;
+      EXPECT_NE(record.find(name, {{"mode", mode}}), nullptr)
+          << name << " missing for mode=" << mode;
     }
   }
 
   std::remove(trace_path.c_str());
-  std::remove(metrics_path.c_str());
+  std::remove(record_path.c_str());
   session.uninstall();
 }
 

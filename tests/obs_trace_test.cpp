@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "obs/runrecord.h"
 #include "vgpu/scheduler.h"
 
 namespace fdet::obs {
@@ -313,14 +314,11 @@ TEST(TracePublish, TimelineMetricsLandInRegistry) {
   EXPECT_GT(registry.gauge("vgpu.sm_utilization", labels).value(), 0.0);
   EXPECT_DOUBLE_EQ(registry.counter("vgpu.kernel_launches", labels).value(),
                    3.0);
-  EXPECT_DOUBLE_EQ(
-      registry
-          .histogram("vgpu.kernel_duration_ms",
-                     {0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0,
-                      20.0, 50.0},
-                     labels)
-          .count(),
-      3.0);
+  const RunRecord record = build_run_record("trace", {}, registry);
+  const MetricSeries* durations =
+      record.find("vgpu.kernel_duration_ms.count", labels);
+  ASSERT_NE(durations, nullptr);
+  EXPECT_DOUBLE_EQ(durations->value, 3.0);
 }
 
 }  // namespace

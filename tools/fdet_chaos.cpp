@@ -126,7 +126,7 @@ int run_chaos(int argc, char** argv) {
       "decode@44x3,decode@45x3,decode@46x3,bitstream@64";
   double seed = 20120926;
   int max_unserved = 8;
-  std::string metrics_out;
+  std::string record_out;
   std::string trace_out;
   std::string dump_dir = "chaos_dumps";
   bool verbose = false;
@@ -142,7 +142,7 @@ int run_chaos(int argc, char** argv) {
   cli.flag("seed", seed, "fault-plan + jitter seed");
   cli.flag("max-unserved", max_unserved,
            "invariant: longest tolerated failed/dropped streak");
-  cli.flag("metrics-out", metrics_out, "write serve.* metrics JSON here");
+  cli.flag("record-out", record_out, "write the serve.* run record here");
   cli.flag("trace-out", trace_out, "write the chaos-run Chrome trace here");
   cli.flag("dump-dir", dump_dir,
            "flight-recorder anomaly dump directory (\"\" disables dumps "
@@ -387,9 +387,10 @@ int run_chaos(int argc, char** argv) {
                 chaos.dumps.size(), dump_dir.c_str(), classes.size());
   }
 
-  if (!metrics_out.empty()) {
-    registry.write_file(metrics_out);
-    std::printf("metrics -> %s\n", metrics_out.c_str());
+  if (!record_out.empty()) {
+    obs::build_run_record("chaos", {{"plan", plan.describe()}}, registry)
+        .write_file(record_out);
+    std::printf("run record -> %s\n", record_out.c_str());
   }
   if (!trace_out.empty()) {
     trace.write_file(trace_out);
@@ -438,7 +439,6 @@ int run_fleet_chaos(int argc, char** argv) {
   std::string device_faults;
   double seed = 20120926;
   std::string record_out;
-  std::string metrics_out;
   std::string dump_dir = "fleet_dumps";
   bool verbose = false;
 
@@ -462,7 +462,6 @@ int run_fleet_chaos(int argc, char** argv) {
            "the run span)");
   cli.flag("seed", seed, "fault-plan seed");
   cli.flag("record-out", record_out, "write BENCH_fleet_chaos.json here");
-  cli.flag("metrics-out", metrics_out, "write serve.fleet.* metrics here");
   cli.flag("dump-dir", dump_dir,
            "flight-recorder dump directory on invariant failure "
            "(\"\" disables)");
@@ -808,18 +807,14 @@ int run_fleet_chaos(int argc, char** argv) {
   expect(chaos.batches > 0 && chaos.batched_frames > chaos.batches,
          "cross-stream batching never fused frames");
 
-  if (!metrics_out.empty()) {
-    registry.write_file(metrics_out);
-    std::printf("metrics -> %s\n", metrics_out.c_str());
-  }
   if (!record_out.empty()) {
     registry.gauge("serve.fleet.deadline_ms").set(deadline_ms);
     registry.gauge("serve.fleet.fps_per_stream").set(fps);
     registry.gauge("serve.fleet.streams").set(total_streams);
     registry.gauge("serve.fleet.devices").set(devices);
-    obs::RunRecord record = obs::build_run_record(
-        "fleet_chaos", "default", {{"plan", plan.describe()}}, registry);
-    record.write_file(record_out);
+    obs::build_run_record("fleet_chaos", {{"plan", plan.describe()}},
+                          registry)
+        .write_file(record_out);
     std::printf("run record -> %s\n", record_out.c_str());
   }
 

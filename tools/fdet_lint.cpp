@@ -21,10 +21,10 @@
 //                               proof of detection
 //   --width, --height           base frame geometry (96x72)
 //   --sweep                     also run an odd-sized frame (default on)
-//   --metrics-out=f             export vgpu.check.* (check) or
-//                               analyze.lint.* (lint) metrics as JSON,
-//                               which `fdet_report show` renders as
-//                               tables
+//   --record-out=f              write the vgpu.check.* (check) or
+//                               analyze.lint.* (lint) series as a run
+//                               record, which `fdet_report show`
+//                               renders as tables
 //
 // Exit codes, both modes: 0 the gate passes (every kernel clean; with
 // --seeded, every planted defect detected), 1 usage error, 2 the gate
@@ -44,6 +44,7 @@
 #include "core/rng.h"
 #include "core/table.h"
 #include "obs/metrics.h"
+#include "obs/runrecord.h"
 #include "obs/verify.h"
 #include "vgpu/checker.h"
 #include "vgpu/kernel.h"
@@ -71,10 +72,11 @@ std::vector<std::pair<int, int>> geometries(int width, int height,
   return out;
 }
 
-void write_metrics(const obs::Registry& registry, const std::string& path) {
+void write_record(const char* artifact, const obs::Registry& registry,
+                  const std::string& path) {
   if (!path.empty()) {
-    registry.write_file(path);
-    std::printf("metrics written to %s\n", path.c_str());
+    obs::build_run_record(artifact, {}, registry).write_file(path);
+    std::printf("run record written to %s\n", path.c_str());
   }
 }
 
@@ -102,7 +104,7 @@ int report_seeded(const std::vector<SeededVerdict>& verdicts,
 // --- check mode ----------------------------------------------------------
 
 int check_production(int width, int height, bool sweep,
-                     const std::string& metrics_out) {
+                     const std::string& record_out) {
   std::vector<vgpu::CheckReport> reports;
   for (const auto& [w, h] : geometries(width, height, sweep)) {
     std::printf("## check sweep at %dx%d\n", w, h);
@@ -137,13 +139,13 @@ int check_production(int width, int height, bool sweep,
   }
   obs::Registry registry;
   obs::publish_check_reports(registry, reports);
-  write_metrics(registry, metrics_out);
+  write_record("check", registry, record_out);
   std::printf("%zu kernel launches checked: %s\n", reports.size(),
               all_clean ? "ALL CLEAN" : "HAZARDS FOUND");
   return all_clean ? 0 : 2;
 }
 
-int check_seeded(const std::string& metrics_out) {
+int check_seeded(const std::string& record_out) {
   using vgpu::HazardKind;
   const vgpu::DeviceSpec spec;
   constexpr int kLanes = 32;
@@ -229,7 +231,7 @@ int check_seeded(const std::string& metrics_out) {
     verdicts.push_back(std::move(verdict));
     obs::publish_check_report(registry, p.report, {{"corpus", "seeded"}});
   }
-  write_metrics(registry, metrics_out);
+  write_record("check", registry, record_out);
   return report_seeded(verdicts, "expected hazard");
 }
 
@@ -255,7 +257,7 @@ std::vector<analyze::KernelLintResult> lint_geometry(int width, int height,
 }
 
 int lint_production(int width, int height, bool sweep,
-                    const std::string& metrics_out) {
+                    const std::string& record_out) {
   std::vector<analyze::KernelLintResult> results;
   int shadowed = 0;
   for (const auto& [w, h] : geometries(width, height, sweep)) {
@@ -270,7 +272,7 @@ int lint_production(int width, int height, bool sweep,
 
   obs::Registry registry;
   analyze::publish_lint_results(registry, results);
-  write_metrics(registry, metrics_out);
+  write_record("lint", registry, record_out);
 
   int gating = 0;
   for (const analyze::KernelLintResult& r : results) {
@@ -306,7 +308,7 @@ std::vector<analyze::Finding> capture_and_analyze(Driver&& driver) {
   return analyze::analyze_kernel(irs.front(), analyze::AnalysisOptions{});
 }
 
-int lint_seeded(const std::string& metrics_out) {
+int lint_seeded(const std::string& record_out) {
   const vgpu::DeviceSpec spec;
   struct Planted {
     std::string name;
@@ -436,7 +438,7 @@ int lint_seeded(const std::string& metrics_out) {
     }
     verdicts.push_back(std::move(verdict));
   }
-  write_metrics(registry, metrics_out);
+  write_record("lint", registry, record_out);
   return report_seeded(verdicts, "expected finding");
 }
 
@@ -449,22 +451,22 @@ int main(int argc, char** argv) {
   if (mode != "check" && mode != "lint") {
     std::fprintf(stderr,
                  "usage: fdet_lint check|lint [--seeded] [--width=N] "
-                 "[--height=N] [--sweep=BOOL] [--metrics-out=FILE]\n");
+                 "[--height=N] [--sweep=BOOL] [--record-out=FILE]\n");
     return 1;
   }
   int width = 96;
   int height = 72;
   bool sweep = true;
   bool seeded = false;
-  std::string metrics_out;
+  std::string record_out;
   core::Cli cli("fdet_lint " + mode);
   cli.flag("width", width, "base frame width");
   cli.flag("height", height, "base frame height");
   cli.flag("sweep", sweep, "also verify an odd-sized frame geometry");
   cli.flag("seeded", seeded,
            "run the seeded-defect corpus instead of the production sweep");
-  cli.flag("metrics-out", metrics_out,
-           "export vgpu.check.* / analyze.lint.* metrics (JSON)");
+  cli.flag("record-out", record_out,
+           "write the vgpu.check.* / analyze.lint.* run record (JSON)");
   // Shift out the mode so the flag parser sees only flags.
   std::vector<char*> args = {argv[0]};
   args.insert(args.end(), argv + 2, argv + argc);
@@ -473,11 +475,11 @@ int main(int argc, char** argv) {
   }
   try {
     if (mode == "check") {
-      return seeded ? check_seeded(metrics_out)
-                    : check_production(width, height, sweep, metrics_out);
+      return seeded ? check_seeded(record_out)
+                    : check_production(width, height, sweep, record_out);
     }
-    return seeded ? lint_seeded(metrics_out)
-                  : lint_production(width, height, sweep, metrics_out);
+    return seeded ? lint_seeded(record_out)
+                  : lint_production(width, height, sweep, record_out);
   } catch (const core::CheckError& error) {
     std::fprintf(stderr, "fdet_lint %s: %s\n", mode.c_str(), error.what());
     return 1;

@@ -1,8 +1,8 @@
 // fdet_report — renders and gates the machine-readable artifacts the
-// repository writes: run records (BENCH_<artifact>.json from
-// --record-out, kernel profiles PROFILE_<artifact>.json from
-// --profile-out, the fleet record from `fdet_chaos fleet --record-out`),
-// metrics exports (--metrics-out) and flight-recorder dumps.
+// repository writes: run records (every binary's metrics registry from
+// --record-out — BENCH_<artifact>.json, the fleet record from
+// `fdet_chaos fleet` — and kernel profiles PROFILE_<artifact>.json from
+// --profile-out) and flight-recorder dumps.
 //
 //   fdet_report show <file.json>...        per file: the generic series
 //                                          table (metric names mapped
@@ -31,7 +31,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <iostream>
 #include <map>
 #include <string>
@@ -121,47 +120,6 @@ void show_run_record(const obs::RunRecord& record) {
   }
   table.print_markdown(std::cout);
   std::printf("\n");
-}
-
-/// Prints the generic table of a metrics export and returns its entries
-/// as a record (histograms flatten into `.sum`/`.count`, as in run
-/// records), so the sections below read both kinds of file alike.
-obs::RunRecord show_metrics_export(const obs::json::Value& doc,
-                                   std::string artifact) {
-  obs::RunRecord record;
-  record.artifact = std::move(artifact);
-  const auto add = [&record](std::string name, const obs::Labels& labels,
-                             const obs::json::Value& value) {
-    const double number = value.is_null() ? std::nan("") : value.as_number();
-    record.metrics.push_back({std::move(name), "gauge", labels, number});
-  };
-  std::printf("### Metrics registry export\n\n");
-  core::Table table({"metric", "kind", "labels", "value", "paper artifact"});
-  for (const obs::json::Value& entry : doc.at("metrics").as_array()) {
-    const std::string& name = entry.at("name").as_string();
-    obs::Labels labels;
-    for (const auto& [key, value] : entry.at("labels").as_object()) {
-      labels.emplace_back(key, value.as_string());
-    }
-    std::string value;
-    if (const obs::json::Value* v = entry.find("value")) {
-      value = v->is_null() ? "null" : format_number(v->as_number());
-      add(name, labels, *v);
-    } else {
-      // Histogram: summarize as sum/count, buckets stay in the file.
-      value = "sum " + format_number(entry.at("sum").as_number()) + ", n " +
-              format_number(entry.at("count").as_number());
-      add(name + ".sum", labels, entry.at("sum"));
-      add(name + ".count", labels, entry.at("count"));
-    }
-    table.add_row({name, entry.at("kind").as_string(),
-                   obs::format_labels(labels), value, paper_artifact(name)});
-  }
-  table.print_markdown(std::cout);
-  std::printf("\n");
-  // RunRecord::find binary-searches; flattening broke the export order.
-  std::sort(record.metrics.begin(), record.metrics.end(), obs::series_less);
-  return record;
 }
 
 /// Value of label `key` on a series; empty when absent.
@@ -547,22 +505,15 @@ void show_file(const std::string& path) {
   const obs::json::Value doc = obs::json::parse_file(path);
   const bool flight =
       doc.find("anomaly") != nullptr && doc.find("traceEvents") != nullptr;
-  FDET_CHECK(flight || doc.find("schema_version") != nullptr ||
-             doc.find("metrics") != nullptr)
-      << path << ": neither a run record, a metrics export nor a flight dump";
+  FDET_CHECK(flight || doc.find("schema_version") != nullptr)
+      << path << ": neither a run record nor a flight dump";
   std::printf("<!-- %s -->\n", path.c_str());
   if (flight) {
     show_flight(path, doc);
     return;
   }
-  obs::RunRecord record;
-  if (doc.find("schema_version") != nullptr) {
-    record = obs::RunRecord::from_json(doc);
-    show_run_record(record);
-  } else {
-    record = show_metrics_export(
-        doc, std::filesystem::path(path).stem().string());
-  }
+  const obs::RunRecord record = obs::RunRecord::from_json(doc);
+  show_run_record(record);
   show_verification(record);
   show_ingest(record);
   show_profile(record);

@@ -22,8 +22,8 @@
 //
 // Observability: each scenario runs against a fresh obs::Registry; the
 // harness asserts the train.checkpoint.* counters/gauges fired
-// (saved/save_failed/corrupt_quarantined/resumed_stage), and --metrics-out
-// dumps the final scenario's registry for CI artifacts.
+// (saved/save_failed/corrupt_quarantined/resumed_stage), and --record-out
+// writes the final scenario's registry as a run record for CI artifacts.
 //
 // Exit codes: 0 all invariants hold, 1 usage error, 2 invariant violated
 // (or the harness itself crashed, which is a durability bug by definition).
@@ -41,6 +41,7 @@
 #include "facegen/dataset.h"
 #include "haar/cascade.h"
 #include "obs/metrics.h"
+#include "obs/runrecord.h"
 #include "train/boost.h"
 #include "train/checkpoint.h"
 
@@ -123,14 +124,14 @@ int run_chaos(int argc, char** argv) {
   int backgrounds = 20;
   int seed = 2012;
   std::string dir = "train_chaos_artifacts";
-  std::string metrics_out;
+  std::string record_out;
   core::Cli cli("fdet_train_chaos");
   cli.flag("faces", faces, "training faces per run");
   cli.flag("backgrounds", backgrounds, "background images");
   cli.flag("seed", seed, "master seed");
   cli.flag("dir", dir, "working directory for checkpoints and artifacts");
-  cli.flag("metrics-out", metrics_out,
-           "write the final scenario's train.checkpoint.* metrics here");
+  cli.flag("record-out", record_out,
+           "write the final scenario's train.checkpoint.* run record here");
   if (!cli.parse(argc, argv)) {
     return 1;
   }
@@ -318,8 +319,9 @@ int run_chaos(int argc, char** argv) {
     std::printf("[chaos] %-22s quarantined, fallback resume identical\n",
                 scenario.c_str());
 
-    if (!metrics_out.empty()) {
-      resumed.registry.write_file(metrics_out);
+    if (!record_out.empty()) {
+      obs::build_run_record("train_chaos", {}, resumed.registry)
+          .write_file(record_out);
     }
   }
 
