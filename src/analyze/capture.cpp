@@ -435,33 +435,6 @@ void copy_launch_shape(const RawKernelCapture& raw, KernelIR& ir) {
 
 }  // namespace
 
-KernelIR condense(const RawKernelCapture& raw) {
-  KernelIR ir;
-  copy_launch_shape(raw, ir);
-  ir.data_seeds = 1;
-  for (std::size_t pi = 0; pi < raw.phases.size(); ++pi) {
-    const RawPhase& rp = raw.phases[pi];
-    PhaseIR phase;
-    phase.index = static_cast<int>(pi);
-    for (std::size_t i = 0; i < rp.shared_slots.size(); ++i) {
-      phase.shared_slots.push_back(
-          condense_slot(rp.shared_slots[i], phase.index, static_cast<int>(i),
-                        /*shared=*/true, rp.lanes_sampled));
-    }
-    for (std::size_t i = 0; i < rp.global_slots.size(); ++i) {
-      phase.global_slots.push_back(
-          condense_slot(rp.global_slots[i], phase.index, static_cast<int>(i),
-                        /*shared=*/false, rp.lanes_sampled));
-    }
-    for (std::size_t i = 0; i < rp.branches.size(); ++i) {
-      phase.branches.push_back(
-          condense_branch(rp.branches[i], phase.index, static_cast<int>(i)));
-    }
-    ir.phases.push_back(std::move(phase));
-  }
-  return ir;
-}
-
 KernelIR merge_captures(const RawKernelCapture& seed_a,
                         const RawKernelCapture& seed_b) {
   FDET_CHECK(seed_a.config.name == seed_b.config.name)

@@ -135,11 +135,6 @@ class CaptureScope {
   vgpu::LaunchObserverScope installer_;
 };
 
-/// Condenses one raw capture into a KernelIR: affine fit + verification
-/// per slot, participation classification, branch summaries. Used when
-/// only one data seed is available; data-dependence flags stay false.
-KernelIR condense(const RawKernelCapture& raw);
-
 /// Merges two captures of the SAME launch sequence under different data
 /// seeds into the final IR (data-dependence = any cross-seed difference).
 /// Throws core::CheckError when the sequences disagree structurally

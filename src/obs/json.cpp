@@ -89,11 +89,6 @@ Value Value::make_object(Object o) {
   return v;
 }
 
-bool Value::as_bool() const {
-  FDET_CHECK(is_bool()) << "JSON value is not a bool";
-  return bool_;
-}
-
 double Value::as_number() const {
   FDET_CHECK(is_number()) << "JSON value is not a number";
   return number_;

@@ -51,7 +51,6 @@ class Value {
   bool is_object() const { return kind_ == Kind::kObject; }
 
   /// Typed accessors; FDET_CHECK the kind.
-  bool as_bool() const;
   double as_number() const;
   const std::string& as_string() const;
   const Array& as_array() const;

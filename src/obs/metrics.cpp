@@ -1,8 +1,38 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
+#include <string_view>
+
 #include "core/check.h"
 
 namespace fdet::obs {
+
+namespace {
+
+/// What follows a value that ends its label set; sorts before any
+/// character.
+constexpr int kEndOfLabels = -1;
+
+/// Compares one field of two formatted label streams, each field followed
+/// by its terminator (a separator character or kEndOfLabels); a
+/// terminator sorts before a literal character equal to it.
+int compare_field(std::string_view a, int a_next, std::string_view b,
+                  int b_next) {
+  const std::size_t common = std::min(a.size(), b.size());
+  if (const int by_text = a.substr(0, common).compare(b.substr(0, common));
+      by_text != 0) {
+    return by_text;
+  }
+  if (a.size() == b.size()) {
+    return a_next == b_next ? 0 : (a_next < b_next ? -1 : 1);
+  }
+  // One field is a prefix of the other: its terminator meets a literal.
+  return a.size() < b.size()
+             ? (a_next <= static_cast<unsigned char>(b[common]) ? -1 : 1)
+             : (b_next <= static_cast<unsigned char>(a[common]) ? 1 : -1);
+}
+
+}  // namespace
 
 std::string format_labels(const Labels& labels) {
   std::string out;
@@ -15,6 +45,25 @@ std::string format_labels(const Labels& labels) {
     out += value;
   }
   return out;
+}
+
+int compare_labels(const Labels& a, const Labels& b) {
+  if (a.empty() || b.empty()) {
+    return static_cast<int>(!a.empty()) - static_cast<int>(!b.empty());
+  }
+  for (std::size_t i = 0;; ++i) {
+    if (const int by_key = compare_field(a[i].first, '=', b[i].first, '=');
+        by_key != 0) {
+      return by_key;
+    }
+    const int a_next = i + 1 < a.size() ? ',' : kEndOfLabels;
+    const int b_next = i + 1 < b.size() ? ',' : kEndOfLabels;
+    if (const int by_value =
+            compare_field(a[i].second, a_next, b[i].second, b_next);
+        by_value != 0 || a_next == kEndOfLabels) {
+      return by_value;
+    }
+  }
 }
 
 void Counter::add(double delta) {
@@ -47,8 +96,7 @@ void Histogram::observe(double value, double count) {
 
 Registry::Entry& Registry::entry(const std::string& name, const Labels& labels,
                                  const std::string& kind) {
-  const auto key = std::make_pair(name, format_labels(labels));
-  const auto it = entries_.find(key);
+  const auto it = entries_.find(KeyRef{name, labels});
   if (it != entries_.end()) {
     FDET_CHECK(it->second.kind == kind)
         << "metric '" << name << "' already registered as " << it->second.kind;
@@ -58,12 +106,10 @@ Registry::Entry& Registry::entry(const std::string& name, const Labels& labels,
     throw MetricCardinalityError(
         "metric series cardinality cap (" +
         std::to_string(kDefaultSeriesLimit) +
-        ") reached creating '" + name + "{" + key.second +
+        ") reached creating '" + name + "{" + format_labels(labels) +
         "}' — an unbounded label value is leaking into a metric identity");
   }
-  Entry& created = entries_[key];
-  created.name = name;
-  created.labels = labels;
+  Entry& created = entries_[Key{name, labels}];
   created.kind = kind;
   return created;
 }
@@ -101,9 +147,9 @@ std::vector<Registry::Sample> Registry::samples() const {
   std::lock_guard lock(mutex_);
   for (const auto& [key, e] : entries_) {
     Sample sample;
-    sample.name = e.name;
+    sample.name = key.name;
     sample.kind = e.kind;
-    sample.labels = e.labels;
+    sample.labels = key.labels;
     if (e.counter) {
       sample.value = e.counter->value_;
     } else if (e.gauge) {

@@ -50,6 +50,13 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 /// Renders labels as `k1=v1,k2=v2` (empty string for no labels).
 std::string format_labels(const Labels& labels);
 
+/// Three-way order of two label sets (<0, 0, >0): the order of their
+/// format_labels strings, except that the `=` and `,` the format inserts
+/// sort before a literal `=` or `,` inside a key or value. Sets without
+/// those characters order exactly as their strings do, and distinct sets
+/// never compare equal ({a="x,b=y"} and {a="x",b="y"} format alike).
+int compare_labels(const Labels& a, const Labels& b);
+
 class Registry;
 
 class Counter {
@@ -128,9 +135,25 @@ class Registry {
   friend class Gauge;
   friend class Histogram;
 
-  struct Entry {
+  /// A series identity; the map finds one from a KeyRef without copying.
+  struct Key {
     std::string name;
     Labels labels;
+  };
+  struct KeyRef {
+    const std::string& name;
+    const Labels& labels;
+  };
+  struct KeyLess {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      const int by_name = a.name.compare(b.name);
+      return by_name != 0 ? by_name < 0
+                          : compare_labels(a.labels, b.labels) < 0;
+    }
+  };
+  struct Entry {
     std::string kind;
     // Stable addresses: metrics hand out references.
     std::unique_ptr<Counter> counter;
@@ -142,7 +165,7 @@ class Registry {
                const std::string& kind);
 
   mutable std::mutex mutex_;
-  std::map<std::pair<std::string, std::string>, Entry> entries_;
+  std::map<Key, Entry, KeyLess> entries_;
 };
 
 }  // namespace fdet::obs

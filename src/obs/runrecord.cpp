@@ -11,15 +11,14 @@ namespace fdet::obs {
 
 namespace {
 
-/// Three-way order of `series` against the identity (name, label_key),
-/// label_key being format_labels of the identity's labels.
+/// Three-way order of `series` against the identity (name, labels).
 int compare_identity(const MetricSeries& series, std::string_view name,
-                     std::string_view label_key) {
+                     const Labels& labels) {
   if (const int by_name = std::string_view(series.name).compare(name);
       by_name != 0) {
     return by_name;
   }
-  return std::string_view(format_labels(series.labels)).compare(label_key);
+  return compare_labels(series.labels, labels);
 }
 
 json::Value labels_to_json(const Labels& labels) {
@@ -52,17 +51,16 @@ std::string series_identity(const std::string& name, const Labels& labels) {
 }
 
 bool series_less(const MetricSeries& a, const MetricSeries& b) {
-  return compare_identity(a, b.name, format_labels(b.labels)) < 0;
+  return compare_identity(a, b.name, b.labels) < 0;
 }
 
 const MetricSeries* RunRecord::find(std::string_view name,
                                     const Labels& match_labels) const {
-  const std::string label_key = format_labels(match_labels);
   const auto it = std::partition_point(
       metrics.begin(), metrics.end(), [&](const MetricSeries& series) {
-        return compare_identity(series, name, label_key) < 0;
+        return compare_identity(series, name, match_labels) < 0;
       });
-  return it != metrics.end() && compare_identity(*it, name, label_key) == 0
+  return it != metrics.end() && compare_identity(*it, name, match_labels) == 0
              ? &*it
              : nullptr;
 }
@@ -112,8 +110,7 @@ RunRecord RunRecord::from_json(const json::Value& doc) {
     series.value = number_or_nan(entry.at("value"));
     if (!record.metrics.empty()) {
       const int order =
-          compare_identity(record.metrics.back(), series.name,
-                           format_labels(series.labels));
+          compare_identity(record.metrics.back(), series.name, series.labels);
       FDET_CHECK(order < 0)
           << "series '" << series_identity(series.name, series.labels)
           << (order == 0 ? "' appears twice"

@@ -29,9 +29,10 @@
 //     ]
 //   }
 //
-// Series are in strictly increasing (name, formatted labels) order —
-// series_less — and from_json rejects a record that is not, which also
-// rejects a repeated identity; find() binary-searches that order.
+// Series are in strictly increasing (name, labels) order — series_less,
+// labels ordered by compare_labels — and from_json rejects a record that
+// is not, which also rejects a repeated identity; find() binary-searches
+// that order.
 // Histograms flatten into two scalar series, `<name>.sum` and
 // `<name>.count` (kinds `histogram_sum` / `histogram_count`), which is
 // all a registry histogram keeps. A non-finite value serializes as `null`
@@ -59,7 +60,7 @@ struct MetricSeries {
   double value = 0.0;
 };
 
-/// The record order: by name, then by format_labels(labels).
+/// The record order: by name, then by compare_labels.
 bool series_less(const MetricSeries& a, const MetricSeries& b);
 
 /// How the gate names a series: `name`, or `name{k1=v1,k2=v2}`.

@@ -19,7 +19,8 @@
 // in-budget-but-close frame, and when recovery fires.
 //
 // Per-stage latency and queue depth feed lifetime sketches surfaced in
-// publish() for the BENCH_serving_slo artifact.
+// publish() for the BENCH_serving_slo record, which the chaos soak
+// (tools/fdet_chaos) writes from its faulted run.
 #pragma once
 
 #include <array>

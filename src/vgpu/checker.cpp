@@ -227,11 +227,6 @@ void Checker::end_kernel() {
   current_ = CheckReport{};
 }
 
-void Checker::set_global_allocations(
-    std::vector<GlobalAllocation> allocations) {
-  options_.global_allocations = std::move(allocations);
-}
-
 std::vector<CheckReport> Checker::take_reports() {
   return std::exchange(reports_, {});
 }

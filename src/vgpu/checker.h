@@ -135,11 +135,6 @@ class Checker : public LaunchObserver {
   void end_phase() override;
   void end_kernel() override;
 
-  /// Replaces the registered allocations (between launches; `fdet_lint
-  /// check` re-registers per target because the offset address spaces
-  /// overlap).
-  void set_global_allocations(std::vector<GlobalAllocation> allocations);
-
   const std::vector<CheckReport>& reports() const { return reports_; }
   std::vector<CheckReport> take_reports();
   bool clean() const;
@@ -197,9 +192,6 @@ class CheckScope {
   explicit CheckScope(CheckOptions options = {});
 
   Checker& checker() { return checker_; }
-  void set_global_allocations(std::vector<GlobalAllocation> allocations) {
-    checker_.set_global_allocations(std::move(allocations));
-  }
   const std::vector<CheckReport>& reports() const { return checker_.reports(); }
   bool clean() const { return checker_.clean(); }
   std::size_t hazard_count() const { return checker_.hazard_count(); }

@@ -24,6 +24,41 @@ TEST(MetricsLabels, FormatIsOrderedKeyValueList) {
   EXPECT_EQ(format_labels({{"b", "2"}, {"a", "1"}}), "b=2,a=1");
 }
 
+TEST(MetricsLabels, OrderIsTheFormattedOrderWhenNoValueHoldsASeparator) {
+  // Keys and values around the separators' codes: '+' < ',' < '-' and
+  // '0' < '=' < 'A'.
+  const std::vector<std::string> texts = {"", "k", "k+", "k-", "k0", "kA"};
+  std::vector<Labels> sets = {{}};
+  for (const std::string& key : texts) {
+    for (const std::string& value : texts) {
+      sets.push_back({{key, value}});
+      sets.push_back({{key, value}, {"k", "1"}});
+    }
+  }
+  const auto sign = [](int v) { return (v > 0) - (v < 0); };
+  for (const Labels& a : sets) {
+    for (const Labels& b : sets) {
+      EXPECT_EQ(sign(compare_labels(a, b)),
+                sign(format_labels(a).compare(format_labels(b))))
+          << format_labels(a) << " vs " << format_labels(b);
+    }
+  }
+}
+
+TEST(MetricsRegistry, LabelSetsThatFormatAlikeAreDistinctSeries) {
+  // Both sets format as "a=x,b=y"; they are still two series.
+  Registry registry;
+  registry.counter("n", {{"a", "x,b=y"}}).add(1.0);
+  registry.counter("n", {{"a", "x"}, {"b", "y"}}).add(2.0);
+  const auto samples = registry.samples();
+  ASSERT_EQ(samples.size(), 2u);
+  // The inserted ',' sorts before the literal one.
+  EXPECT_EQ(samples[0].labels, (Labels{{"a", "x"}, {"b", "y"}}));
+  EXPECT_DOUBLE_EQ(samples[0].value, 2.0);
+  EXPECT_EQ(samples[1].labels, (Labels{{"a", "x,b=y"}}));
+  EXPECT_DOUBLE_EQ(samples[1].value, 1.0);
+}
+
 TEST(MetricsRegistry, CounterAccumulatesAndIsIdentityStable) {
   Registry registry;
   Counter& c = registry.counter("launches", {{"mode", "serial"}});

@@ -121,6 +121,27 @@ TEST(RunRecordFind, BinarySearchFindsEveryIdentityAndNothingElse) {
   EXPECT_EQ(record.find("z", {}), nullptr);
 }
 
+TEST(RunRecordFind, LabelSetsThatFormatAlikeAreDistinctSeries) {
+  // Both sets format as "a=x,b=y".
+  const Labels one = {{"a", "x,b=y"}};
+  const Labels two = {{"a", "x"}, {"b", "y"}};
+  Registry registry;
+  registry.counter("n", one).add(1.0);
+  registry.counter("n", two).add(2.0);
+  const RunRecord record = build_run_record("x", {}, registry);
+  ASSERT_EQ(record.metrics.size(), 2u);
+  const RunRecord reparsed = RunRecord::parse(record.dump());
+  EXPECT_EQ(reparsed.dump(), record.dump());
+  for (const RunRecord* r : {&record, &reparsed}) {
+    ASSERT_NE(r->find("n", one), nullptr);
+    EXPECT_EQ(r->find("n", one)->labels, one);
+    EXPECT_DOUBLE_EQ(r->find("n", one)->value, 1.0);
+    ASSERT_NE(r->find("n", two), nullptr);
+    EXPECT_EQ(r->find("n", two)->labels, two);
+    EXPECT_DOUBLE_EQ(r->find("n", two)->value, 2.0);
+  }
+}
+
 TEST(RunRecordJson, DumpParsesBackIdentically) {
   Registry registry;
   registry.gauge("vgpu.makespan_ms", {{"mode", "serial"}}).set(8.625);

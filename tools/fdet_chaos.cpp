@@ -1,8 +1,9 @@
 // Chaos soak for the streaming serving layer (serve::StreamingService).
 //
-// Trains a small cascade in-process, streams a SyntheticTrailer through the
-// service twice — once fault-free, once under a seeded FaultPlan — and
-// asserts the serving-layer invariants:
+// Loads the committed cascade pair (`--cache-dir`), streams a
+// SyntheticTrailer through the "ours" cascade twice — once fault-free, once
+// under a seeded FaultPlan, each on its own service — and asserts the
+// serving-layer invariants:
 //
 //   1. the service never crashes: every frame yields a ServedFrame record;
 //   2. the fault-free run is healthy (no failures, no drops, level 0);
@@ -22,6 +23,11 @@
 // Exit codes: 0 all invariants hold, 1 usage error, 2 invariant violated
 // (or the harness itself crashed, which is invariant 1 failing).
 //
+// Only the faulted run publishes metrics: `--record-out` writes its
+// registry as the BENCH_serving_slo run record (serve.*, ingest.* and the
+// SLO engine's slo.* series), all on the virtual clock, so the committed
+// record is byte-stable and record-gated.
+//
 // The default plan exercises every fault kind: transient decode failures,
 // a decode burst long enough to trip the circuit breaker, luma corruption,
 // transient launch faults (whose backoff blows the deadline and walks the
@@ -29,9 +35,10 @@
 // bitstream fault (typed ingest rejection, quarantined without retry).
 //
 // `fdet_chaos fleet` is the fleet-scale soak (serve::FleetScheduler,
-// DESIGN.md §12): 200+ streams in a gold/silver/best-effort tenant mix
-// over a virtual device fleet, replayed twice — once clean, once under a
-// seeded device-loss/hang/slow schedule — asserting the fleet invariants:
+// DESIGN.md §12) on a small cascade it trains in-process: 200+ streams in
+// a gold/silver/best-effort tenant mix over a virtual device fleet,
+// replayed twice — once clean, once under a seeded device-loss/hang/slow
+// schedule — asserting the fleet invariants:
 //
 //   F1. gold protection: no gold-tenant deadline violation on healthy
 //       capacity while best-effort still has shedding room (a frame held
@@ -74,6 +81,7 @@
 #include "serve/fleet.h"
 #include "serve/service.h"
 #include "train/boost.h"
+#include "train/pretrained.h"
 #include "video/decoder.h"
 
 namespace fdet {
@@ -126,6 +134,7 @@ int run_chaos(int argc, char** argv) {
       "decode@44x3,decode@45x3,decode@46x3,bitstream@64";
   double seed = 20120926;
   int max_unserved = 8;
+  std::string cache_dir = "fdet_cache";
   std::string record_out;
   std::string trace_out;
   std::string dump_dir = "chaos_dumps";
@@ -142,7 +151,9 @@ int run_chaos(int argc, char** argv) {
   cli.flag("seed", seed, "fault-plan + jitter seed");
   cli.flag("max-unserved", max_unserved,
            "invariant: longest tolerated failed/dropped streak");
-  cli.flag("record-out", record_out, "write the serve.* run record here");
+  cli.flag("cache-dir", cache_dir, "trained-cascade cache directory");
+  cli.flag("record-out", record_out,
+           "write the faulted run's record (BENCH_serving_slo.json) here");
   cli.flag("trace-out", trace_out, "write the chaos-run Chrome trace here");
   cli.flag("dump-dir", dump_dir,
            "flight-recorder anomaly dump directory (\"\" disables dumps "
@@ -168,7 +179,8 @@ int run_chaos(int argc, char** argv) {
   const video::MockH264Decoder decoder(trailer);
   const ingest::H264FrameSource source(decoder);
   const vgpu::DeviceSpec device;
-  const haar::Cascade cascade = chaos_cascade();
+  const train::CascadePair pair = train::get_or_train_cascades(cache_dir);
+  const haar::Cascade& cascade = pair.ours;
 
   serve::ServiceOptions options;
   options.fps = fps;
@@ -209,12 +221,15 @@ int run_chaos(int argc, char** argv) {
   // carry a flight-recorder dump directory.
   options.obs.dump_dir = dump_dir;
 
-  obs::Registry registry;
   obs::TraceSession trace;
   trace.install();
 
+  // Twin services: only the faulted one publishes, so the record holds
+  // the chaos run alone.
+  serve::StreamingService clean_service(device, cascade, {}, options);
+  const serve::ServiceReport clean = clean_service.run(source, frames);
+  obs::Registry registry;
   serve::StreamingService service(device, cascade, {}, options, &registry);
-  const serve::ServiceReport clean = service.run(source, frames);
   const serve::ServiceReport chaos = service.run(source, frames, &plan);
 
   std::printf(
@@ -388,7 +403,8 @@ int run_chaos(int argc, char** argv) {
   }
 
   if (!record_out.empty()) {
-    obs::build_run_record("chaos", {{"plan", plan.describe()}}, registry)
+    obs::build_run_record("serving_slo", {{"plan", plan.describe()}},
+                          registry)
         .write_file(record_out);
     std::printf("run record -> %s\n", record_out.c_str());
   }
