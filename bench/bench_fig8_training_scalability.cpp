@@ -1,10 +1,11 @@
 // Fig. 8: execution time of one GentleBoost iteration vs thread count on
 // the two SMP platforms of the paper (dual Xeon E5472 and Core i7-2600K).
 //
-// The reproduction host may be single-core, so the figure's numbers come
-// from the calibrated SMP model (Amdahl + bandwidth ceiling, see
-// train/smp_model.h); the real OpenMP training loop is exercised and its
-// measured wall time reported alongside for reference.
+// The table reproduces the figure from the calibrated SMP model (Amdahl +
+// bandwidth ceiling, see train/smp_model.h), which is fitted to the
+// paper's own curves, not measured. The real OpenMP training loop then
+// runs on this host at a reduced workload, and its measured wall time is
+// reported alongside for reference.
 #include <thread>
 
 #include "bench_common.h"
@@ -58,8 +59,8 @@ int main(int argc, char** argv) {
               "i7-2600K is ~2x faster than the dual Xeon per thread.\n");
 
   // Real OpenMP measurement on this host (scaled-down workload).
-  std::printf("\nmeasured on this host (OpenMP, %d hypotheses x %d images —\n"
-              "wall time is hardware-dependent and flat on a 1-core host):\n\n",
+  std::printf("\nmeasured on this host (OpenMP, %d hypotheses x %d images;\n"
+              "the table above is the calibrated model, not this run):\n\n",
               pool, 2 * faces);
   const facegen::TrainingSet set =
       facegen::build_training_set(faces, 40, 64, 8);

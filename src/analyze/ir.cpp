@@ -36,13 +36,4 @@ std::string AffineForm::to_string() const {
   return out.str();
 }
 
-const char* participation_name(Participation p) {
-  switch (p) {
-    case Participation::kFull: return "full";
-    case Participation::kPartial: return "partial";
-    case Participation::kDataDependent: return "data-dependent";
-  }
-  return "unknown";
-}
-
 }  // namespace fdet::analyze

@@ -76,8 +76,6 @@ enum class Participation {
   kDataDependent,  ///< the participating lane set changed with the data
 };
 
-const char* participation_name(Participation p);
-
 /// One access slot of one phase, condensed over all sampled lanes.
 struct AccessPattern {
   int phase = 0;

@@ -165,40 +165,6 @@ vgpu::LaunchCost filter_kernel(const vgpu::DeviceSpec& spec,
       });
 }
 
-haar::CascadeResult evaluate_bank(const haar::ConstantBank& bank,
-                                  const integral::IntegralImage& ii, int wx,
-                                  int wy) {
-  // Reference implementation of the kernel's math (quantized thresholds),
-  // against the plain integral image.
-  haar::CascadeResult result;
-  const DecodedCascade dc = decode_bank(bank);
-  for (std::size_t s = 0; s < dc.stages.size(); ++s) {
-    const auto& stage = dc.stages[s];
-    float score = 0.0f;
-    for (int c = 0; c < stage.count; ++c) {
-      const DecodedRecord& rec =
-          dc.records[static_cast<std::size_t>(stage.first + c)];
-      std::int64_t response = 0;
-      for (int r = 0; r < rec.rect_count; ++r) {
-        const auto& rect = rec.rects[static_cast<std::size_t>(r)];
-        response += static_cast<std::int64_t>(rect.weight) *
-                    ii.sum(wx + rect.x, wy + rect.y, wx + rect.x + rect.w,
-                           wy + rect.y + rect.h);
-      }
-      score += (static_cast<float>(response) < rec.threshold)
-                   ? rec.left_vote
-                   : rec.right_vote;
-    }
-    result.score = score;
-    if (score < stage.threshold) {
-      return result;
-    }
-    result.depth = static_cast<int>(s) + 1;
-  }
-  result.accepted = (result.depth == static_cast<int>(dc.stages.size()));
-  return result;
-}
-
 vgpu::LaunchCost cascade_kernel(const vgpu::DeviceSpec& spec,
                                 const haar::ConstantBank& bank,
                                 const integral::IntegralImage& ii,

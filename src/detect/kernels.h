@@ -53,12 +53,6 @@ vgpu::LaunchCost cascade_kernel(const vgpu::DeviceSpec& spec,
                                 const CascadeKernelOptions& options,
                                 const std::string& name);
 
-/// Host-side reference of exactly what the kernel computes (quantized
-/// cascade): deepest stage + final score for the window at (wx, wy).
-haar::CascadeResult evaluate_bank(const haar::ConstantBank& bank,
-                                  const integral::IntegralImage& ii, int wx,
-                                  int wy);
-
 /// Display kernel: scans a scale's depth map and outlines accepted windows
 /// (scaled back to frame coordinates) into the overlay image.
 vgpu::LaunchCost display_kernel(const vgpu::DeviceSpec& spec,

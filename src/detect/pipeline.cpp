@@ -224,11 +224,6 @@ FrameResult Pipeline::process(const img::ImageU8& luma) const {
   return finalize(build(luma), options_.mode);
 }
 
-FrameResult Pipeline::process(const ingest::FrameSource& source,
-                              int index) const {
-  return process(source.decode(index).frame.luma());
-}
-
 std::pair<FrameResult, FrameResult> Pipeline::process_dual(
     const img::ImageU8& luma) const {
   const Built built = build(luma);

@@ -18,7 +18,6 @@
 #include "detect/kernels.h"
 #include "haar/cascade.h"
 #include "img/pyramid.h"
-#include "ingest/frame_source.h"
 #include "obs/metrics.h"
 #include "vgpu/scheduler.h"
 
@@ -90,12 +89,6 @@ class Pipeline {
   /// core::CheckError with the offending geometry otherwise — undersized
   /// or empty frames cannot host a single detection window).
   FrameResult process(const img::ImageU8& luma) const;
-
-  /// Decodes frame `index` from the ingest source and runs the pipeline
-  /// on its luma plane. Ingest errors (malformed bytes, bad index)
-  /// propagate as ingest::IngestError — batch callers without a serving
-  /// layer get the same typed taxonomy the service quarantines on.
-  FrameResult process(const ingest::FrameSource& source, int index) const;
 
   /// Runs the functional pipeline once and schedules it under both
   /// execution modes: {concurrent, serial}. Detections and statistics are

@@ -70,17 +70,6 @@ std::vector<RocPoint> roc_curve(const std::vector<ScoredDetection>& scored,
   return curve;
 }
 
-double mean_tpr(const std::vector<RocPoint>& curve) {
-  if (curve.empty()) {
-    return 0.0;
-  }
-  double acc = 0.0;
-  for (const RocPoint& p : curve) {
-    acc += p.true_positive_rate;
-  }
-  return acc / static_cast<double>(curve.size());
-}
-
 BenchmarkRun run_mugshot_benchmark(const detect::Pipeline& pipeline,
                                    const facegen::MugshotBenchmark& bench,
                                    double match_threshold) {

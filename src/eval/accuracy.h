@@ -43,10 +43,6 @@ struct RocPoint {
 std::vector<RocPoint> roc_curve(const std::vector<ScoredDetection>& scored,
                                 int total_faces);
 
-/// Area-like summary: mean TPR over the curve points (for quick
-/// comparisons in tests and benches; higher is better).
-double mean_tpr(const std::vector<RocPoint>& curve);
-
 /// Runs a pipeline over the mugshot benchmark (faces + pure backgrounds)
 /// and returns the scored detections plus the face total.
 struct BenchmarkRun {

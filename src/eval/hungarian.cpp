@@ -90,16 +90,4 @@ std::vector<int> solve_assignment(
   return assignment;
 }
 
-double assignment_cost(const std::vector<std::vector<double>>& cost,
-                       const std::vector<int>& assignment) {
-  FDET_CHECK(assignment.size() == cost.size());
-  double total = 0.0;
-  for (std::size_t i = 0; i < assignment.size(); ++i) {
-    if (assignment[i] >= 0) {
-      total += cost[i][static_cast<std::size_t>(assignment[i])];
-    }
-  }
-  return total;
-}
-
 }  // namespace fdet::eval

@@ -14,8 +14,4 @@ namespace fdet::eval {
 std::vector<int> solve_assignment(
     const std::vector<std::vector<double>>& cost);
 
-/// Total cost of an assignment as returned by solve_assignment.
-double assignment_cost(const std::vector<std::vector<double>>& cost,
-                       const std::vector<int>& assignment);
-
 }  // namespace fdet::eval

@@ -75,22 +75,8 @@ EncodedClassifier encode_classifier(const WeakClassifier& wc) {
   return out;
 }
 
-WeakClassifier decode_classifier(const EncodedClassifier& encoded) {
-  // The feature itself is reconstructed as an explicit rectangle list; for
-  // evaluation we re-express it through a WeakClassifier whose feature is
-  // only used via decompose(), so rebuild a feature whose decomposition
-  // matches. Since decode is used for verification, reconstruct by brute
-  // force over the rect terms: the kernel never needs this path.
-  WeakClassifier wc;
-  wc.threshold = static_cast<float>(encoded.threshold_q) * kThresholdScale;
-  wc.left_vote = static_cast<float>(encoded.left_q) / kVoteScale;
-  wc.right_vote = static_cast<float>(encoded.right_q) / kVoteScale;
-  return wc;
-}
-
 ConstantBank ConstantBank::build(const Cascade& cascade) {
   ConstantBank bank;
-  bank.name_ = cascade.name();
   for (const Stage& stage : cascade.stages()) {
     EncodedStage entry;
     entry.first = static_cast<std::uint32_t>(bank.classifiers_.size());
@@ -102,20 +88,6 @@ ConstantBank ConstantBank::build(const Cascade& cascade) {
     }
   }
   return bank;
-}
-
-Cascade ConstantBank::decode() const {
-  Cascade cascade(name_ + "-decoded");
-  for (const EncodedStage& entry : stages_) {
-    Stage stage;
-    stage.threshold = static_cast<float>(entry.threshold_q) / kVoteScale;
-    for (std::uint32_t i = 0; i < entry.count; ++i) {
-      stage.classifiers.push_back(
-          decode_classifier(classifiers_[entry.first + i]));
-    }
-    cascade.add_stage(std::move(stage));
-  }
-  return cascade;
 }
 
 std::size_t ConstantBank::bytes_compressed() const {

@@ -52,7 +52,6 @@ struct EncodedClassifier {
 };
 
 EncodedClassifier encode_classifier(const WeakClassifier& wc);
-WeakClassifier decode_classifier(const EncodedClassifier& encoded);
 
 /// Stage directory entry in the constant bank.
 struct EncodedStage {
@@ -71,9 +70,6 @@ class ConstantBank {
     return classifiers_;
   }
 
-  /// Decodes back to a Cascade (quantized values — lossy by design).
-  Cascade decode() const;
-
   /// Bytes in the compressed constant-memory layout.
   std::size_t bytes_compressed() const;
 
@@ -89,7 +85,6 @@ class ConstantBank {
  private:
   std::vector<EncodedStage> stages_;
   std::vector<EncodedClassifier> classifiers_;
-  std::string name_;
 };
 
 }  // namespace fdet::haar

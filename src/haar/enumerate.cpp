@@ -47,14 +47,6 @@ std::int64_t for_each_feature(
   return count;
 }
 
-std::vector<HaarFeature> enumerate_features(HaarType type,
-                                            const EnumerationGrid& grid) {
-  std::vector<HaarFeature> features;
-  for_each_feature(type, grid,
-                   [&features](const HaarFeature& f) { features.push_back(f); });
-  return features;
-}
-
 std::int64_t count_features(HaarType type, const EnumerationGrid& grid) {
   return for_each_feature(type, grid, [](const HaarFeature&) {});
 }

@@ -31,11 +31,6 @@ struct EnumerationGrid {
 std::int64_t for_each_feature(HaarType type, const EnumerationGrid& grid,
                               const std::function<void(const HaarFeature&)>& sink);
 
-/// Materializes the enumeration (use sparingly; the full grid has ~171k
-/// entries across all four families).
-std::vector<HaarFeature> enumerate_features(HaarType type,
-                                            const EnumerationGrid& grid = {});
-
 /// Counts without materializing.
 std::int64_t count_features(HaarType type, const EnumerationGrid& grid = {});
 

@@ -29,10 +29,6 @@ void vline(ImageU8& image, int x, int y0, int y1, std::uint8_t value) {
 
 }  // namespace
 
-void draw_rect(ImageU8& image, const Rect& rect, std::uint8_t value) {
-  draw_rect(image, rect, value, 1);
-}
-
 void draw_rect(ImageU8& image, const Rect& rect, std::uint8_t value,
                int thickness) {
   for (int t = 0; t < thickness; ++t) {

@@ -5,10 +5,8 @@
 
 namespace fdet::img {
 
-/// Draws the 1-pixel outline of `rect` with `value`, clipping to the image.
-void draw_rect(ImageU8& image, const Rect& rect, std::uint8_t value);
-
-/// Draws an outline of the given thickness (grows inward).
+/// Draws the outline of `rect` with `value`, `thickness` pixels wide
+/// (growing inward), clipping to the image.
 void draw_rect(ImageU8& image, const Rect& rect, std::uint8_t value,
                int thickness);
 

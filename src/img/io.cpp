@@ -6,35 +6,6 @@
 
 namespace fdet::img {
 
-void write_pgm(const std::string& path, const ImageU8& image) {
-  std::ofstream out(path, std::ios::binary);
-  FDET_CHECK(out.good()) << "cannot open " << path;
-  out << "P5\n" << image.width() << " " << image.height() << "\n255\n";
-  out.write(reinterpret_cast<const char*>(image.data()),
-            static_cast<std::streamsize>(image.size()));
-  FDET_CHECK(out.good()) << "write failed for " << path;
-}
-
-ImageU8 read_pgm(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  FDET_CHECK(in.good()) << "cannot open " << path;
-  std::string magic;
-  int width = 0;
-  int height = 0;
-  int maxval = 0;
-  in >> magic >> width >> height >> maxval;
-  FDET_CHECK(magic == "P5") << path << ": not a binary PGM";
-  FDET_CHECK(width > 0 && height > 0 && maxval == 255)
-      << path << ": unsupported header";
-  in.get();  // single whitespace after maxval
-  ImageU8 image(width, height);
-  in.read(reinterpret_cast<char*>(image.data()),
-          static_cast<std::streamsize>(image.size()));
-  FDET_CHECK(in.gcount() == static_cast<std::streamsize>(image.size()))
-      << path << ": truncated pixel data";
-  return image;
-}
-
 void write_ppm(const std::string& path, const ImageU8& r, const ImageU8& g,
                const ImageU8& b) {
   FDET_CHECK(r.width() == g.width() && g.width() == b.width() &&

@@ -1,5 +1,5 @@
-// Minimal binary PGM/PPM image I/O for examples and debugging output
-// (the reproduction's stand-in for the paper's CUDA-OpenGL display path).
+// Binary PPM output for the examples (the reproduction's stand-in for the
+// paper's CUDA-OpenGL display path).
 #pragma once
 
 #include <string>
@@ -7,12 +7,6 @@
 #include "img/image.h"
 
 namespace fdet::img {
-
-/// Writes an 8-bit grayscale image as binary PGM (P5).
-void write_pgm(const std::string& path, const ImageU8& image);
-
-/// Reads a binary PGM (P5) image; throws core::CheckError on parse errors.
-ImageU8 read_pgm(const std::string& path);
 
 /// Writes an RGB triplet of planes as binary PPM (P6).
 void write_ppm(const std::string& path, const ImageU8& r, const ImageU8& g,

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "core/check.h"
-#include "img/filter.h"
 #include "img/texture.h"
 
 namespace fdet::img {
@@ -43,23 +42,6 @@ ImageF32 resize_bilinear(const ImageF32& input, int width, int height) {
     }
   }
   return output;
-}
-
-std::vector<ImageF32> build_pyramid_cpu(const ImageU8& frame,
-                                        const PyramidPlan& plan) {
-  std::vector<ImageF32> levels;
-  levels.reserve(plan.levels.size());
-  const ImageF32 base = frame.cast<float>();
-  for (const PyramidLevel& level : plan.levels) {
-    if (level.factor == 1.0) {
-      levels.push_back(base);
-      continue;
-    }
-    const ImageF32 filtered =
-        binomial_blur(base, antialias_radius(level.factor));
-    levels.push_back(resize_bilinear(filtered, level.width, level.height));
-  }
-  return levels;
 }
 
 }  // namespace fdet::img

@@ -4,8 +4,8 @@
 // normalization) and downscales the frame by successive factors instead of
 // scaling the Haar features (Sec. III-A, Fig. 2) — this is what keeps the
 // GPU thread count high for every face size. This header provides the
-// host-side plan plus a reference (CPU) pyramid builder; the vGPU scaling
-// kernel in fdet::detect follows the same plan.
+// host-side plan; the vGPU scaling and filter kernels in fdet::detect
+// build each level from it.
 #pragma once
 
 #include <vector>
@@ -30,11 +30,6 @@ struct PyramidPlan {
 /// drops below `min_size` (the detection window). `step` is the per-level
 /// scale ratio (paper-style 1.25).
 PyramidPlan plan_pyramid(int width, int height, double step, int min_size);
-
-/// Reference CPU pyramid: anti-alias filter + bilinear resample per level.
-/// Level 0 is the unfiltered input converted to float.
-std::vector<ImageF32> build_pyramid_cpu(const ImageU8& frame,
-                                        const PyramidPlan& plan);
 
 /// Bilinear downscale of `input` to exactly (width, height).
 ImageF32 resize_bilinear(const ImageF32& input, int width, int height);

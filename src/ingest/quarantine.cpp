@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "core/artifact.h"
-#include "ingest/registry.h"
 
 namespace fdet::ingest {
 namespace {
@@ -25,19 +24,6 @@ std::string sanitize(const std::string& name) {
 StreamQuarantine::StreamQuarantine(std::string dump_dir,
                                    std::size_t max_records)
     : dump_dir_(std::move(dump_dir)), max_records_(max_records) {}
-
-std::unique_ptr<FrameSource> StreamQuarantine::open_or_quarantine(
-    std::string bytes, const std::string& name) {
-  try {
-    // The parsers take ownership of their argument; keep the original so
-    // a rejection can still be dumped for triage.
-    std::string copy = bytes;
-    return open_stream(std::move(copy));
-  } catch (const IngestError& error) {
-    record(name, error, bytes);
-    throw;
-  }
-}
 
 void StreamQuarantine::record(const std::string& name,
                               const IngestError& error,

@@ -11,13 +11,11 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "ingest/error.h"
-#include "ingest/frame_source.h"
 
 namespace fdet::ingest {
 
@@ -40,14 +38,9 @@ class StreamQuarantine {
   explicit StreamQuarantine(std::string dump_dir = "",
                             std::size_t max_records = 64);
 
-  /// Attempts open_stream(bytes). On success returns the source; on an
-  /// IngestError records (and optionally dumps) the rejected stream and
-  /// rethrows, so callers keep their typed error handling.
-  std::unique_ptr<FrameSource> open_or_quarantine(std::string bytes,
-                                                  const std::string& name);
-
-  /// Records a rejection observed elsewhere (e.g. a per-frame decode
-  /// error mid-stream, where the stream itself already opened).
+  /// Records (and optionally dumps) a rejected stream: an IngestError
+  /// from open_stream, or a per-frame decode error mid-stream, where the
+  /// stream itself already opened.
   void record(const std::string& name, const IngestError& error,
               std::string_view bytes);
 

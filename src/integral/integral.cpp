@@ -12,30 +12,6 @@ void check_integral_range(const img::ImageU8& input) {
       << " exceeds exact int32 integral range";
 }
 
-IntegralImage integral_naive(const img::ImageU8& input) {
-  check_integral_range(input);
-  const int w = input.width();
-  const int h = input.height();
-
-  img::ImageI32 rows(w, h);
-  for (int y = 0; y < h; ++y) {
-    std::int32_t acc = 0;
-    for (int x = 0; x < w; ++x) {
-      acc += input(x, y);
-      rows(x, y) = acc;
-    }
-  }
-  img::ImageI32 table(w, h);
-  for (int x = 0; x < w; ++x) {
-    std::int32_t acc = 0;
-    for (int y = 0; y < h; ++y) {
-      acc += rows(x, y);
-      table(x, y) = acc;
-    }
-  }
-  return IntegralImage(std::move(table));
-}
-
 IntegralImage integral_cpu(const img::ImageU8& input) {
   check_integral_range(input);
   const int w = input.width();

@@ -44,10 +44,6 @@ class IntegralImage {
   img::ImageI32 table_;
 };
 
-/// O(n*m) two-pass reference implementation (row scan + column scan); the
-/// ground truth every other builder is tested against.
-IntegralImage integral_naive(const img::ImageU8& input);
-
 /// Single-pass cache-friendly CPU implementation (running row sum + the
 /// value directly above) — the "CPU beats GPU while the image fits in L2"
 /// contender from paper Sec. III-B.

@@ -234,14 +234,6 @@ RunRecord KernelProfiler::snapshot(std::string artifact,
   return record;
 }
 
-void KernelProfiler::reset() {
-  launches_ = 0;
-  total_cycles_ = 0.0;
-  kernels_.clear();
-  stages_.clear();
-  frames_.clear();
-}
-
 std::string render_profile_text(const RunRecord& record) {
   // Rebuild the kernel rows and the buckets from their series, keyed by
   // label value (one pass; a record holds one series per quantity).

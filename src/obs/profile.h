@@ -164,9 +164,6 @@ class KernelProfiler : public vgpu::LaunchObserver {
   /// repeatedly; collection continues afterwards.
   RunRecord snapshot(std::string artifact, Labels labels = {}) const;
 
-  /// Discards everything collected so far.
-  void reset();
-
  private:
   std::uint64_t launches_ = 0;
   double total_cycles_ = 0.0;

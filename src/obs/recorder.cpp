@@ -158,10 +158,6 @@ void FlightRecorder::clear() {
                        std::memory_order_release);
 }
 
-std::uint64_t FlightRecorder::recorded() const {
-  return head_.load(std::memory_order_relaxed);
-}
-
 namespace {
 
 /// Track layout of a dump: one thread per event category so Perfetto

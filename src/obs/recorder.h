@@ -107,7 +107,6 @@ class FlightRecorder {
   /// (the ring remembers the first ticket still visible).
   void clear();
 
-  std::uint64_t recorded() const;  ///< total events ever recorded
   std::size_t capacity() const { return mask_ + 1; }
 
  private:

@@ -121,10 +121,6 @@ RunRecord RunRecord::from_json(const json::Value& doc) {
   return record;
 }
 
-RunRecord RunRecord::parse(std::string_view text) {
-  return from_json(json::parse(text));
-}
-
 RunRecord RunRecord::load_file(const std::string& path) {
   try {
     return from_json(json::parse_file(path));

@@ -89,7 +89,6 @@ struct RunRecord {
   /// mistyped field, a schema_version mismatch, or series out of
   /// series_less order (a repeated identity included).
   static RunRecord from_json(const json::Value& doc);
-  static RunRecord parse(std::string_view text);
   static RunRecord load_file(const std::string& path);
 };
 

@@ -18,7 +18,6 @@ const double kLogGamma = std::log(kGamma);
 
 QuantileSketch::QuantileSketch()
     : buckets_(static_cast<std::size_t>(kSketchMaxBuckets), 0.0),
-      min_(std::numeric_limits<double>::infinity()),
       max_(-std::numeric_limits<double>::infinity()) {}
 
 int QuantileSketch::bucket_index(double value) {
@@ -55,7 +54,6 @@ void QuantileSketch::observe(double value, double count) {
   buckets_[static_cast<std::size_t>(bucket_index(value))] += count;
   count_ += count;
   sum_ += value * count;
-  min_ = std::min(min_, value);
   max_ = std::max(max_, value);
 }
 
@@ -65,7 +63,6 @@ void QuantileSketch::merge(const QuantileSketch& other) {
   }
   count_ += other.count_;
   sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
 }
 
@@ -92,11 +89,6 @@ double QuantileSketch::quantile(double q) const {
   return kSketchMinValue;
 }
 
-double QuantileSketch::min_observed() const {
-  FDET_CHECK(count_ > 0.0) << "min of an empty sketch";
-  return min_;
-}
-
 double QuantileSketch::max_observed() const {
   FDET_CHECK(count_ > 0.0) << "max of an empty sketch";
   return max_;
@@ -106,7 +98,6 @@ void QuantileSketch::clear() {
   std::fill(buckets_.begin(), buckets_.end(), 0.0);
   count_ = 0.0;
   sum_ = 0.0;
-  min_ = std::numeric_limits<double>::infinity();
   max_ = -std::numeric_limits<double>::infinity();
 }
 

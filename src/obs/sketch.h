@@ -56,8 +56,7 @@ class QuantileSketch {
 
   double count() const { return count_; }
   double sum() const { return sum_; }
-  /// Exact extrema of the observed values (not bucket representatives).
-  double min_observed() const;
+  /// Exact maximum of the observed values (not a bucket representative).
   double max_observed() const;
   bool empty() const { return count_ <= 0.0; }
   void clear();
@@ -77,7 +76,6 @@ class QuantileSketch {
   std::vector<double> buckets_;
   double count_ = 0.0;
   double sum_ = 0.0;
-  double min_ = 0.0;
   double max_ = 0.0;
 };
 

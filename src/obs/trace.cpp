@@ -338,11 +338,6 @@ void TraceSession::add_event(TraceEvent event) {
   events_.push_back(std::move(event));
 }
 
-std::size_t TraceSession::event_count() const {
-  std::lock_guard lock(mutex_);
-  return events_.size();
-}
-
 std::vector<TraceEvent> TraceSession::events() const {
   const double now = now_us();
   std::lock_guard lock(mutex_);

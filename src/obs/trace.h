@@ -155,8 +155,6 @@ class TraceSession {
 
   void add_event(TraceEvent event);
 
-  /// Closed events recorded so far (open spans are not counted).
-  std::size_t event_count() const;
   /// Snapshot: closed events plus one synthesized `incomplete="true"`
   /// event per still-open span. An empty session still serializes to a
   /// valid Perfetto document (process metadata only).

@@ -58,12 +58,6 @@ void DatasetMatrix::add_window(const img::ImageU8& window) {
   ++cols_;
 }
 
-std::span<const std::int32_t> DatasetMatrix::row(int r) const {
-  FDET_CHECK(r >= 0 && r < kRows);
-  return {data_.data() + static_cast<std::size_t>(r) * capacity_,
-          static_cast<std::size_t>(cols_)};
-}
-
 std::vector<DatasetMatrix::Term> DatasetMatrix::feature_terms(
     const haar::HaarFeature& feature) {
   FDET_CHECK(feature.valid());
@@ -91,12 +85,6 @@ std::vector<DatasetMatrix::Term> DatasetMatrix::feature_terms(
   }
   std::erase_if(terms, [](const Term& t) { return t.coeff == 0; });
   return terms;
-}
-
-void DatasetMatrix::evaluate_feature(const haar::HaarFeature& feature,
-                                     std::span<std::int32_t> out) const {
-  const std::vector<Term> terms = feature_terms(feature);
-  evaluate_terms(terms, out);
 }
 
 void DatasetMatrix::evaluate_terms(std::span<const Term> terms,

@@ -40,9 +40,6 @@ class DatasetMatrix {
 
   int cols() const { return cols_; }
 
-  /// Row `r` across all columns (contiguous).
-  std::span<const std::int32_t> row(int r) const;
-
   /// Row index of padded-integral entry (gx, gy), gx/gy in [0, 24].
   static constexpr int row_index(int gx, int gy) { return gy * kGrid + gx; }
 
@@ -54,13 +51,10 @@ class DatasetMatrix {
   };
   static std::vector<Term> feature_terms(const haar::HaarFeature& feature);
 
-  /// Evaluates one feature hypothesis over every column:
-  /// out[j] = feature response on window j. out.size() must equal cols().
-  /// Uses SSE4.1 when available (the paper's data-parallel inner loop).
-  void evaluate_feature(const haar::HaarFeature& feature,
-                        std::span<std::int32_t> out) const;
-
-  /// Same, from precomputed terms (hot path for the trainer).
+  /// Evaluates one feature hypothesis, given as its feature_terms(), over
+  /// every column: out[j] = feature response on window j. out.size() must
+  /// equal cols(). Uses SSE4.1 when available (the paper's data-parallel
+  /// inner loop).
   void evaluate_terms(std::span<const Term> terms,
                       std::span<std::int32_t> out) const;
 

@@ -21,20 +21,6 @@ const char* hazard_name(HazardKind kind) {
   return "unknown";
 }
 
-std::string CheckReport::summary() const {
-  std::ostringstream out;
-  out << "kernel '" << kernel << "': ";
-  if (clean()) {
-    out << "CLEAN";
-  } else {
-    out << hazards.size() + suppressed_hazards << " hazard(s)";
-  }
-  out << " (" << blocks << " blocks, " << phases << " phases, "
-      << shared_accesses_checked << " shared accesses, "
-      << global_ops_checked << " global ops checked)";
-  return out.str();
-}
-
 Checker::Checker(CheckOptions options) : options_(std::move(options)) {}
 
 void Checker::begin_kernel(const DeviceSpec& spec, const KernelConfig& config) {
@@ -231,19 +217,6 @@ std::vector<CheckReport> Checker::take_reports() {
   return std::exchange(reports_, {});
 }
 
-bool Checker::clean() const {
-  return std::all_of(reports_.begin(), reports_.end(),
-                     [](const CheckReport& r) { return r.clean(); });
-}
-
-std::size_t Checker::hazard_count() const {
-  std::size_t total = 0;
-  for (const CheckReport& report : reports_) {
-    total += report.hazards.size() +
-             static_cast<std::size_t>(report.suppressed_hazards);
-  }
-  return total;
-}
 
 void Checker::add_hazard(HazardKind kind, std::uint64_t offset,
                          std::uint32_t bytes, std::string message) {

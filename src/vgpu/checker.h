@@ -89,8 +89,6 @@ struct CheckReport {
   std::uint64_t global_ops_checked = 0;
 
   bool clean() const { return hazards.empty() && suppressed_hazards == 0; }
-  /// `kernel 'x': CLEAN (...)` / `kernel 'x': N hazard(s) ...` one-liner.
-  std::string summary() const;
 };
 
 /// A named [base, base+size) virtual-address range for the memcheck side.
@@ -137,8 +135,6 @@ class Checker : public LaunchObserver {
 
   const std::vector<CheckReport>& reports() const { return reports_; }
   std::vector<CheckReport> take_reports();
-  bool clean() const;
-  std::size_t hazard_count() const;
 
  private:
   /// Byte-granular shadow cell. Epoch tags make per-phase and per-block
@@ -193,8 +189,6 @@ class CheckScope {
 
   Checker& checker() { return checker_; }
   const std::vector<CheckReport>& reports() const { return checker_.reports(); }
-  bool clean() const { return checker_.clean(); }
-  std::size_t hazard_count() const { return checker_.hazard_count(); }
 
  private:
   Checker checker_;

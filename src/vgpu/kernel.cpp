@@ -440,14 +440,4 @@ CheckedExecution execute_kernel_checked(const DeviceSpec& spec,
                                 std::move(options));
 }
 
-CheckedExecution execute_kernel_checked(const DeviceSpec& spec,
-                                        const KernelConfig& config,
-                                        PhaseFn phase1, PhaseFn phase2,
-                                        CheckOptions options) {
-  const std::array<PhaseFn, 2> phases{std::move(phase1), std::move(phase2)};
-  return execute_kernel_checked(spec, config,
-                                std::span<const PhaseFn>(phases),
-                                std::move(options));
-}
-
 }  // namespace fdet::vgpu

@@ -115,9 +115,5 @@ CheckedExecution execute_kernel_checked(const DeviceSpec& spec,
                                         const KernelConfig& config,
                                         PhaseFn phase,
                                         CheckOptions options = {});
-CheckedExecution execute_kernel_checked(const DeviceSpec& spec,
-                                        const KernelConfig& config,
-                                        PhaseFn phase1, PhaseFn phase2,
-                                        CheckOptions options = {});
 
 }  // namespace fdet::vgpu

@@ -63,8 +63,8 @@ TEST(LaneOwner, CheckerShadowsCapture) {
     // the checker takes the lane events and capture only counts shadows.
     CheckScope check;
     launch_once();
-    EXPECT_EQ(check.reports().size(), 1u);
-    EXPECT_TRUE(check.clean());
+    ASSERT_EQ(check.reports().size(), 1u);
+    EXPECT_TRUE(check.reports()[0].clean());
   }
   EXPECT_EQ(capture.engine().captures().size(), 0u);
   EXPECT_EQ(capture.shadowed_launches(), 1);
@@ -86,23 +86,26 @@ TEST(LaneOwner, CheckerReportsAreIdenticalUnderCapture) {
     ctx.shared_load(next * 4, 4);  // neighbour's slot, no barrier between
   };
 
-  std::size_t hazards_plain = 0;
+  vgpu::CheckReport plain;
   {
     CheckScope check;
     vgpu::execute_kernel(kSpec, kConfig, racy);
-    hazards_plain = check.hazard_count();
+    ASSERT_EQ(check.reports().size(), 1u);
+    plain = check.reports()[0];
   }
-  EXPECT_GT(hazards_plain, 0u);
+  EXPECT_FALSE(plain.clean());
 
-  std::size_t hazards_shadowed = 0;
+  vgpu::CheckReport shadowed;
   {
     CaptureScope capture;
     CheckScope check;
     vgpu::execute_kernel(kSpec, kConfig, racy);
-    hazards_shadowed = check.hazard_count();
+    ASSERT_EQ(check.reports().size(), 1u);
+    shadowed = check.reports()[0];
     EXPECT_EQ(capture.engine().captures().size(), 0u);
   }
-  EXPECT_EQ(hazards_shadowed, hazards_plain);
+  EXPECT_EQ(shadowed.hazards.size(), plain.hazards.size());
+  EXPECT_EQ(shadowed.suppressed_hazards, plain.suppressed_hazards);
 }
 
 TEST(LaneOwner, CaptureKernelsReportsShadowedLaunches) {

@@ -20,6 +20,63 @@ img::ImageU8 random_image(int w, int h, std::uint64_t seed) {
   return im;
 }
 
+/// Host oracle of what the cascade kernel computes for the window at
+/// (wx, wy): the quantized cascade read back from the constant bank and
+/// evaluated against the plain integral image (deepest stage + the score
+/// of the last stage walked).
+haar::CascadeResult evaluate_bank(const haar::ConstantBank& bank,
+                                  const integral::IntegralImage& ii, int wx,
+                                  int wy) {
+  haar::CascadeResult result;
+  const auto& stages = bank.stages();
+  for (std::size_t s = 0; s < stages.size(); ++s) {
+    float score = 0.0f;
+    for (std::uint32_t c = 0; c < stages[s].count; ++c) {
+      const haar::EncodedClassifier& ec =
+          bank.classifiers()[stages[s].first + c];
+      std::int64_t response = 0;
+      for (int r = 0; r < ec.rect_count; ++r) {
+        const haar::RectTerm rect =
+            haar::decode_rect(ec.rects[static_cast<std::size_t>(r)]);
+        response += static_cast<std::int64_t>(rect.weight) *
+                    ii.sum(wx + rect.x, wy + rect.y, wx + rect.x + rect.w,
+                           wy + rect.y + rect.h);
+      }
+      const float threshold =
+          static_cast<float>(ec.threshold_q) * haar::kThresholdScale;
+      score += static_cast<float>(response) < threshold
+                   ? static_cast<float>(ec.left_q) / haar::kVoteScale
+                   : static_cast<float>(ec.right_q) / haar::kVoteScale;
+    }
+    result.score = score;
+    if (score < static_cast<float>(stages[s].threshold_q) / haar::kVoteScale) {
+      return result;
+    }
+    result.depth = static_cast<int>(s) + 1;
+  }
+  result.accepted = result.depth == static_cast<int>(stages.size());
+  return result;
+}
+
+/// The filter stage as Pipeline runs it: filter_kernel along rows, then
+/// along columns.
+img::ImageU8 filter_both_axes(const vgpu::DeviceSpec& spec,
+                              const img::ImageU8& source) {
+  img::ImageU8 rows(source.width(), source.height());
+  filter_kernel(spec, source, rows, /*horizontal=*/true, "filter_h");
+  img::ImageU8 out(source.width(), source.height());
+  filter_kernel(spec, rows, out, /*horizontal=*/false, "filter_v");
+  return out;
+}
+
+double mean_of(const img::ImageU8& image) {
+  double sum = 0.0;
+  for (const std::uint8_t p : image.pixels()) {
+    sum += p;
+  }
+  return sum / static_cast<double>(image.size());
+}
+
 haar::Cascade calibrated_cascade(const integral::IntegralImage& ii,
                                  std::uint64_t seed) {
   haar::Cascade cascade = haar::build_profile_cascade(
@@ -58,6 +115,64 @@ TEST(FilterKernel, MatchesBinomialWeights) {
   filter_kernel(spec, src, dst, /*horizontal=*/false, "fv");
   EXPECT_EQ(dst(4, 3), 50);
   EXPECT_EQ(dst(4, 4), 100);
+}
+
+TEST(PyramidKernels, LevelsPreserveMeanBrightness) {
+  // Each level exactly as Pipeline builds it: scale_kernel from the
+  // native frame, then the filter stage.
+  const vgpu::DeviceSpec spec;
+  const img::ImageU8 frame = random_image(128, 128, 5);
+  const img::PyramidPlan plan = img::plan_pyramid(128, 128, 2.0, 24);
+  ASSERT_GT(plan.levels.size(), 1u);
+  for (const img::PyramidLevel& level : plan.levels) {
+    if (level.index == 0) {
+      continue;  // the native frame: neither kernel runs
+    }
+    img::ImageU8 scaled(level.width, level.height);
+    scale_kernel(spec, frame, scaled, "scale");
+    EXPECT_NEAR(mean_of(filter_both_axes(spec, scaled)), mean_of(frame), 4.0)
+        << "level " << level.index;
+  }
+}
+
+TEST(PyramidKernels, FilterPreservesConstantImages) {
+  const vgpu::DeviceSpec spec;
+  img::ImageU8 image(6, 6);
+  image.fill(77);
+  EXPECT_EQ(filter_both_axes(spec, image), image);
+}
+
+TEST(PyramidKernels, FilterPreservesImpulseMass) {
+  // Away from the borders the 3x3 kernel [1 2 1]^T [1 2 1] / 16 sums to
+  // 1: an impulse of 160 spreads into 40 / 20 / 10 with no rounding loss.
+  const vgpu::DeviceSpec spec;
+  img::ImageU8 image(11, 11);
+  image(5, 5) = 160;
+  const img::ImageU8 out = filter_both_axes(spec, image);
+  int total = 0;
+  for (const std::uint8_t p : out.pixels()) {
+    total += p;
+  }
+  EXPECT_EQ(total, 160);
+  EXPECT_GT(out(5, 5), out(4, 5));  // the centre keeps the highest response
+}
+
+TEST(PyramidKernels, FilterReducesHighFrequencyEnergy) {
+  const vgpu::DeviceSpec spec;
+  const img::ImageU8 image = random_image(32, 32, 99);
+  const img::ImageU8 out = filter_both_axes(spec, image);
+  // Sum of squared horizontal neighbour differences must drop sharply.
+  const auto roughness = [](const img::ImageU8& im) {
+    double acc = 0.0;
+    for (int y = 0; y < im.height(); ++y) {
+      for (int x = 1; x < im.width(); ++x) {
+        const double d = im(x, y) - im(x - 1, y);
+        acc += d * d;
+      }
+    }
+    return acc;
+  };
+  EXPECT_LT(roughness(out), roughness(image) * 0.3);
 }
 
 TEST(CascadeKernel, MatchesHostReferenceEverywhere) {

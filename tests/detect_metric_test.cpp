@@ -145,5 +145,24 @@ TEST(Grouping, TransitiveChainsCollapse) {
   EXPECT_EQ(grouped[0].neighbors, 3);
 }
 
+TEST(Grouping, EmitsClustersInRootOrder) {
+  // 0~4 and 3~4 merge but 0!~3 (the chain above); 1~2 far away. Pair
+  // (0,4) roots {0,4} at 0, then (3,4) re-roots it at 3, so cluster
+  // {0,3,4} is emitted after {1,2} (root 1) despite holding index 0.
+  const std::vector<Detection> raw{{{100, 100, 48, 48}, 0.0f, 1, 0},
+                                   {{300, 100, 48, 48}, 1.0f, 1, 0},
+                                   {{302, 100, 48, 48}, 2.0f, 1, 0},
+                                   {{108, 100, 48, 48}, 3.0f, 1, 0},
+                                   {{104, 100, 48, 48}, 4.0f, 1, 0}};
+  const auto grouped = group_detections(raw);
+  ASSERT_EQ(grouped.size(), 2u);
+  EXPECT_EQ(grouped[0].neighbors, 2);
+  EXPECT_EQ(grouped[0].box, (img::Rect{301, 100, 48, 48}));
+  EXPECT_FLOAT_EQ(grouped[0].score, 2.0f);
+  EXPECT_EQ(grouped[1].neighbors, 3);
+  EXPECT_EQ(grouped[1].box, (img::Rect{104, 100, 48, 48}));
+  EXPECT_FLOAT_EQ(grouped[1].score, 4.0f);
+}
+
 }  // namespace
 }  // namespace fdet::detect

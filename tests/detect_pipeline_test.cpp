@@ -5,9 +5,7 @@
 #include "core/rng.h"
 #include "facegen/dataset.h"
 #include "haar/profile.h"
-#include "ingest/registry.h"
 #include "train/boost.h"
-#include "video/trailer.h"
 
 namespace fdet::detect {
 namespace {
@@ -232,33 +230,6 @@ TEST(Pipeline, AbsurdSkipClampsSoTheCoarsestLevelStillRuns) {
   ASSERT_EQ(result.scales.size(), 1u);
   EXPECT_EQ(result.scales[0].scale_index,
             static_cast<int>(plan.levels.size()) - 1);
-}
-
-TEST(Pipeline, ProcessesFramesStraightFromAnIngestSource) {
-  const vgpu::DeviceSpec spec;
-  const Pipeline pipeline(spec, test_cascade(),
-                          fast_options(vgpu::ExecMode::kConcurrent));
-  video::TrailerSpec trailer_spec;
-  trailer_spec.title = "pipeline-ingest";
-  trailer_spec.width = 120;
-  trailer_spec.height = 90;
-  trailer_spec.frames = 2;
-  trailer_spec.shot_frames = 2;
-  trailer_spec.seed = 31;
-  const video::SyntheticTrailer trailer(trailer_spec);
-  const auto source = ingest::open_stream(
-      ingest::encode_stream(ingest::Format::kRaw, trailer));
-
-  // The FrameSource overload is exactly decode + the luma overload.
-  const FrameResult via_source = pipeline.process(*source, 1);
-  const FrameResult via_luma =
-      pipeline.process(source->decode(1).frame.luma());
-  EXPECT_EQ(via_source.raw_detections.size(), via_luma.raw_detections.size());
-  EXPECT_DOUBLE_EQ(via_source.detect_ms, via_luma.detect_ms);
-
-  // Ingest's typed taxonomy propagates to batch callers too.
-  EXPECT_THROW(pipeline.process(*source, 2), ingest::IngestError);
-  EXPECT_THROW(pipeline.process(*source, -1), ingest::IngestError);
 }
 
 TEST(Pipeline, DeterministicAcrossRuns) {

@@ -14,6 +14,20 @@ namespace {
 
 // --- Hungarian ---------------------------------------------------------
 
+/// Total cost of an assignment as solve_assignment returns it (rows left
+/// unassigned, -1, cost nothing).
+double assignment_cost(const std::vector<std::vector<double>>& cost,
+                       const std::vector<int>& assignment) {
+  FDET_CHECK(assignment.size() == cost.size());
+  double total = 0.0;
+  for (std::size_t i = 0; i < assignment.size(); ++i) {
+    if (assignment[i] >= 0) {
+      total += cost[i][static_cast<std::size_t>(assignment[i])];
+    }
+  }
+  return total;
+}
+
 double brute_force_best(const std::vector<std::vector<double>>& cost) {
   const int rows = static_cast<int>(cost.size());
   const int cols = static_cast<int>(cost[0].size());
@@ -177,7 +191,18 @@ TEST(RocCurve, HigherScoredMatchesDominateTheCurve) {
   // Detector A scores matches above FPs; detector B the reverse.
   std::vector<ScoredDetection> good{{5.0f, true}, {4.0f, true}, {1.0f, false}};
   std::vector<ScoredDetection> bad{{5.0f, false}, {4.0f, true}, {1.0f, true}};
-  EXPECT_GT(mean_tpr(roc_curve(good, 2)), mean_tpr(roc_curve(bad, 2)));
+  // Point by point, A finds at least as many faces for no more FPs, and
+  // reaches full TPR before its first false positive.
+  const auto a = roc_curve(good, 2);
+  const auto b = roc_curve(bad, 2);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_GE(a[i].true_positive_rate, b[i].true_positive_rate) << i;
+    EXPECT_LE(a[i].false_positives, b[i].false_positives) << i;
+  }
+  EXPECT_DOUBLE_EQ(a[1].true_positive_rate, 1.0);
+  EXPECT_EQ(a[1].false_positives, 0);
+  EXPECT_EQ(b[0].false_positives, 1);
 }
 
 TEST(RocCurve, RejectsZeroFaces) {

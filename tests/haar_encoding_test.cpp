@@ -11,6 +11,32 @@
 namespace fdet::haar {
 namespace {
 
+/// Inverse of encode_classifier for the quantized scalars: the stump
+/// threshold and both votes (the feature is not reconstructed).
+WeakClassifier decode_classifier(const EncodedClassifier& encoded) {
+  WeakClassifier wc;
+  wc.threshold = static_cast<float>(encoded.threshold_q) * kThresholdScale;
+  wc.left_vote = static_cast<float>(encoded.left_q) / kVoteScale;
+  wc.right_vote = static_cast<float>(encoded.right_q) / kVoteScale;
+  return wc;
+}
+
+/// Reads a bank back into a Cascade through its stage directory
+/// (quantized values: lossy by design).
+Cascade decode_bank(const ConstantBank& bank) {
+  Cascade cascade("decoded");
+  for (const EncodedStage& entry : bank.stages()) {
+    Stage stage;
+    stage.threshold = static_cast<float>(entry.threshold_q) / kVoteScale;
+    for (std::uint32_t i = 0; i < entry.count; ++i) {
+      stage.classifiers.push_back(
+          decode_classifier(bank.classifiers()[entry.first + i]));
+    }
+    cascade.add_stage(std::move(stage));
+  }
+  return cascade;
+}
+
 TEST(Encoding, RectRoundTripsEveryFeatureInTheEnumeration) {
   // Property: encode/decode is exact for every rectangle of every feature
   // of every family on a representative grid.
@@ -102,7 +128,7 @@ TEST(Encoding, PaperCascadesFitConstantMemoryOnlyCompressed) {
 TEST(Encoding, DecodedCascadeKeepsStageGeometry) {
   const Cascade cascade =
       build_profile_cascade("geo", std::vector<int>{2, 3}, 9);
-  const Cascade decoded = ConstantBank::build(cascade).decode();
+  const Cascade decoded = decode_bank(ConstantBank::build(cascade));
   ASSERT_EQ(decoded.stage_count(), 2);
   EXPECT_EQ(decoded.stages()[0].classifiers.size(), 2u);
   EXPECT_EQ(decoded.stages()[1].classifiers.size(), 3u);

@@ -53,11 +53,13 @@ TEST(Enumerate, MinCellFiltersSmallFeatures) {
                    });
 }
 
-TEST(Enumerate, MaterializedMatchesCount) {
+TEST(Enumerate, SinkSeesEveryCountedFeature) {
   const EnumerationGrid grid{.position_step = 3, .cell_step = 3};
-  const auto vec = enumerate_features(HaarType::kLine, grid);
-  EXPECT_EQ(static_cast<std::int64_t>(vec.size()),
-            count_features(HaarType::kLine, grid));
+  std::int64_t seen = 0;
+  const std::int64_t visited = for_each_feature(
+      HaarType::kLine, grid, [&seen](const HaarFeature&) { ++seen; });
+  EXPECT_EQ(seen, visited);
+  EXPECT_EQ(seen, count_features(HaarType::kLine, grid));
 }
 
 TEST(Enumerate, SampleHitsRequestedOrderOfMagnitude) {

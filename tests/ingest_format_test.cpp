@@ -218,12 +218,15 @@ TEST(Registry, SniffingDispatchesEachFormatToItsParser) {
 
 // ---- quarantine ----
 
-TEST(Quarantine, RecordsRejectionAndRethrowsTyped) {
+TEST(Quarantine, RecordsTheRejectionOpenStreamRaised) {
   StreamQuarantine quarantine;
-  EXPECT_THROW(
-      quarantine.open_or_quarantine(patch(stream_of(Format::kRaw), 0, 'Z'),
-                                    "cam-3"),
-      IngestError);
+  const std::string bytes = patch(stream_of(Format::kRaw), 0, 'Z');
+  try {
+    open_stream(bytes);
+    FAIL() << "stream unexpectedly opened clean";
+  } catch (const IngestError& error) {
+    quarantine.record("cam-3", error, bytes);
+  }
   ASSERT_EQ(quarantine.records().size(), 1u);
   const QuarantineRecord& record = quarantine.records().front();
   EXPECT_EQ(record.name, "cam-3");
@@ -231,14 +234,6 @@ TEST(Quarantine, RecordsRejectionAndRethrowsTyped) {
   EXPECT_GT(record.byte_count, 0u);
   EXPECT_TRUE(record.dump_path.empty());  // no dump dir configured
   EXPECT_EQ(quarantine.total_rejected(), 1u);
-}
-
-TEST(Quarantine, CleanStreamPassesThroughUnrecorded) {
-  StreamQuarantine quarantine;
-  const auto source =
-      quarantine.open_or_quarantine(stream_of(Format::kMjpeg), "ok");
-  EXPECT_EQ(source->info().format, "mjpeg");
-  EXPECT_TRUE(quarantine.records().empty());
 }
 
 TEST(Quarantine, DumpsRejectedBytesForTriage) {
@@ -250,7 +245,9 @@ TEST(Quarantine, DumpsRejectedBytesForTriage) {
 
   StreamQuarantine quarantine(dir);
   const std::string bytes = patch(stream_of(Format::kGif), 3, '9');
-  EXPECT_THROW(quarantine.open_or_quarantine(bytes, "feed/7"), IngestError);
+  quarantine.record("feed/7",
+                    IngestError(IngestErrorKind::kBadVersion, "gif", 3, "test"),
+                    bytes);
   ASSERT_EQ(quarantine.records().size(), 1u);
   const std::string& dump = quarantine.records().front().dump_path;
   ASSERT_FALSE(dump.empty());
@@ -261,11 +258,9 @@ TEST(Quarantine, DumpsRejectedBytesForTriage) {
 
 TEST(Quarantine, StoreStaysBoundedUnderFlood) {
   StreamQuarantine quarantine("", /*max_records=*/3);
+  const IngestError error(IngestErrorKind::kBadMagic, "?", 0, "flood");
   for (int i = 0; i < 10; ++i) {
-    EXPECT_THROW(
-        quarantine.open_or_quarantine(patch(stream_of(Format::kRaw), 0, 'Z'),
-                                      "flood-" + std::to_string(i)),
-        IngestError);
+    quarantine.record("flood-" + std::to_string(i), error, "bytes");
   }
   EXPECT_EQ(quarantine.records().size(), 3u);
   EXPECT_EQ(quarantine.total_rejected(), 10u);

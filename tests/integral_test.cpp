@@ -21,6 +21,33 @@ img::ImageU8 random_image(int w, int h, std::uint64_t seed) {
   return im;
 }
 
+/// O(n*m) two-pass reference (row scan + column scan): the naive
+/// baseline of the integral-image literature and the ground truth every
+/// builder is tested against.
+IntegralImage integral_naive(const img::ImageU8& input) {
+  check_integral_range(input);
+  const int w = input.width();
+  const int h = input.height();
+
+  img::ImageI32 rows(w, h);
+  for (int y = 0; y < h; ++y) {
+    std::int32_t acc = 0;
+    for (int x = 0; x < w; ++x) {
+      acc += input(x, y);
+      rows(x, y) = acc;
+    }
+  }
+  img::ImageI32 table(w, h);
+  for (int x = 0; x < w; ++x) {
+    std::int32_t acc = 0;
+    for (int y = 0; y < h; ++y) {
+      acc += rows(x, y);
+      table(x, y) = acc;
+    }
+  }
+  return IntegralImage(std::move(table));
+}
+
 std::int64_t brute_sum(const img::ImageU8& im, int x0, int y0, int x1, int y1) {
   std::int64_t acc = 0;
   for (int y = y0; y < y1; ++y) {

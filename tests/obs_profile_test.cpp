@@ -183,20 +183,6 @@ TEST(KernelProfiler, NestedCollectionsBothObserve) {
   EXPECT_EQ(value(record, "profile.kernel.launches", "kernel", "seen"), 2.0);
 }
 
-TEST(KernelProfiler, ResetDiscardsCollectedLaunches) {
-  KernelProfiler profiler;
-  {
-    const ScopedProfileCollection collection(profiler);
-    run_named("k", 4);
-  }
-  EXPECT_EQ(profiler.launches(), 1u);
-  profiler.reset();
-  EXPECT_EQ(profiler.launches(), 0u);
-  EXPECT_DOUBLE_EQ(profiler.total_cycles(), 0.0);
-  EXPECT_EQ(sum_of(profiler.snapshot("test"), "profile.kernel.cycles").second,
-            0);
-}
-
 TEST(KernelProfileDerived, RatiosAndRooflineClassification) {
   KernelProfile k;
   // Degenerate kernel: no cycles, no branches, no traffic.

@@ -54,7 +54,6 @@ TEST(FlightRecorder, SnapshotPreservesRecordOrderAndFields) {
     EXPECT_STREQ(events[static_cast<std::size_t>(i)].name, "decode");
     EXPECT_STREQ(events[static_cast<std::size_t>(i)].detail, "stage detail");
   }
-  EXPECT_EQ(recorder.recorded(), 5u);
 }
 
 TEST(FlightRecorder, LabelsTruncateInsteadOfOverflowing) {
@@ -76,7 +75,6 @@ TEST(FlightRecorder, RingForgetsEventsOlderThanCapacity) {
   for (int i = 0; i < 20; ++i) {
     recorder.record(make_event(i, 10.0 * i, FlightEventKind::kFrame, "frame"));
   }
-  EXPECT_EQ(recorder.recorded(), 20u);
   const auto events = recorder.snapshot();
   ASSERT_EQ(events.size(), 8u);
   // The survivors are exactly the newest capacity() events, in order.
@@ -117,7 +115,6 @@ TEST(FlightRecorder, ClearHidesEarlierEventsWithoutReallocating) {
     recorder.record(make_event(i, 10.0 * i, FlightEventKind::kFrame, "new"));
   }
   EXPECT_EQ(recorder.capacity(), capacity);
-  EXPECT_EQ(recorder.recorded(), 15u);  // every event ever recorded
   const auto events = recorder.snapshot_window(15.0);  // newest end = 20
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events.front().frame, 1);
@@ -141,8 +138,6 @@ TEST(FlightRecorder, ConcurrentWritersLoseNothingWhenRingIsLargeEnough) {
   for (std::thread& thread : threads) {
     thread.join();
   }
-  EXPECT_EQ(recorder.recorded(),
-            static_cast<std::uint64_t>(kThreads * kPerThread));
   const auto events = recorder.snapshot();
   EXPECT_EQ(events.size(), static_cast<std::size_t>(kThreads * kPerThread));
   // Every recorded frame id appears exactly once.

@@ -130,7 +130,8 @@ TEST(RunRecordFind, LabelSetsThatFormatAlikeAreDistinctSeries) {
   registry.counter("n", two).add(2.0);
   const RunRecord record = build_run_record("x", {}, registry);
   ASSERT_EQ(record.metrics.size(), 2u);
-  const RunRecord reparsed = RunRecord::parse(record.dump());
+  const RunRecord reparsed =
+      RunRecord::from_json(json::parse(record.dump()));
   EXPECT_EQ(reparsed.dump(), record.dump());
   for (const RunRecord* r : {&record, &reparsed}) {
     ASSERT_NE(r->find("n", one), nullptr);
@@ -151,7 +152,8 @@ TEST(RunRecordJson, DumpParsesBackIdentically) {
   const RunRecord record =
       build_run_record("fig6", {{"commit", "abc"}}, registry);
 
-  const RunRecord reparsed = RunRecord::parse(record.dump());
+  const RunRecord reparsed =
+      RunRecord::from_json(json::parse(record.dump()));
   EXPECT_EQ(reparsed.schema_version, kRunRecordSchemaVersion);
   EXPECT_EQ(reparsed.artifact, "fig6");
   EXPECT_EQ(reparsed.variant, "default");
@@ -187,17 +189,20 @@ TEST(RunRecordJson, RejectsWrongSchemaVersionAndMalformedRecords) {
   registry.gauge("g").set(1.0);
   RunRecord record = build_run_record("x", {}, registry);
   record.schema_version = kRunRecordSchemaVersion + 1;
-  EXPECT_THROW(RunRecord::parse(record.dump()), core::CheckError);
+  EXPECT_THROW(RunRecord::from_json(json::parse(record.dump())),
+               core::CheckError);
 
   // Structurally valid JSON that is not a run record.
-  EXPECT_THROW(RunRecord::parse("{\"metrics\":[]}"), core::CheckError);
+  EXPECT_THROW(RunRecord::from_json(json::parse("{\"metrics\":[]}")),
+               core::CheckError);
   EXPECT_THROW(
-      RunRecord::parse("{\"schema_version\":2,\"artifact\":\"\",\"variant\":"
-                       "\"d\",\"labels\":{},\"metrics\":[]}"),
+      RunRecord::from_json(
+          json::parse("{\"schema_version\":2,\"artifact\":\"\",\"variant\":"
+                      "\"d\",\"labels\":{},\"metrics\":[]}")),
       core::CheckError);
   // A series without its value.
-  EXPECT_THROW(RunRecord::parse(record_text(
-                   "{\"name\":\"g\",\"kind\":\"gauge\",\"labels\":{}}")),
+  EXPECT_THROW(RunRecord::from_json(json::parse(record_text(
+                   "{\"name\":\"g\",\"kind\":\"gauge\",\"labels\":{}}"))),
                core::CheckError);
 }
 
@@ -208,7 +213,7 @@ TEST(RunRecordJson, VersionOneRecordIsRejectedNamingBothVersions) {
       "\"repeats\":3,\"labels\":{},\"metrics\":[{\"name\":\"g\",\"kind\":"
       "\"gauge\",\"labels\":{},\"samples\":[4,4,4],\"median\":4,\"mad\":0}]}";
   try {
-    RunRecord::parse(v1);
+    RunRecord::from_json(json::parse(v1));
     FAIL() << "expected CheckError";
   } catch (const core::CheckError& error) {
     const std::string what = error.what();
@@ -225,13 +230,14 @@ TEST(RunRecordJson, RejectsSeriesOutOfOrderOrRepeated) {
       "\"value\":1}";
   const std::string b = "{\"name\":\"b\",\"kind\":\"gauge\",\"labels\":{},"
                         "\"value\":2}";
-  EXPECT_EQ(RunRecord::parse(record_text(a + "," + a_labeled + "," + b))
+  EXPECT_EQ(RunRecord::from_json(
+                json::parse(record_text(a + "," + a_labeled + "," + b)))
                 .metrics.size(),
             3u);
 
   const auto rejection = [](const std::string& text) {
     try {
-      RunRecord::parse(text);
+      RunRecord::from_json(json::parse(text));
     } catch (const core::CheckError& error) {
       return std::string(error.what());
     }
@@ -300,7 +306,7 @@ TEST(RunRecordJson, NonFiniteValuesSerializeAsNullAndParseAsNaN) {
   EXPECT_NE(text.find("\"value\":null"), std::string::npos);
   EXPECT_EQ(text.find("inf"), std::string::npos);
 
-  const RunRecord reparsed = RunRecord::parse(text);
+  const RunRecord reparsed = RunRecord::from_json(json::parse(text));
   const MetricSeries* degenerate = reparsed.find("degenerate_ratio", {});
   ASSERT_NE(degenerate, nullptr);
   EXPECT_TRUE(std::isnan(degenerate->value));

@@ -148,7 +148,7 @@ TEST(TraceExporter, BusySmCounterReturnsToZero) {
 
 TEST(TraceSessionTest, SpansRecordCompleteEventsOnHostTrack) {
   TraceSession session;
-  const std::size_t base = session.event_count();  // process_name metadata
+  const std::size_t base = session.events().size();  // process_name metadata
   {
     auto outer = session.span("outer");
     session.instant("marker");
@@ -170,9 +170,9 @@ TEST(TraceSessionTest, ScopedSpanIsNoopWithoutAmbientSession) {
   TraceSession session;
   session.install();
   EXPECT_EQ(TraceSession::current(), &session);
-  const std::size_t before = session.event_count();
+  const std::size_t before = session.events().size();
   { ScopedSpan span("captured"); }
-  EXPECT_EQ(session.event_count(), before + 1);
+  EXPECT_EQ(session.events().size(), before + 1);
   session.uninstall();
   EXPECT_EQ(TraceSession::current(), nullptr);
 }
@@ -202,15 +202,15 @@ TEST(TraceSessionTest, EmptySessionSerializesAValidPerfettoDocument) {
 
 TEST(TraceSessionTest, UnclosedSpansFlushWithIncompleteFlag) {
   TraceSession session;
+  const std::size_t base = session.events().size();  // process_name metadata
   auto open = session.span("in-flight");
   {
     auto closed = session.span("done");
   }
-  // event_count() counts only closed events...
-  const std::size_t closed_count = session.event_count();
-  // ...but the snapshot synthesizes the open span, flagged incomplete.
+  // The snapshot holds the closed span and synthesizes the open one,
+  // flagged incomplete.
   const auto events = session.events();
-  ASSERT_EQ(events.size(), closed_count + 1);
+  ASSERT_EQ(events.size(), base + 2);
   const TraceEvent& flushed = events.back();
   EXPECT_EQ(flushed.name, "in-flight");
   EXPECT_EQ(flushed.phase, 'X');
@@ -274,7 +274,7 @@ TEST(TraceContextTest, ScopedContextNestsAndUnwinds) {
 
 TEST(TraceContextTest, SpansCaptureTheAmbientContext) {
   TraceSession session;
-  const std::size_t base = session.event_count();
+  const std::size_t base = session.events().size();
   const TraceContext frame = make_frame_context(99, 3);
   {
     ScopedTraceContext scope(frame);

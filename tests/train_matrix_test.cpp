@@ -18,6 +18,14 @@ img::ImageU8 random_window(std::uint64_t seed) {
   return im;
 }
 
+/// Column 0 of matrix row `r`, read through a one-term evaluation.
+std::int32_t entry(const DatasetMatrix& m, int r) {
+  const DatasetMatrix::Term term{r, 1};
+  std::vector<std::int32_t> out(static_cast<std::size_t>(m.cols()));
+  m.evaluate_terms({&term, 1}, out);
+  return out[0];
+}
+
 TEST(DatasetMatrix, StoresPaddedIntegralColumns) {
   img::ImageU8 window(haar::kWindowSize, haar::kWindowSize);
   window.fill(1);
@@ -25,12 +33,12 @@ TEST(DatasetMatrix, StoresPaddedIntegralColumns) {
   m.add_window(window);
   ASSERT_EQ(m.cols(), 1);
   // Padded row/column are zero.
-  EXPECT_EQ(m.row(DatasetMatrix::row_index(0, 0))[0], 0);
-  EXPECT_EQ(m.row(DatasetMatrix::row_index(5, 0))[0], 0);
-  EXPECT_EQ(m.row(DatasetMatrix::row_index(0, 5))[0], 0);
+  EXPECT_EQ(entry(m, DatasetMatrix::row_index(0, 0)), 0);
+  EXPECT_EQ(entry(m, DatasetMatrix::row_index(5, 0)), 0);
+  EXPECT_EQ(entry(m, DatasetMatrix::row_index(0, 5)), 0);
   // Entry (gx, gy) = gx * gy for a constant-1 image.
-  EXPECT_EQ(m.row(DatasetMatrix::row_index(3, 4))[0], 12);
-  EXPECT_EQ(m.row(DatasetMatrix::row_index(24, 24))[0], 576);
+  EXPECT_EQ(entry(m, DatasetMatrix::row_index(3, 4)), 12);
+  EXPECT_EQ(entry(m, DatasetMatrix::row_index(24, 24)), 576);
 }
 
 TEST(DatasetMatrix, RejectsWrongWindowSize) {
@@ -66,7 +74,7 @@ TEST(DatasetMatrix, FeatureTermsReproduceResponses) {
     f.y = static_cast<std::uint8_t>(
         rng.uniform_int(0, haar::kWindowSize - f.extent_h()));
 
-    m.evaluate_feature(f, out);
+    m.evaluate_terms(DatasetMatrix::feature_terms(f), out);
     for (int j = 0; j < m.cols(); ++j) {
       ASSERT_EQ(out[static_cast<std::size_t>(j)],
                 f.response(iis[static_cast<std::size_t>(j)], 0, 0))
@@ -99,7 +107,7 @@ TEST(DatasetMatrix, GrowthPreservesEarlierColumns) {
   ASSERT_EQ(m.cols(), 40);
   const haar::HaarFeature f{haar::HaarType::kDiagonal, false, 1, 1, 6, 6};
   std::vector<std::int32_t> out(40);
-  m.evaluate_feature(f, out);
+  m.evaluate_terms(DatasetMatrix::feature_terms(f), out);
   for (int j = 0; j < 40; ++j) {
     const auto ii = integral::integral_cpu(windows[static_cast<std::size_t>(j)]);
     EXPECT_EQ(out[static_cast<std::size_t>(j)], f.response(ii, 0, 0));
@@ -111,7 +119,9 @@ TEST(DatasetMatrix, EvaluateRejectsWrongOutputSize) {
   m.add_window(random_window(1));
   std::vector<std::int32_t> wrong(5);
   EXPECT_THROW(
-      m.evaluate_feature({haar::HaarType::kEdge, false, 0, 0, 2, 2}, wrong),
+      m.evaluate_terms(DatasetMatrix::feature_terms(
+                           {haar::HaarType::kEdge, false, 0, 0, 2, 2}),
+                       wrong),
       core::CheckError);
 }
 
@@ -127,7 +137,7 @@ TEST(DatasetMatrix, SimdAndScalarTailsAgree) {
     }
     const haar::HaarFeature f{haar::HaarType::kLine, true, 3, 1, 5, 7};
     std::vector<std::int32_t> out(static_cast<std::size_t>(n));
-    m.evaluate_feature(f, out);
+    m.evaluate_terms(DatasetMatrix::feature_terms(f), out);
     for (int j = 0; j < n; ++j) {
       ASSERT_EQ(out[static_cast<std::size_t>(j)],
                 f.response(iis[static_cast<std::size_t>(j)], 0, 0))

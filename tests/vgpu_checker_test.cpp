@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <utility>
 
@@ -73,8 +74,9 @@ TEST(CheckerSeeded, MissingBarrierRaceIsDetected) {
     ctx.shared_load_at(shared, tile[next]);  // neighbour's slot, no barrier
   };
 
+  const std::array<PhaseFn, 2> phases{init, racy};
   const CheckedExecution run = execute_kernel_checked(
-      spec, tile_config("racy_kernel", kTile.layout), init, racy);
+      spec, tile_config("racy_kernel", kTile.layout), phases);
   ASSERT_FALSE(run.report.clean());
   const Hazard* hazard = find_hazard(run.report, HazardKind::kIntraPhaseRace);
   ASSERT_NE(hazard, nullptr);
@@ -103,9 +105,10 @@ TEST(CheckerSeeded, BarrierSeparatedNeighbourReadIsClean) {
     ctx.shared_load_at(shared, tile[next]);
   };
 
+  const std::array<PhaseFn, 2> phases{write, read};
   const CheckedExecution run = execute_kernel_checked(
-      spec, tile_config("barriered_kernel", kTile.layout), write, read);
-  EXPECT_TRUE(run.report.clean()) << run.report.summary();
+      spec, tile_config("barriered_kernel", kTile.layout), phases);
+  EXPECT_TRUE(run.report.clean());
   EXPECT_EQ(run.report.shared_accesses_checked, 2u * kLanes);
   EXPECT_EQ(run.report.phases, 2);
 }
@@ -143,7 +146,7 @@ TEST(CheckerSeeded, SameLaneWriteThenReadIsClean) {
   };
   const CheckedExecution run =
       execute_kernel_checked(spec, tile_config("warm_read", kTile.layout), warm);
-  EXPECT_TRUE(run.report.clean()) << run.report.summary();
+  EXPECT_TRUE(run.report.clean());
 }
 
 // An off-by-one store one word past the layout: under the checker the
@@ -162,7 +165,7 @@ TEST(CheckerSeeded, StoreOneWordPastTheLayoutIsReportedNotFatal) {
   ASSERT_NO_THROW(run = execute_kernel_checked(
                       spec, tile_config("off_by_one", kTile.layout),
                       off_by_one));
-  ASSERT_EQ(run.report.hazards.size(), 1u) << run.report.summary();
+  ASSERT_EQ(run.report.hazards.size(), 1u);
   const Hazard& hazard = run.report.hazards.front();
   EXPECT_EQ(hazard.kind, HazardKind::kSharedOutOfBounds);
   EXPECT_EQ(hazard.lane_a.x, kLanes - 1);
@@ -222,7 +225,7 @@ TEST(CheckerSeeded, GlobalCheckIsDisabledWithoutAllocations) {
   };
   const CheckedExecution run =
       execute_kernel_checked(spec, config, PhaseFn(touch));
-  EXPECT_TRUE(run.report.clean()) << run.report.summary();
+  EXPECT_TRUE(run.report.clean());
   EXPECT_EQ(run.report.global_ops_checked, 0u);
 }
 
@@ -278,7 +281,7 @@ TEST(CheckerScope, LaunchTheDeviceRejectsLeavesTheCheckerReady) {
   execute_kernel(spec, tile_config("ok", {}), PhaseFn(body));
   ASSERT_EQ(scope.reports().size(), 1u);
   EXPECT_EQ(scope.reports()[0].kernel, "ok");
-  EXPECT_TRUE(scope.reports()[0].clean()) << scope.reports()[0].summary();
+  EXPECT_TRUE(scope.reports()[0].clean());
 }
 
 // --- production kernels must come back clean --------------------------
@@ -292,7 +295,7 @@ TEST(CheckerProduction, IntegralPipelineIsClean) {
   (void)result;
   ASSERT_EQ(scope.reports().size(), 2u);  // scan_rows, scan_cols
   for (const CheckReport& report : scope.reports()) {
-    EXPECT_TRUE(report.clean()) << report.summary();
+    EXPECT_TRUE(report.clean()) << report.kernel;
   }
   // The row pass stages through shared memory; the column pass has none.
   const CheckReport& rows = scope.reports().front();
@@ -313,8 +316,7 @@ TEST(CheckerProduction, RowScanBoundaryStripsAreClean) {
   CheckScope scope;
   integral::scan_rows_gpu(spec, input, output);
   ASSERT_EQ(scope.reports().size(), 1u);
-  EXPECT_TRUE(scope.reports().front().clean())
-      << scope.reports().front().summary();
+  EXPECT_TRUE(scope.reports().front().clean());
 }
 
 TEST(CheckerProduction, CascadeKernelIsClean) {
@@ -331,7 +333,7 @@ TEST(CheckerProduction, CascadeKernelIsClean) {
                          "cascade_checked");
   ASSERT_EQ(scope.reports().size(), 1u);
   const CheckReport& report = scope.reports().front();
-  EXPECT_TRUE(report.clean()) << report.summary();
+  EXPECT_TRUE(report.clean());
   EXPECT_GT(report.shared_accesses_checked, 0u);
 }
 
@@ -346,7 +348,7 @@ TEST(CheckerProduction, ScaleAndFilterKernelsAreClean) {
                         "filter_checked");
   ASSERT_EQ(scope.reports().size(), 2u);
   for (const CheckReport& report : scope.reports()) {
-    EXPECT_TRUE(report.clean()) << report.summary();
+    EXPECT_TRUE(report.clean()) << report.kernel;
   }
 }
 

@@ -124,7 +124,7 @@ TEST(LaunchObservers, AllObserverKindsComposeByTheRule) {
   // sees alone; capture only counts the shadowed launch.
   ASSERT_EQ(check.reports().size(), 1u);
   const CheckReport& owned = check.reports().front();
-  EXPECT_TRUE(owned.clean()) << owned.summary();
+  EXPECT_TRUE(owned.clean());
   EXPECT_EQ(owned.blocks, alone.blocks);
   EXPECT_EQ(owned.phases, alone.phases);
   EXPECT_EQ(owned.shared_accesses_checked, alone.shared_accesses_checked);

@@ -221,13 +221,13 @@ int run_chaos(int argc, char** argv) {
   // carry a flight-recorder dump directory.
   options.obs.dump_dir = dump_dir;
 
-  obs::TraceSession trace;
-  trace.install();
-
-  // Twin services: only the faulted one publishes, so the record holds
-  // the chaos run alone.
+  // Twin services: only the faulted one publishes, and only it runs under
+  // the trace session, so the record and the trace hold the chaos run
+  // alone.
   serve::StreamingService clean_service(device, cascade, {}, options);
   const serve::ServiceReport clean = clean_service.run(source, frames);
+  obs::TraceSession trace;
+  trace.install();
   obs::Registry registry;
   serve::StreamingService service(device, cascade, {}, options, &registry);
   const serve::ServiceReport chaos = service.run(source, frames, &plan);
